@@ -34,34 +34,50 @@ def _parse_center(text):
     return tuple(parts)
 
 
+def _common_flags(suppress):
+    """Parent parser with the flags every subcommand shares.
+
+    The top-level copy carries the defaults; the subcommand copy suppresses
+    them, so a flag given before the subcommand is not overwritten by a
+    default when the subcommand is parsed.
+    """
+    common = argparse.ArgumentParser(add_help=False)
+
+    def flag(name, default, **kwargs):
+        common.add_argument(name, default=argparse.SUPPRESS if suppress else default, **kwargs)
+
+    flag('--group', 'su2', choices=('su2', 'so3'))
+    flag('--lambda', 1.0, dest='scale', type=float, help='instanton scale')
+    flag('--center', (0.0, 0.0, 0.0, 0.0), type=_parse_center,
+         help='instanton center x1,x2,x3,x4')
+    flag('--grid-panels', 24, type=int)
+    flag('--rmax', 1000.0, type=float)
+    flag('--seed', 0, type=int)
+    flag('--tol', 1e-6, type=float)
+    flag('--format', 'text', choices=('json', 'csv', 'text'))
+    flag('--out', None, help='write the report to a file')
+    return common
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog='ymgap',
         description='verification suites for the sharp energy gap of '
-                    'Yang-Mills connections on the four-sphere')
-    parser.add_argument('--group', choices=('su2', 'so3'), default='su2')
-    parser.add_argument('--lambda', dest='scale', type=float, default=1.0,
-                        help='instanton scale')
-    parser.add_argument('--center', type=_parse_center, default=(0.0, 0.0, 0.0, 0.0),
-                        help='instanton center x1,x2,x3,x4')
-    parser.add_argument('--grid-panels', type=int, default=24)
-    parser.add_argument('--rmax', type=float, default=1000.0)
-    parser.add_argument('--seed', type=int, default=0)
-    parser.add_argument('--tol', type=float, default=1e-6)
-    parser.add_argument('--format', choices=('json', 'csv', 'text'), default='text')
-    parser.add_argument('--out', default=None, help='write the report to a file')
+                    'Yang-Mills connections on the four-sphere',
+        parents=[_common_flags(suppress=False)])
+    common = _common_flags(suppress=True)
     sub = parser.add_subparsers(dest='command', required=True)
     for name in ('constants', 'bochner', 'eigen', 'covariance', 'yamabe', 'gap', 'all'):
-        sub.add_parser(name)
-    energy = sub.add_parser('energy')
+        sub.add_parser(name, parents=[common])
+    energy = sub.add_parser('energy', parents=[common])
     energy.add_argument('--convergence-table', default=None, metavar='PATH',
                         help='also write an energy-vs-panels CSV table')
-    kato = sub.add_parser('kato')
+    kato = sub.add_parser('kato', parents=[common])
     kato.add_argument('--samples-csv', default=None, metavar='PATH',
                       help='also dump per-point samples as CSV')
-    thr = sub.add_parser('thresholds')
+    thr = sub.add_parser('thresholds', parents=[common])
     thr.add_argument('--kappa', type=float, default=1.0, help='|kappa| of the bundle')
-    flow = sub.add_parser('flow-check')
+    flow = sub.add_parser('flow-check', parents=[common])
     flow.add_argument('--energy', type=float, default=None,
                       help='energy to test; defaults to the configured instanton energy')
     return parser

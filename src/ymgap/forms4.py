@@ -74,10 +74,6 @@ def inner_2form(a, b):
     return 2.0 * np.sum(a * b, axis=-1)
 
 
-def norm_2form(a):
-    return np.sqrt(inner_2form(a, a))
-
-
 def hodge_star(a):
     """Apply the Hodge star; linear involution on six-component arrays."""
     return np.asarray(a, dtype=float) @ STAR
@@ -113,16 +109,46 @@ def random_sd_basis(rng):
     return q @ sd_basis()
 
 
+def _circ_terms():
+    """Index and sign arrays of the 24 nonzero structure constants of circ.
+
+    Output component c = (i, j) receives s * a[l] * b[r] from the two k
+    outside {i, j}: +a_ik b_jk and -a_jk b_ik, with the signs of the
+    stored i < j components folded into s. Each row of the returned
+    (6, 4) arrays lists the four terms of one output component.
+    """
+    def comp(i, k):
+        return (PAIR_INDEX[(i, k)], 1.0) if i < k else (PAIR_INDEX[(k, i)], -1.0)
+
+    terms = []
+    for (i, j) in PAIRS:
+        row = []
+        for k in range(4):
+            if k not in (i, j):
+                (ik, s_ik), (jk, s_jk) = comp(i, k), comp(j, k)
+                row += [(ik, jk, s_ik * s_jk), (jk, ik, -s_ik * s_jk)]
+        terms.append(row)
+    left, right, sign = np.moveaxis(np.array(terms), -1, 0)
+    return left.astype(int), right.astype(int), sign
+
+
+#: circ(a, b)[c] = sum_t CIRC_SIGN[c, t] * a[CIRC_LEFT[c, t]] * b[CIRC_RIGHT[c, t]]
+CIRC_LEFT, CIRC_RIGHT, CIRC_SIGN = _circ_terms()
+for _arr in (CIRC_LEFT, CIRC_RIGHT, CIRC_SIGN):
+    _arr.setflags(write=False)
+
+
 def circ(a, b):
     """(a o b)_ij = sum_k (a_ik b_jk - a_jk b_ik), on six-component arrays.
 
     Bilinear and antisymmetric; maps a pair of orthonormal self-dual basis
-    elements to another unit self-dual form (e1 o e2 = e3 etc.).
+    elements to another unit self-dual form (e1 o e2 = e3 etc.). Applied
+    through its 24 nonzero +-1 structure constants; broadcasts over
+    leading axes.
     """
-    am = to_matrix(a)
-    bm = to_matrix(b)
-    m = am @ np.swapaxes(bm, -1, -2)
-    return from_matrix(m - np.swapaxes(m, -1, -2))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.sum(CIRC_SIGN * a[..., CIRC_LEFT] * b[..., CIRC_RIGHT], axis=-1)
 
 
 # -- operators on the self-dual space ---------------------------------------

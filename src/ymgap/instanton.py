@@ -115,8 +115,8 @@ def curvature_norm_sq(p, x):
     """Pointwise |F|^2 = 96 scale^4 / (scale^2 + |x - center|^2)^4."""
     x = np.asarray(x, dtype=float)
     d = x - p.center_array
-    s = np.einsum('...m,...m->...', d, d)
-    return 96.0 * p.scale ** 4 / (p.scale ** 2 + s) ** 4
+    u = p.scale ** 2 + np.einsum('...m,...m->...', d, d)
+    return 96.0 * p.scale ** 4 / np.square(np.square(u))
 
 
 def curvature_norm_sq_laplacian(p, x):
@@ -238,7 +238,7 @@ def bochner_residual_at(p, x, h=1e-3, richardson=False):
     nabla = covariant_derivative_of(sd_part_fn(lambda z: curvature_closed_at(p, z)),
                                     lambda z: connection_at(p, z), x, h, richardson)
     fplus = liealg.lv_sd_project(curvature_closed_at(p, x))[0]
-    cubic = float(liealg.lv_inner(fplus, liealg.comm2form(fplus, fplus)))
+    cubic = float(liealg.cubic_form(fplus))
     return lap - cov_norm_sq(nabla) + cubic
 
 

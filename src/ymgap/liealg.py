@@ -11,6 +11,10 @@ The two sharp constants computed here are
 * ``gamma1``: sup <omega,[omega,omega]> / |omega|^3 over self-dual
   algebra-valued 2-forms, equal to 4/sqrt(6) for the real su(2) and
   2/sqrt(3) for so(3), and never larger than 4/sqrt(6).
+
+Both searches run on orthonormal-basis coefficients through the structure
+constants f[k,l,m] = <[E_k,E_l],E_m> that each ``AlgebraSpec`` tabulates
+once, never on matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 
 from . import forms4
 
-GAMMA0_MAX = np.sqrt(2.0)
 GAMMA0_SU2 = np.sqrt(2.0)
 GAMMA0_SO3 = 1.0
 GAMMA1_SU2 = 4.0 / np.sqrt(6.0)
@@ -116,6 +119,7 @@ class AlgebraSpec:
     n: int
     basis: np.ndarray
     _onb: np.ndarray = field(init=False, repr=False, compare=False)
+    _f: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -124,21 +128,22 @@ class AlgebraSpec:
             raise ValueError(f"basis shape {basis.shape} does not match n={self.n}")
         if not is_skew(basis):
             raise ValueError("basis contains a non-skew matrix")
-        gram = np.array([[ip_endo(x, y) for y in basis] for x in basis])
+        gram = ip_endo(basis[:, None], basis[None, :])
         if np.linalg.matrix_rank(gram, tol=1e-10) < len(basis):
             raise ValueError("basis is linearly dependent")
         # orthonormalize (the built-in bases are already orthogonal)
         chol = np.linalg.cholesky(gram)
         onb = np.einsum('pk,kij->pij', np.linalg.inv(chol), basis)
         object.__setattr__(self, '_onb', onb)
-        self._check_closure()
+        brackets = bracket(onb[:, None], onb[None, :])
+        object.__setattr__(self, '_f', ip_endo(brackets[:, :, None], onb))
+        self._check_closure(brackets)
 
-    def _check_closure(self, tol=1e-12):
-        for x in self.basis:
-            for y in self.basis:
-                c = bracket(x, y)
-                if norm_endo(c - self.project(c)) > tol:
-                    raise ValueError(f"{self.name}: bracket leaves the basis span")
+    def _check_closure(self, brackets, tol=1e-12):
+        """[E_k, E_l] - sum_m f[k,l,m] E_m vanishes iff the span is closed."""
+        leak = brackets - np.einsum('klm,mij->klij', self._f, self._onb)
+        if np.max(norm_endo(leak)) > tol:
+            raise ValueError(f"{self.name}: bracket leaves the basis span")
 
     @property
     def dim(self):
@@ -148,16 +153,17 @@ class AlgebraSpec:
     def orthonormal_basis(self):
         return self._onb
 
+    @property
+    def structure_constants(self):
+        """f[k,l,m] = <[E_k, E_l], E_m> on the orthonormal basis E.
+
+        Totally antisymmetric, since the trace form is ad-invariant.
+        """
+        return self._f
+
     def element(self, coeffs):
         """Linear combination of the orthonormal basis."""
         return np.einsum('...k,kij->...ij', np.asarray(coeffs, dtype=float), self._onb)
-
-    def coeffs_of(self, m):
-        """Orthonormal-basis coefficients of m (assumed in the span)."""
-        return np.array([ip_endo(m, e) for e in self._onb])
-
-    def project(self, m):
-        return self.element(self.coeffs_of(m))
 
     @classmethod
     def su2_real(cls):
@@ -236,45 +242,26 @@ def lv_sd_coeffs(p, basis=None):
     return 2.0 * np.einsum('ac,...cij->...aij', e, np.asarray(p, dtype=float))
 
 
-def lv_weyl_quad(w, coeffs):
-    """<omega, w * omega> for Lie-valued coefficients (3, n, n)."""
-    gram = np.array([[ip_endo(x, y) for y in coeffs] for x in coeffs])
-    return float(np.sum(np.asarray(w, dtype=float) * gram))
-
-
-def _to_full(p):
-    p = np.asarray(p, dtype=float)
-    n = p.shape[-1]
-    full = np.zeros(p.shape[:-3] + (4, 4, n, n))
-    for k, (i, j) in enumerate(forms4.PAIRS):
-        full[..., i, j, :, :] = p[..., k, :, :]
-        full[..., j, i, :, :] = -p[..., k, :, :]
-    return full
-
-
-def _from_full(full):
-    return np.stack([full[..., i, j, :, :] for (i, j) in forms4.PAIRS], axis=-3)
+_BRACKET_SIGN = forms4.CIRC_SIGN[:, :, None, None]
 
 
 def comm2form(p, q):
     """Bracket of Lie-valued 2-forms.
 
     [P,Q]_ij = sum_k ([P_ik, Q_jk] - [P_jk, Q_ik]); symmetric in (P, Q),
-    self-dual output for self-dual inputs. Index contraction is delegated
-    to einsum; the explicit four-loop version lives in the test suite as an
-    oracle.
+    self-dual output for self-dual inputs. It has the 24 nonzero +-1
+    structure constants of ``forms4.circ``, four per output component, with
+    commutators [P_a, Q_b] in place of products; they are applied as one
+    gathered batched matmul, so the call broadcasts over leading axes. The
+    explicit four-loop version lives in the test suite as an oracle.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape[-1] != q.shape[-1]:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    pf = _to_full(p)
-    qf = _to_full(q)
-    t1 = np.einsum('...ikab,...jkbc->...ijac', pf, qf)
-    t2 = np.einsum('...jkab,...ikbc->...ijac', qf, pf)
-    t3 = np.einsum('...jkab,...ikbc->...ijac', pf, qf)
-    t4 = np.einsum('...ikab,...jkbc->...ijac', qf, pf)
-    return _from_full(t1 - t2 - t3 + t4)
+    pa = p[..., forms4.CIRC_LEFT, :, :]
+    qb = q[..., forms4.CIRC_RIGHT, :, :]
+    return np.sum(_BRACKET_SIGN * (pa @ qb - qb @ pa), axis=-3)
 
 
 def cubic_form(p):
@@ -314,16 +301,24 @@ def _unit(v):
 def gamma0_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=400):
     """Maximize |[A,B]| / (|A||B|) by projected gradient ascent on spheres.
 
-    Ambient gradients of |[A,B]|^2 are 2[B,[A,B]] and 2[[A,B],A] (ad-
-    invariance of the trace form); both stay in the algebra, so projection
-    is only onto the sphere tangent. Deterministic for a fixed seed;
-    restarts are reduced by max value with ties going to the earliest.
+    Works on orthonormal-basis coefficients x, y with the algebra's
+    structure constants f: [A,B] has coefficients c = f(x, y, .), so the
+    objective is |c|^2 with gradients 2 f(., y, c) and 2 f(x, ., c) (the
+    coefficients of 2[B,[A,B]] and 2[[A,B],A] by ad-invariance). Only the
+    projection onto the sphere tangents remains. Deterministic for a fixed
+    seed; restarts are reduced by max value with ties going to the earliest.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    onb = alg.orthonormal_basis
     k = alg.dim
+    f = alg.structure_constants
+    f2 = f.reshape(k, k * k)
     rng = np.random.default_rng(seed)
+
+    def bracket_of(x, y):
+        ad_x = (x @ f2).reshape(k, k)       # ad_x[l, m] = f(x, l, m)
+        return ad_x, y @ ad_x
+
     best = None
     for r in range(restarts):
         x = _unit(rng.standard_normal(k))
@@ -334,14 +329,10 @@ def gamma0_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=400):
         converged = False
         it = 0
         for it in range(max_iter):
-            a = alg.element(x)
-            b = alg.element(y)
-            c = bracket(a, b)
-            val = ip_endo(c, c)
-            ga = 2.0 * bracket(b, c)
-            gb = 2.0 * bracket(c, a)
-            gx = np.einsum('ij,kji->k', ga, onb) * -0.5
-            gy = np.einsum('ij,kji->k', gb, onb) * -0.5
+            ad_x, c = bracket_of(x, y)
+            val = c @ c
+            gx = 2.0 * ((f @ c) @ y)
+            gy = 2.0 * (ad_x @ c)
             pgx = gx - np.dot(gx, x) * x
             pgy = gy - np.dot(gy, y) * y
             gn = np.sqrt(np.dot(pgx, pgx) + np.dot(pgy, pgy)) / (2.0 * np.sqrt(max(val, 1e-30)))
@@ -351,8 +342,8 @@ def gamma0_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=400):
             while step > 1e-16:
                 x2 = _unit(x + step * pgx)
                 y2 = _unit(y + step * pgy)
-                c2 = bracket(alg.element(x2), alg.element(y2))
-                if ip_endo(c2, c2) > val:
+                c2 = bracket_of(x2, y2)[1]
+                if c2 @ c2 > val:
                     x, y = x2, y2
                     step = min(step * 1.5, 1.0)
                     break
@@ -367,32 +358,55 @@ def gamma0_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=400):
     return best
 
 
+def sd_cubic_tensor(alg):
+    """Symmetric tensor T with <omega,[omega,omega]> = T(z, z, z).
+
+    omega = sum_a e_a (x) sum_k z[a,k] E_k over the self-dual basis e_a of
+    ``forms4.sd_basis`` and the orthonormal algebra basis E_k. Since
+    [e_b (x) A, e_c (x) B] = (e_b o e_c) (x) [A,B], the cubic form
+    factorizes exactly as
+
+        <omega,[omega,omega]> = sum eps[a,b,c] f[l,m,k] z[a,k] z[b,l] z[c,m]
+
+    with eps[a,b,c] = <e_a, e_b o e_c> (the Levi-Civita symbol on the
+    standard basis) and f the structure constants. Returned as a
+    (3k, 3k, 3k) array over the flattened index (a, k); it is fully
+    symmetric, both factors being totally antisymmetric.
+    """
+    e = forms4.sd_basis()
+    eps = forms4.inner_2form(e[:, None, None], forms4.circ(e[:, None], e[None, :])[None])
+    k = alg.dim
+    return np.einsum('abc,lmk->akblcm', eps, alg.structure_constants).reshape(3 * k, 3 * k, 3 * k)
+
+
 def gamma1_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=800):
     """Maximize <omega,[omega,omega]> / |omega|^3 over self-dual forms.
 
-    omega is parameterized by three orthonormal-basis coefficient vectors
-    (one per self-dual basis form) normalized to |omega| = 1 each step; the
-    ambient gradient of the cubic form is 3[omega,omega] (the underlying
-    trilinear form is fully symmetric).
+    omega is parameterized by three orthonormal-basis coefficient vectors z
+    (one per self-dual basis form), normalized to |omega| = |z| = 1 each
+    step. The cubic form is T(z, z, z) for the fully symmetric tensor
+    T = eps (x) f of ``sd_cubic_tensor``, so its gradient is 3 T(., z, z),
+    the coefficient array of 3[omega,omega]. The argmax is assembled as a
+    Lie-valued 2-form.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     onb = alg.orthonormal_basis
     k = alg.dim
+    t2 = sd_cubic_tensor(alg).reshape(9 * k * k, 3 * k)
     rng = np.random.default_rng(seed)
 
-    def omega_of(z):
-        return lv_from_sd_coeffs(np.einsum('ak,kij->aij', z, onb))
-
-    def value_of(z):
-        om = omega_of(z)
-        return lv_inner(om, comm2form(om, om))
+    def cubic(z):
+        """(T(z,z,z), T(., z, z)) for coefficients z of shape (3, k)."""
+        zf = z.ravel()
+        tzz = (t2 @ zf).reshape(3 * k, 3 * k) @ zf
+        return zf @ tzz, tzz
 
     best = None
     for r in range(restarts):
         z = rng.standard_normal((3, k))
         z /= np.linalg.norm(z)
-        if value_of(z) < 0.0:
+        if cubic(z)[0] < 0.0:
             z = -z
         step = 0.5
         val = 0.0
@@ -400,11 +414,8 @@ def gamma1_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=800):
         converged = False
         it = 0
         for it in range(max_iter):
-            om = omega_of(z)
-            bra = comm2form(om, om)
-            val = lv_inner(om, bra)
-            bsd = lv_sd_coeffs(bra)
-            g = 3.0 * np.einsum('aij,kji->ak', bsd, onb) * -0.5
+            val, tzz = cubic(z)
+            g = 3.0 * tzz.reshape(3, k)
             pg = g - np.sum(g * z) * z
             gn = float(np.linalg.norm(pg))
             if gn < tol * max(1.0, abs(val)):
@@ -413,7 +424,7 @@ def gamma1_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=800):
             while step > 1e-16:
                 z2 = z + step * pg
                 z2 /= np.linalg.norm(z2)
-                if value_of(z2) > val:
+                if cubic(z2)[0] > val:
                     z = z2
                     step = min(step * 1.5, 1.0)
                     break
@@ -421,7 +432,8 @@ def gamma1_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=800):
             else:
                 break
         converged = converged or gn < tol * max(1.0, abs(val))
-        cand = GammaEstimate(float(val), omega_of(z), float(gn), it + 1, r, converged)
+        omega = lv_from_sd_coeffs(np.einsum('ak,kij->aij', z, onb))
+        cand = GammaEstimate(float(val), omega, float(gn), it + 1, r, converged)
         if best is None or cand.value > best.value:
             best = cand
     return best

@@ -82,13 +82,16 @@ class SphereRule:
         wphi = np.full(m, 2.0 * np.pi / m)
         cp, sp = np.cos(psi), np.sin(psi)
         ct, st = np.cos(theta), np.sin(theta)
-        pts = np.empty((n, n, m, 4))
-        pts[..., 0] = cp[:, None, None]
-        pts[..., 1] = (sp[:, None] * ct[None, :])[..., None]
-        pts[..., 2] = sp[:, None, None] * st[None, :, None] * np.cos(phi)
-        pts[..., 3] = sp[:, None, None] * st[None, :, None] * np.sin(phi)
+        # coordinate-major storage: points is the (N, 4) transpose of a
+        # contiguous (4, N) array, so per-coordinate arithmetic runs over
+        # contiguous memory instead of rows of four
+        pts = np.empty((4, n, n, m))
+        pts[0] = cp[:, None, None]
+        pts[1] = (sp[:, None] * ct[None, :])[..., None]
+        pts[2] = sp[:, None, None] * st[None, :, None] * np.cos(phi)
+        pts[3] = sp[:, None, None] * st[None, :, None] * np.sin(phi)
         w = wpsi[:, None, None] * wtheta[None, :, None] * wphi
-        return cls(pts.reshape(-1, 4), w.reshape(-1))
+        return cls(pts.reshape(4, -1).T, w.reshape(-1))
 
 
 def integrate_r4_radial(f, grid):
@@ -105,12 +108,16 @@ def integrate_r4(f, grid, rule, origin=(0.0, 0.0, 0.0, 0.0)):
     """Full integral of f over R^4 with radius measured from ``origin``.
 
     f must accept an (N, 4) array of points and return (N,) values; the
-    radial loop keeps the working set small.
+    radial loop keeps the working set small. The points of one sphere go
+    through a buffer reused for every radius, so f must not keep it.
     """
     origin = np.asarray(origin, dtype=float)
+    x = np.empty_like(rule.points)
     total = 0.0
     for r, w in zip(grid.nodes, grid.weights):
-        vals = np.asarray(f(origin + r * rule.points), dtype=float)
+        np.multiply(rule.points, r, out=x)
+        x += origin
+        vals = np.asarray(f(x), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"non-finite integrand sample at r = {r}")
         total += w * r ** 3 * float(np.dot(rule.weights, vals))

@@ -288,7 +288,7 @@ def _suite_bochner(cfg):
     origin = np.zeros(4)
     lap_term = 0.5 * float(instanton.curvature_norm_sq_laplacian(instanton.STANDARD, origin))
     f0 = instanton.curvature_closed_at(instanton.STANDARD, origin)
-    cubic = float(liealg.lv_inner(f0, liealg.comm2form(f0, f0)))
+    cubic = float(liealg.cubic_form(f0))
     checks.append(_check("laplacian-term-at-0", abs(lap_term + 1536.0) / 1536.0, 1e-5))
     checks.append(_check("bracket-term-at-0", abs(cubic - 1536.0) / 1536.0, 1e-5))
     checks.append(_check("bochner-residual-default",
@@ -316,7 +316,7 @@ def _suite_bracket_sharpness(cfg):
     params = cfg.instanton_params()
     pts = _sample_points(rng, 50, radius=2.0)
     fp = liealg.lv_sd_project(instanton.curvature_closed_at(params, pts))[0]
-    cubic = liealg.lv_inner(fp, liealg.comm2form(fp, fp))
+    cubic = liealg.cubic_form(fp)
     norms = liealg.lv_norm(fp)
     attain = np.max(np.abs(cubic - liealg.GAMMA1_SU2 * norms ** 3))
     checks.append(_check("pointwise-gamma1-attainment", attain, 1e-10))

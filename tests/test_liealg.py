@@ -228,3 +228,79 @@ def test_cubic_gradient_matches_finite_differences():
             dz[a, k] = eps
             fd = (cubic(z + dz) - cubic(z - dz)) / (2 * eps)
             assert abs(fd - grad[a, k]) < 1e-8
+
+
+def test_comm2form_batched_and_broadcast_match_oracle():
+    rng = np.random.default_rng(41)
+    for alg in (liealg.AlgebraSpec.su2_real(), liealg.AlgebraSpec.so_n(4)):
+        p = alg.element(rng.standard_normal((5, 6, alg.dim)))
+        q = alg.element(rng.standard_normal((5, 6, alg.dim)))
+        batched = liealg.comm2form(p, q)
+        assert batched.shape == p.shape
+        for t in range(5):
+            assert np.max(np.abs(batched[t] - brute_comm2form(p[t], q[t]))) < 1e-12
+        grid = liealg.comm2form(p[:, None], q[None, :3])
+        assert grid.shape == (5, 3) + p.shape[1:]
+        for s in range(5):
+            for t in range(3):
+                assert np.max(np.abs(grid[s, t] - brute_comm2form(p[s], q[t]))) < 1e-12
+
+
+def test_structure_constants_reproduce_bracket():
+    rng = np.random.default_rng(43)
+    for alg in (liealg.AlgebraSpec.su2_real(), liealg.AlgebraSpec.so3_block(),
+                liealg.AlgebraSpec.so_n(4)):
+        f = alg.structure_constants
+        assert f.shape == (alg.dim,) * 3
+        assert np.max(np.abs(f + np.swapaxes(f, 0, 1))) < 1e-14
+        assert np.max(np.abs(f - np.transpose(f, (1, 2, 0)))) < 1e-14
+        for _ in range(10):
+            x = rng.standard_normal(alg.dim)
+            y = rng.standard_normal(alg.dim)
+            want = liealg.bracket(alg.element(x), alg.element(y))
+            got = alg.element(np.einsum('k,l,klm->m', x, y, f))
+            assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_sd_cubic_tensor_matches_comm2form_so4():
+    rng = np.random.default_rng(47)
+    alg = liealg.AlgebraSpec.so_n(4)
+    onb = alg.orthonormal_basis
+    k = alg.dim
+    t = liealg.sd_cubic_tensor(alg)
+    assert np.max(np.abs(t - np.transpose(t, (1, 0, 2)))) < 1e-14
+    assert np.max(np.abs(t - np.transpose(t, (0, 2, 1)))) < 1e-14
+
+    def omega(zz):
+        return liealg.lv_from_sd_coeffs(np.einsum('ak,kij->aij', zz, onb))
+
+    def tensor_cubic(zz):
+        zf = zz.ravel()
+        return np.einsum('ijk,i,j,k->', t, zf, zf, zf)
+
+    eps = 1e-6
+    for _ in range(5):
+        z = rng.standard_normal((3, k))
+        z /= np.linalg.norm(z)
+        om = omega(z)
+        assert abs(tensor_cubic(z) - liealg.lv_inner(om, liealg.comm2form(om, om))) < 1e-12
+        grad = 3.0 * np.einsum('ijk,j,k->i', t, z.ravel(), z.ravel()).reshape(3, k)
+        oracle = 3.0 * np.einsum('aij,kji->ak', liealg.lv_sd_coeffs(liealg.comm2form(om, om)),
+                                 onb) * -0.5
+        assert np.max(np.abs(grad - oracle)) < 1e-12
+        for a in range(3):
+            for m in range(k):
+                dz = np.zeros((3, k))
+                dz[a, m] = eps
+                fd = (tensor_cubic(z + dz) - tensor_cubic(z - dz)) / (2 * eps)
+                assert abs(fd - grad[a, m]) < 1e-8
+
+
+def test_gamma1_deterministic():
+    alg = liealg.AlgebraSpec.so3_block()
+    r1 = liealg.gamma1_estimate(alg, restarts=4, seed=42)
+    r2 = liealg.gamma1_estimate(alg, restarts=4, seed=42)
+    assert r1.value == r2.value and r1.restart == r2.restart
+    assert np.array_equal(r1.argmax, r2.argmax)
+    with pytest.raises(ValueError):
+        liealg.gamma1_estimate(alg, restarts=0)

@@ -1,8 +1,10 @@
 """Gap reports, thresholds, flow predicate, suites, CLI."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +185,47 @@ def test_cli_constants_exports_values(capsys):
     assert abs(vals["su2"]["gamma1"] - liealg.GAMMA1_SU2) < 1e-5
     assert abs(vals["so3"]["gamma1"] - liealg.GAMMA1_SO3) < 1e-5
     assert vals["su2"]["gamma0_converged"] is True
+
+
+# parsed values each README command line must produce, by subcommand
+README_EXPECTED = {
+    'all': {},
+    'gap': {'format': 'json'},
+    'constants': {'seed': 3},
+    'energy': {'scale': 0.5, 'center': (1.0, 0.0, 0.0, 0.0),
+               'convergence_table': 'table.csv'},
+    'kato': {'samples_csv': 'pts.csv'},
+    'thresholds': {'group': 'so3'},
+    'flow-check': {'energy': 157.0},
+}
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parent.parent / 'README.md').read_text()
+    block = text.split('## Command line', 1)[1].split('```sh', 1)[1].split('```', 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.strip().startswith('ymgap ')]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert sorted(argv[1] for argv in lines) == sorted(README_EXPECTED)
+    parser = cli.build_parser()
+    for argv in lines:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]
+        for key, value in README_EXPECTED[args.command].items():
+            assert getattr(args, key) == value, (argv, key)
+
+
+def test_cli_common_flags_either_side_of_subcommand():
+    parser = cli.build_parser()
+    before = parser.parse_args(['--seed', '5', '--format', 'json', 'constants'])
+    after = parser.parse_args(['constants', '--seed', '5', '--format', 'json'])
+    assert vars(before) == vars(after)
+    assert before.seed == 5 and before.format == 'json' and before.group == 'su2'
+    assert parser.parse_args(['--group', 'so3', 'thresholds', '--kappa', '2']).group == 'so3'
+    assert parser.parse_args(['--seed', '5', 'gap', '--seed', '7']).seed == 7
 
 
 def test_cli_entrypoint_subprocess():
