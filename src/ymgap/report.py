@@ -16,19 +16,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import conformal, forms4, instanton, liealg, quad4
 
 SCHEMA = "ymgap-report/1"
-
-SUITE_IDS = (
-    "kato", "bochner", "bracket-sharpness", "weyl-bound", "circ-basis",
-    "gamma-constants", "energy", "chern-weil", "eigenvalue", "covariance",
-    "yamabe-quotient", "gap",
-)
 
 
 class ConfigError(ValueError):
@@ -51,6 +45,11 @@ class GapConfig:
     tol: float = 1e-6                       # relative equality-verdict tolerance
 
     def __post_init__(self):
+        for name in ("w_plus_l2", "yamabe", "scale", "center", "f_plus_l2_override",
+                     "rmax", "tol"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.w_plus_l2 < 0:
             raise ConfigError("||W+|| must be nonnegative")
         if self.yamabe <= 0:
@@ -192,8 +191,8 @@ def corollary_thresholds(group, kappa_abs, yamabe, gamma1):
     specialized values are +32 pi^2 (su2) and +64 pi^2 (so3) beyond the
     16 pi^2 |kappa| floor. The weak universal bound replaces the gamma1
     term by Y^2/12 (they coincide at gamma1 = 4/sqrt(6))."""
-    if kappa_abs < 0:
-        raise ConfigError("|kappa| must be nonnegative")
+    if not 0 <= kappa_abs < np.inf:
+        raise ConfigError(f"|kappa| must be finite and nonnegative, got {kappa_abs!r}")
     if yamabe <= 0 or gamma1 <= 0:
         raise ConfigError("thresholds need Y > 0 and gamma1 > 0")
     floor = 16.0 * np.pi ** 2 * kappa_abs
@@ -216,8 +215,8 @@ def flow_admissible(energy, rel_tol=1e-9):
     exists for all time and converges (flat limit on the round S^4); that
     dynamic statement is reported, not simulated.
     """
-    if energy < 0:
-        raise ConfigError("energy must be nonnegative")
+    if not 0 <= energy < np.inf:
+        raise ConfigError(f"energy must be finite and nonnegative, got {energy!r}")
     return energy < quad4.EPI2_16 * (1.0 - rel_tol)
 
 
@@ -240,6 +239,7 @@ class SuiteResult:
     checks: list
     passed: bool
     runtime: float = field(default=0.0, compare=False)
+    sections: dict = field(default_factory=dict)   # top-level report entries
 
     def to_dict(self, include_runtime=False):
         d = {'suite': self.suite, 'passed': self.passed,
@@ -273,7 +273,7 @@ def _suite_kato(cfg):
         # at least quadratic decay; the floor absorbs points where the h^2
         # error coefficient happens to cross zero
         checks.append(_check("kato-order2", r2 - (r1 / 3.0 + 1e-8), 0.0))
-    return checks
+    return checks, {}
 
 
 def _suite_bochner(cfg):
@@ -294,7 +294,7 @@ def _suite_bochner(cfg):
     checks.append(_check("bochner-residual-default",
                          abs(instanton.bochner_residual_at(params, pts[0], h=1e-3, richardson=True)),
                          1e-6))
-    return checks
+    return checks, {}
 
 
 def _suite_bracket_sharpness(cfg):
@@ -320,7 +320,7 @@ def _suite_bracket_sharpness(cfg):
     norms = liealg.lv_norm(fp)
     attain = np.max(np.abs(cubic - liealg.GAMMA1_SU2 * norms ** 3))
     checks.append(_check("pointwise-gamma1-attainment", attain, 1e-10))
-    return checks
+    return checks, {}
 
 
 def _suite_weyl_bound(cfg):
@@ -335,7 +335,7 @@ def _suite_weyl_bound(cfg):
     w, v = forms4.extremal_weyl(0.7)
     eq_gap = abs(abs(forms4.weyl_quad(w, v)) - forms4.WEYL_BOUND * forms4.weyl_norm(w) * float(v @ v))
     checks.append(_check("weyl-equality-extremal", eq_gap, 1e-12))
-    return checks
+    return checks, {}
 
 
 def _suite_circ_basis(cfg):
@@ -348,27 +348,24 @@ def _suite_circ_basis(cfg):
                           forms4.circ(basis[1], basis[2])])
         gram = 2.0 * prods @ prods.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(3)))))
-    return [_check("circ-orthonormal-100bases", worst, 1e-10)]
+    return [_check("circ-orthonormal-100bases", worst, 1e-10)], {}
 
 
 def _suite_gamma_constants(cfg):
-    checks = []
-    su2 = liealg.AlgebraSpec.su2_real()
-    so3 = liealg.AlgebraSpec.so3_block()
-    t0 = time.perf_counter()
-    g0_su2 = liealg.gamma0_estimate(su2, restarts=64, seed=cfg.seed)
-    g0_so3 = liealg.gamma0_estimate(so3, restarts=64, seed=cfg.seed)
-    g0_time = time.perf_counter() - t0
-    checks.append(_check("gamma0-su2", abs(g0_su2.value - liealg.GAMMA0_SU2), 1e-6))
-    checks.append(_check("gamma0-so3", abs(g0_so3.value - liealg.GAMMA0_SO3), 1e-6))
-    checks.append(_check("gamma0-runtime", g0_time, 5.0))
-    g1_su2 = liealg.gamma1_estimate(su2, restarts=32, seed=cfg.seed)
-    g1_so3 = liealg.gamma1_estimate(so3, restarts=32, seed=cfg.seed)
-    checks.append(_check("gamma1-su2", abs(g1_su2.value - liealg.GAMMA1_SU2), 1e-5))
-    checks.append(_check("gamma1-so3", abs(g1_so3.value - liealg.GAMMA1_SO3), 1e-5))
+    algebras = {'su2': liealg.AlgebraSpec.su2_real(), 'so3': liealg.AlgebraSpec.so3_block()}
+    g0 = {n: liealg.gamma0_estimate(alg, restarts=64, seed=cfg.seed) for n, alg in algebras.items()}
+    g1 = {n: liealg.gamma1_estimate(alg, restarts=32, seed=cfg.seed) for n, alg in algebras.items()}
+    checks = [_check("gamma0-su2", abs(g0['su2'].value - liealg.GAMMA0_SU2), 1e-6),
+              _check("gamma0-so3", abs(g0['so3'].value - liealg.GAMMA0_SO3), 1e-6),
+              _check("gamma1-su2", abs(g1['su2'].value - liealg.GAMMA1_SU2), 1e-5),
+              _check("gamma1-so3", abs(g1['so3'].value - liealg.GAMMA1_SO3), 1e-5)]
     g1_so4 = liealg.gamma1_estimate(liealg.AlgebraSpec.so_n(4), restarts=16, seed=cfg.seed)
     checks.append(_check("gamma1-so4-bound", g1_so4.value - liealg.GAMMA1_MAX, 1e-5))
-    return checks
+    constants = {n: {'gamma0': g0[n].value, 'gamma0_grad_norm': g0[n].grad_norm,
+                     'gamma0_converged': g0[n].converged,
+                     'gamma1': g1[n].value, 'gamma1_grad_norm': g1[n].grad_norm,
+                     'gamma1_converged': g1[n].converged} for n in algebras}
+    return checks, {'constants': constants}
 
 
 def _suite_energy(cfg):
@@ -386,7 +383,7 @@ def _suite_energy(cfg):
                             grid, rule=rule, about=(0.0, 0.0, 0.0, 0.0))
         checks.append(_check(f"energy-shift-{scale}", abs(e - quad4.EPI2_16) / quad4.EPI2_16, 1e-6))
     checks.append(_check("energy-flat", abs(quad4.flat_energy(grid)), 1e-14))
-    return checks
+    return checks, {}
 
 
 def _suite_chern_weil(cfg):
@@ -400,7 +397,7 @@ def _suite_chern_weil(cfg):
         _check("kappa-orientation-reversed",
                abs(quad4.chern_weil_kappa(params, grid, reverse_orientation=True) - 1.0), 1e-8),
     ]
-    return checks
+    return checks, {}
 
 
 def _suite_eigenvalue(cfg):
@@ -413,7 +410,7 @@ def _suite_eigenvalue(cfg):
     borderline = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=2000)
     lam0, _ = conformal.lambda1(conformal.round_problem(borderline.phi, n=2000))
     checks.append(_check("lambda1-borderline", abs(lam0), 1e-6))
-    return checks
+    return checks, {}
 
 
 def _suite_covariance(cfg):
@@ -425,7 +422,7 @@ def _suite_covariance(cfg):
         amps *= 0.3 / max(np.sum(np.abs(amps)), 1e-9)
         u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(amps))
         worst = max(worst, conformal.covariance_check(u, field))
-    return [_check("covariance-20-random", worst, 1e-6)]
+    return [_check("covariance-20-random", worst, 1e-6)], {}
 
 
 def _suite_yamabe(cfg):
@@ -440,7 +437,7 @@ def _suite_yamabe(cfg):
         u = 1.0 + sum(a * np.cos((k + 1) * rho) for k, a in enumerate(amps))
         min_q = min(min_q, conformal.yamabe_quotient(u))
     checks.append(_check("quotient-family-floor", conformal.YAMABE_S4 - min_q, 1e-6))
-    return checks
+    return checks, {}
 
 
 def _suite_gap(cfg):
@@ -454,11 +451,42 @@ def _suite_gap(cfg):
     checks.append(_check("rhs-recomputable",
                          abs(rep.rhs - (3.0 * rep.gamma1 * rep.f_plus_l2
                                         + 2.0 * np.sqrt(6.0) * rep.w_plus_l2)), 0.0))
-    flat = gap_report(GapConfig(group=cfg.group, connection="flat", seed=cfg.seed))
+    flat = gap_report(replace(cfg, connection="flat", f_plus_l2_override=None))
     checks.append(_check("flat-is-case-1", 0.0 if flat.verdict == "case-1" else 1.0, 0.5))
-    return checks
+    return checks, {'gap_report': rep.to_dict()}
 
 
+def _suite_thresholds(cfg, kappa=1.0):
+    gamma1, _ = gamma1_for(cfg)
+    thr = corollary_thresholds(cfg.group, kappa, cfg.yamabe, gamma1)
+    checks = [_check("general-vs-weak",
+                     abs(thr.general - thr.weak_universal) if cfg.group == 'su2' else 0.0,
+                     1e-9)]
+    if thr.specialized is not None:
+        expected = 16.0 * np.pi ** 2 * kappa + (32.0 if cfg.group == 'su2' else 64.0) * np.pi ** 2
+        checks.append(_check("specialized-value", abs(thr.specialized - expected), 1e-9))
+    return checks, {'thresholds': {'general': thr.general, 'specialized': thr.specialized,
+                                   'weak_universal': thr.weak_universal, 'kappa_abs': kappa}}
+
+
+def _suite_flow_check(cfg, energy=None):
+    source = 'configured'
+    if energy is None:
+        energy = quad4.ym_energy(cfg.instanton_params(), cfg.grid())
+        source = 'computed'
+    admissible = flow_admissible(energy)
+    consistent = admissible == (energy < quad4.EPI2_16 * (1.0 - 1e-9))
+    checks = [Check("predicate-consistent", bool(consistent), 0.0, 0.0)]
+    return checks, {'flow': {'energy': energy, 'energy_source': source,
+                             'threshold': quad4.EPI2_16, 'admissible': admissible,
+                             'note': 'admissible energies flow globally and converge; '
+                                     'on the round four-sphere the limit is flat '
+                                     '(dynamics reported, not simulated)'}}
+
+
+# Each suite maps (cfg, **inputs) to (checks, sections); the sections are the
+# top-level report entries it owns. Only thresholds (kappa) and flow-check
+# (energy) take inputs beyond the configuration.
 _SUITES = {
     "kato": _suite_kato,
     "bochner": _suite_bochner,
@@ -472,18 +500,22 @@ _SUITES = {
     "covariance": _suite_covariance,
     "yamabe-quotient": _suite_yamabe,
     "gap": _suite_gap,
+    "thresholds": _suite_thresholds,
+    "flow-check": _suite_flow_check,
 }
 
+SUITE_IDS = tuple(_SUITES)
 
-def run_suite(name, cfg=None):
+
+def run_suite(name, cfg=None, **inputs):
     """Run one named suite; unknown ids raise with the available list."""
     if name not in _SUITES:
         raise ConfigError(f"unknown suite {name!r}; available: {', '.join(SUITE_IDS)}")
     cfg = cfg or GapConfig()
     t0 = time.perf_counter()
-    checks = _SUITES[name](cfg)
+    checks, sections = _SUITES[name](cfg, **inputs)
     runtime = time.perf_counter() - t0
-    return SuiteResult(name, checks, all(c.passed for c in checks), runtime)
+    return SuiteResult(name, checks, all(c.passed for c in checks), runtime, sections)
 
 
 def run_all(cfg=None):
@@ -493,23 +525,26 @@ def run_all(cfg=None):
 
 # -- report documents ---------------------------------------------------------
 
-def report_document(cfg, suites=(), extras=None, command=""):
-    """Assemble the versioned report structure (no wall-clock fields)."""
+def report_document(cfg, suites=(), command=""):
+    """Assemble the versioned report structure (no wall-clock fields).
+
+    Each suite's sections become top-level entries after ``suites``.
+    """
     doc = {
         'schema': SCHEMA,
         'command': command,
         'config': cfg.to_dict(),
         'suites': [s.to_dict() for s in suites],
     }
-    if extras:
-        doc.update(extras)
+    for s in suites:
+        doc.update(s.sections)
     return doc
 
 
 def render(doc, fmt="text"):
     """Serialize a report document as json, csv, or human-readable text."""
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         lines = ["suite,check,passed,residual,tolerance"]
         for s in doc.get('suites', []):

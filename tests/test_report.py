@@ -87,14 +87,33 @@ def test_run_suite_unknown_id():
 
 
 @pytest.mark.parametrize("name", ["circ-basis", "weyl-bound", "bracket-sharpness",
-                                  "chern-weil", "eigenvalue", "gap"])
+                                  "chern-weil", "eigenvalue", "gap", "thresholds",
+                                  "flow-check"])
 def test_individual_suites_pass(name):
     result = report.run_suite(name)
     assert result.passed, [c for c in result.checks if not c.passed]
     assert result.runtime >= 0.0
 
 
-def test_suite_determinism_bytes():
+def test_gap_suite_flat_comparison_keeps_config():
+    # the flat comparison must reuse the configuration, not rebuild a default one
+    cfg = report.GapConfig(group=liealg.AlgebraSpec.su2_real(), gamma1_source="estimate")
+    result = report.run_suite("gap", cfg)
+    assert result.passed, [c for c in result.checks if not c.passed]
+    assert result.sections["gap_report"]["provenance"]["gamma1"] == "computed"
+
+
+# top-level sections and their inner keys, by the suite that owns them
+SECTION_KEYS = {
+    'constants': {'su2', 'so3'},
+    'gap_report': {'yamabe', 'gamma1', 'f_plus_l2', 'w_plus_l2', 'lhs', 'rhs', 'slack',
+                   'verdict', 'equality_residual', 'provenance'},
+    'thresholds': {'general', 'specialized', 'weak_universal', 'kappa_abs'},
+    'flow': {'energy', 'energy_source', 'threshold', 'admissible', 'note'},
+}
+
+
+def test_suite_determinism_bytes(capsys):
     cfg = report.GapConfig(seed=7)
     docs = []
     for _ in range(2):
@@ -103,6 +122,15 @@ def test_suite_determinism_bytes():
         docs.append(report.render(doc, "json"))
     assert docs[0] == docs[1]
     assert "runtime" not in docs[0]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["--seed", "7", "--format", "json", "all"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    assert [s["suite"] for s in doc["suites"]] == list(report.SUITE_IDS)
+    assert {key: set(doc[key]) for key in SECTION_KEYS} == SECTION_KEYS
+    assert "gamma0-runtime" not in outputs[0]
 
 
 def test_render_formats():
@@ -169,6 +197,40 @@ def test_cli_bad_config_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow-check", "--energy", "nan"],
+    ["thresholds", "--kappa", "inf"],
+    ["--tol", "nan", "gap"],
+    ["--lambda", "nan", "gap"],
+    ["--rmax", "inf", "energy"],
+])
+def test_cli_non_finite_input_is_config_error(argv, capsys):
+    assert cli.main(["--format", "json"] + argv) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["w_plus_l2", "yamabe", "scale", "f_plus_l2_override",
+                                   "rmax", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_gap_config_rejects_non_finite(field, value):
+    with pytest.raises(report.ConfigError, match=field):
+        report.GapConfig(**{field: value})
+
+
+def test_gap_config_rejects_non_finite_center():
+    with pytest.raises(report.ConfigError, match="center"):
+        report.GapConfig(center=(0.0, float("nan"), 0.0, 0.0))
+
+
+def test_render_json_is_strict():
+    doc = {"schema": report.SCHEMA, "value": float("nan")}
+    with pytest.raises(ValueError):
+        report.render(doc, "json")
+
+
 def test_cli_check_failure_exit_code(capsys):
     # an impossibly tight equality tolerance flips the gap verdict
     code = cli.main(["--tol", "1e-15", "--format", "json", "gap"])
@@ -185,6 +247,20 @@ def test_cli_constants_exports_values(capsys):
     assert abs(vals["su2"]["gamma1"] - liealg.GAMMA1_SU2) < 1e-5
     assert abs(vals["so3"]["gamma1"] - liealg.GAMMA1_SO3) < 1e-5
     assert vals["su2"]["gamma0_converged"] is True
+
+
+def test_cli_constants_runs_each_search_once(monkeypatch, capsys):
+    calls = {"gamma0_estimate": 0, "gamma1_estimate": 0}
+    for name in calls:
+        original = getattr(liealg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(liealg, name, counted)
+    assert cli.main(["--format", "json", "constants"]) == 0
+    assert calls == {"gamma0_estimate": 2, "gamma1_estimate": 3}
 
 
 # parsed values each README command line must produce, by subcommand
@@ -226,6 +302,13 @@ def test_cli_common_flags_either_side_of_subcommand():
     assert before.seed == 5 and before.format == 'json' and before.group == 'su2'
     assert parser.parse_args(['--group', 'so3', 'thresholds', '--kappa', '2']).group == 'so3'
     assert parser.parse_args(['--seed', '5', 'gap', '--seed', '7']).seed == 7
+
+
+def test_cli_negative_center_needs_equals_form():
+    parser = cli.build_parser()
+    before = parser.parse_args(['--center=-1,0,0,0', 'eigen'])
+    after = parser.parse_args(['eigen', '--center=-1,0,0,0'])
+    assert before.center == after.center == (-1.0, 0.0, 0.0, 0.0)
 
 
 def test_cli_entrypoint_subprocess():
