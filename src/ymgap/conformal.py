@@ -61,6 +61,14 @@ def cell_volumes(n):
     return 2.0 * np.sin(mid) * sh * bracket
 
 
+def _faces(n):
+    """Face angles and face weights sin^3, zeroed at the poles (no flux there)."""
+    faces = np.arange(n + 1) * (np.pi / n)
+    s3f = np.sin(faces) ** 3
+    s3f[[0, -1]] = 0.0
+    return faces, s3f
+
+
 def as_values(u, rho):
     """Sample a RadialFunction: callable of rho, scalar, or node array."""
     if callable(u):
@@ -125,8 +133,11 @@ class SLProblem:
     phi: np.ndarray
 
     def stiffness_times(self, f):
+        """Inflow minus outflow of f's face fluxes: -6 Lap f times the cell masses.
+
+        Broadcasts over leading axes of f."""
         flux = self.cond[1:-1] * np.diff(f) / self.h
-        return np.concatenate([flux, [0.0]]) - np.concatenate([[0.0], flux])
+        return -np.diff(flux, prepend=0.0, append=0.0)
 
     def apply(self, f):
         """Pointwise (-6 Lap + Phi) f at the nodes."""
@@ -148,35 +159,26 @@ class SLProblem:
     def asymmetry(self):
         """Max |<Lf,g>_w - <f,Lg>_w| over a fixed family of test functions,
         normalized by the form magnitude; zero up to roundoff."""
-        worst = 0.0
-        tests = [np.sin((k + 1) * self.rho) + 0.25 * np.cos(k * self.rho) for k in range(4)]
-        for i, f in enumerate(tests):
-            for g in tests[i + 1:]:
-                lf = np.sum(self.apply(f) * g * self.weight)
-                lg = np.sum(f * self.apply(g) * self.weight)
-                scale = max(abs(lf), abs(lg), 1.0)
-                worst = max(worst, abs(lf - lg) / scale)
-        return worst
+        k = np.arange(4)[:, None]
+        tests = np.sin((k + 1) * self.rho) + 0.25 * np.cos(k * self.rho)
+        forms = (self.apply(tests) * self.weight) @ tests.T      # [i, j] = <L f_i, f_j>_w
+        scale = np.maximum(np.maximum(np.abs(forms), np.abs(forms.T)), 1.0)
+        return float(np.max(np.abs(forms - forms.T) / scale))
 
 
 def round_problem(phi, n=2000):
     """Eigenproblem for -6 Lap + Phi on the unit round S^4."""
     rho, h = cell_grid(n)
-    faces = np.arange(n + 1) * h
-    s3f = np.sin(faces) ** 3
-    s3f[0] = 0.0
-    s3f[-1] = 0.0
+    _, s3f = _faces(n)
     return SLProblem(rho, h, cell_volumes(n), 6.0 * s3f, as_values(phi, rho))
 
 
 def flux_laplacian(u_vals, n):
-    """Conservative radial Laplacian on the round S^4 (cell averages)."""
+    """Conservative radial Laplacian on the round S^4 (cell averages): the
+    stiffness operator of the conductivities sin^3, divided by the cell masses."""
     rho, h = cell_grid(n)
-    faces = np.arange(n + 1) * h
-    s3f = np.sin(faces) ** 3
-    flux = s3f[1:-1] * np.diff(u_vals) / h
-    div = np.concatenate([flux, [0.0]]) - np.concatenate([[0.0], flux])
-    return div / cell_volumes(n)
+    vol = cell_volumes(n)
+    return -SLProblem(rho, h, vol, _faces(n)[1], 0.0).stiffness_times(u_vals) / vol
 
 
 def pointwise_laplacian(u_vals, n):
@@ -251,26 +253,22 @@ def transform_problem(prob, u):
     if not callable(u):
         raise ValueError("transform_problem needs a callable conformal factor")
     n = len(prob.rho)
-    rho, h = cell_grid(n)
-    faces = np.arange(n + 1) * h
-    un = np.asarray(u(rho), dtype=float)
+    faces, s3f = _faces(n)
     uf = np.asarray(u(faces), dtype=float)
-    if np.any(un <= 0) or np.any(uf <= 0):
+    if np.any(uf <= 0):
         raise ValueError("conformal factor must be positive")
-    phi_hat = (-6.0 * flux_laplacian(un, n) + prob.phi * un) / un ** 3
-    s3f = np.sin(faces) ** 3
-    s3f[0] = 0.0
-    s3f[-1] = 0.0
-    return SLProblem(rho, h, cell_volumes(n) * un ** 4, 6.0 * s3f * uf ** 2, phi_hat)
+    un = np.asarray(u(prob.rho), dtype=float)
+    return SLProblem(prob.rho, prob.h, cell_volumes(n) * un ** 4, 6.0 * s3f * uf ** 2,
+                     transformed_phi(un, prob))
 
 
 def transformed_phi(u, field):
-    """Phi_hat = u^-3 (-6 Lap u + Phi u) on the field's grid (flux path)."""
-    n = len(field.rho)
+    """Phi_hat = u^-3 (-6 Lap u + Phi u) on the grid of ``field`` (flux path);
+    a ModifiedScalarField or an SLProblem, anything with ``rho`` and ``phi``."""
     un = as_values(u, field.rho)
     if np.any(un <= 0):
         raise ValueError("conformal factor must be positive")
-    return (-6.0 * flux_laplacian(un, n) + field.phi * un) / un ** 3
+    return (-6.0 * flux_laplacian(un, len(field.rho)) + field.phi * un) / un ** 3
 
 
 def covariance_check(u, field):
@@ -285,8 +283,6 @@ def covariance_check(u, field):
     """
     n = len(field.rho)
     un = as_values(u, field.rho)
-    if np.any(un <= 0):
-        raise ValueError("conformal factor must be positive")
     route_a = transformed_phi(un, field)
     r_hat = (-6.0 * pointwise_laplacian(un, n) + field.scalar_curv * un) / un ** 3
     route_b = (r_hat
@@ -301,17 +297,12 @@ def yamabe_quotient(u, n=20000):
     Equals 8 sqrt(6) pi at constants (and along the conformal-factor
     family of round metrics); larger for everything else, up to O(h^2).
     """
-    rho, h = cell_grid(n)
-    vals = as_values(u, rho)
+    prob = round_problem(ROUND_SCALAR_CURVATURE, n)
+    vals = as_values(u, prob.rho)
     if np.any(vals <= 0):
         raise ValueError("conformal factor must be positive")
-    faces = np.arange(n + 1) * h
-    s3f = np.sin(faces) ** 3
-    vol = cell_volumes(n)
-    du = np.diff(vals)
-    num = TWO_PI_SQ * (6.0 * np.sum(s3f[1:-1] * du * du) / h + 12.0 * np.sum(vals * vals * vol))
-    den = np.sqrt(TWO_PI_SQ * np.sum(vals ** 4 * vol))
-    return float(num / den)
+    num = TWO_PI_SQ * prob.quadratic_form(vals)
+    return float(num / np.sqrt(TWO_PI_SQ * np.sum(vals ** 4 * prob.weight)))
 
 
 def dilation_factor(lam):

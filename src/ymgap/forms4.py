@@ -27,6 +27,9 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 
+#: PAIRS as two index arrays, for gathering the six components at once
+PAIR_I, PAIR_J = np.array(PAIRS).T
+
 #: Hodge star in the six-component representation: 12<->34, 13<->-24, 14<->23
 STAR = np.zeros((6, 6))
 STAR[0, 5] = STAR[5, 0] = 1.0
@@ -55,16 +58,14 @@ def to_matrix(c):
     """Six-component array(s) (..., 6) -> antisymmetric matrices (..., 4, 4)."""
     c = np.asarray(c, dtype=float)
     m = np.zeros(c.shape[:-1] + (4, 4))
-    for k, (i, j) in enumerate(PAIRS):
-        m[..., i, j] = c[..., k]
-        m[..., j, i] = -c[..., k]
+    m[..., PAIR_I, PAIR_J] = c
+    m[..., PAIR_J, PAIR_I] = -c
     return m
 
 
 def from_matrix(m):
     """Antisymmetric matrices (..., 4, 4) -> six-component arrays (..., 6)."""
-    m = np.asarray(m, dtype=float)
-    return np.stack([m[..., i, j] for (i, j) in PAIRS], axis=-1)
+    return np.asarray(m, dtype=float)[..., PAIR_I, PAIR_J]
 
 
 def inner_2form(a, b):
@@ -98,14 +99,14 @@ def sd_basis():
     ])
 
 
-def random_sd_basis(rng):
-    """Random orthonormal basis of the self-dual space (rows).
+def random_sd_basis(rng, size=()):
+    """Random orthonormal bases (rows) of the self-dual space, size + (3, 6).
 
     Any orthonormal triple is an orthogonal mix of the standard one, so a
     Haar-ish random O(3) factor applied to sd_basis() covers them all.
     """
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
+    q, r = np.linalg.qr(rng.standard_normal(tuple(size) + (3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     return q @ sd_basis()
 
 
@@ -166,9 +167,10 @@ def require_weyl(w, tol=1e-12):
 
 
 def weyl_norm(w):
-    """sqrt(sum of squared eigenvalues) = Frobenius norm for symmetric w."""
+    """sqrt(sum of squared eigenvalues) = Frobenius norm of symmetric
+    operators (..., 3, 3); returns (...)."""
     w = np.asarray(w, dtype=float)
-    return float(np.sqrt(np.sum(w * w)))
+    return np.sqrt(np.sum(w * w, axis=(-2, -1)))
 
 
 def weyl_act(w, coeffs):
@@ -182,16 +184,17 @@ def weyl_act(w, coeffs):
 
 
 def weyl_quad(w, coeffs):
-    """<omega, w * omega> for a scalar coefficient triple (3,)."""
+    """<omega, w * omega> for operators (..., 3, 3) and scalar coefficient
+    triples (..., 3), broadcast against each other; returns (...)."""
     v = np.asarray(coeffs, dtype=float)
-    return float(v @ np.asarray(w, dtype=float) @ v)
+    return np.einsum('...a,...ab,...b->...', v, np.asarray(w, dtype=float), v)
 
 
-def random_weyl(rng, scale=1.0):
-    """Random symmetric trace-free 3x3 operator."""
-    m = rng.standard_normal((3, 3)) * scale
-    m = 0.5 * (m + m.T)
-    m -= np.trace(m) / 3.0 * np.eye(3)
+def random_weyl(rng, scale=1.0, size=()):
+    """Random symmetric trace-free 3x3 operators, shape size + (3, 3)."""
+    m = rng.standard_normal(tuple(size) + (3, 3)) * scale
+    m = 0.5 * (m + np.swapaxes(m, -2, -1))
+    m -= np.trace(m, axis1=-2, axis2=-1)[..., None, None] / 3.0 * np.eye(3)
     return m
 
 

@@ -26,15 +26,19 @@ display; see README). The general family is the pullback under
 x -> (x - center)/scale, which multiplies connection coefficients by
 1/scale and curvature coefficients by 1/scale^2.
 
-Finite-difference evaluators use central differences with optional
-Richardson extrapolation (on by default where a tight tolerance matters);
-convergence-order checks should pass ``richardson=False``.
+Every evaluator takes points x of shape (..., 4) and broadcasts over the
+leading axes: a single point (4,) is the case ... = (). Forms come back as
+(..., 6, n, n), covariant derivatives as (..., 4, 6, n, n), scalars and
+residuals as (...). Finite-difference evaluators use central differences
+with optional Richardson extrapolation (on by default where a tight
+tolerance matters); convergence-order checks should pass
+``richardson=False``.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,7 +167,7 @@ def _check_step(h):
 
 
 def curvature_fd_of(conn_fn, x, h, richardson=False):
-    """Curvature from a connection callable via central differences.
+    """Curvature (..., 6, n, n) from a connection callable via central differences.
 
     F_ij = d_i theta_j - d_j theta_i - [theta_i, theta_j]; converges to the
     closed form at O(h^2) (O(h^4) with richardson).
@@ -171,11 +175,11 @@ def curvature_fd_of(conn_fn, x, h, richardson=False):
     _check_step(h)
     x = np.asarray(x, dtype=float)
     th = conn_fn(x)
-    dth = np.stack([_partial(conn_fn, x, k, h, richardson) for k in range(4)])
-    out = np.zeros((6, th.shape[-1], th.shape[-1]))
-    for kp, (i, j) in enumerate(forms4.PAIRS):
-        out[kp] = dth[i][j] - dth[j][i] - liealg.bracket(th[i], th[j])
-    return out
+    # dth[..., k, j] = d_k theta_j
+    dth = np.stack([_partial(conn_fn, x, k, h, richardson) for k in range(4)], axis=-4)
+    i, j = forms4.PAIR_I, forms4.PAIR_J
+    return (dth[..., i, j, :, :] - dth[..., j, i, :, :]
+            - liealg.bracket(th[..., i, :, :], th[..., j, :, :]))
 
 
 def curvature_fd_at(p, x, h, richardson=False):
@@ -183,7 +187,7 @@ def curvature_fd_at(p, x, h, richardson=False):
 
 
 def covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=True):
-    """(nabla_1 F, ..., nabla_4 F) as a (4, 6, n, n) array.
+    """(nabla_1 F, ..., nabla_4 F) as a (..., 4, 6, n, n) array.
 
     nabla_k F_ij = d_k F_ij - [theta_k, F_ij] on the flat chart (the
     Levi-Civita terms vanish).
@@ -192,10 +196,10 @@ def covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=True):
     x = np.asarray(x, dtype=float)
     th = conn_fn(x)
     f0 = curv_fn(x)
-    out = np.zeros((4,) + f0.shape)
+    out = np.empty(x.shape[:-1] + (4,) + f0.shape[-3:])
     for k in range(4):
-        df = _partial(curv_fn, x, k, h, richardson)
-        out[k] = df - (th[k] @ f0 - f0 @ th[k])
+        thk = th[..., k:k + 1, :, :]
+        out[..., k, :, :, :] = _partial(curv_fn, x, k, h, richardson) - (thk @ f0 - f0 @ thk)
     return out
 
 
@@ -205,14 +209,15 @@ def covariant_derivative_at(p, x, h=1e-4, richardson=True):
 
 
 def cov_norm_sq(nabla):
-    """|nabla F|^2 = sum_k |nabla_k F|^2 (combined inner product)."""
-    return float(np.sum(liealg.lv_norm_sq(nabla)))
+    """|nabla F|^2 = sum_k |nabla_k F|^2 (combined inner product): (..., 4, 6, n, n) -> (...)."""
+    return np.sum(liealg.lv_norm_sq(nabla), axis=-1)
 
 
-def sd_part_fn(curv_fn):
-    """Wrap a curvature callable to return its self-dual part."""
+def _sd_curvature_fn(p):
+    """x -> F+(x), the self-dual half of the closed-form curvature."""
     def plus(x):
-        return liealg.lv_sd_project(curv_fn(x))[0]
+        f = curvature_closed_at(p, x)
+        return 0.5 * (f + liealg.lv_hodge(f))
     return plus
 
 
@@ -223,9 +228,9 @@ def kato_residual_at(p, x, h=1e-4, richardson=True):
     derivative side is finite-difference. Nonnegative up to FD error; this
     family attains equality identically.
     """
-    nabla = covariant_derivative_of(sd_part_fn(lambda z: curvature_closed_at(p, z)),
-                                    lambda z: connection_at(p, z), x, h, richardson)
-    return cov_norm_sq(nabla) - 1.5 * float(curvature_norm_grad_sq(p, x))
+    nabla = covariant_derivative_of(_sd_curvature_fn(p), lambda z: connection_at(p, z),
+                                    x, h, richardson)
+    return cov_norm_sq(nabla) - 1.5 * curvature_norm_grad_sq(p, x)
 
 
 def bochner_residual_at(p, x, h=1e-3, richardson=False):
@@ -234,27 +239,23 @@ def bochner_residual_at(p, x, h=1e-3, richardson=False):
     The Laplacian term is analytic (norm law), the bracket term closed
     form, the middle term finite-difference; vanishes at O(h^2).
     """
-    lap = 0.5 * float(curvature_norm_sq_laplacian(p, x))
-    nabla = covariant_derivative_of(sd_part_fn(lambda z: curvature_closed_at(p, z)),
-                                    lambda z: connection_at(p, z), x, h, richardson)
-    fplus = liealg.lv_sd_project(curvature_closed_at(p, x))[0]
-    cubic = float(liealg.cubic_form(fplus))
-    return lap - cov_norm_sq(nabla) + cubic
+    plus = _sd_curvature_fn(p)
+    nabla = covariant_derivative_of(plus, lambda z: connection_at(p, z), x, h, richardson)
+    return (0.5 * curvature_norm_sq_laplacian(p, x) - cov_norm_sq(nabla)
+            + liealg.cubic_form(plus(x)))
 
 
 def bianchi_residual_of(curv_fn, conn_fn, x, h):
-    """Max norm over index triples of the cyclic sum of nabla_k F_ij."""
+    """Max norm over index triples of the cyclic sum of nabla_k F_ij, shape (...)."""
     _check_step(h)
     nabla = covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=False)
-    n = nabla.shape[-1]
-    full = np.zeros((4, 4, 4, n, n))
-    for k in range(4):
-        for kp, (i, j) in enumerate(forms4.PAIRS):
-            full[k, i, j] = nabla[k, kp]
-            full[k, j, i] = -nabla[k, kp]
-    cyc = full + np.transpose(full, (1, 2, 0, 3, 4)) + np.transpose(full, (2, 0, 1, 3, 4))
-    norms = liealg.norm_endo(cyc.reshape(-1, n, n))
-    return float(np.max(norms))
+    i, j = forms4.PAIR_I, forms4.PAIR_J
+    # full[..., k, i, j] = nabla_k F_ij, antisymmetric in (i, j)
+    full = np.zeros(nabla.shape[:-3] + (4, 4) + nabla.shape[-2:])
+    full[..., i, j, :, :] = nabla
+    full[..., j, i, :, :] = -nabla
+    cyc = full + np.moveaxis(full, -5, -3) + np.moveaxis(full, -3, -5)
+    return np.max(liealg.norm_endo(cyc), axis=(-3, -2, -1))
 
 
 def bianchi_residual_at(p, x, h=1e-3):
@@ -273,14 +274,13 @@ def conjugated(fn, g):
 def dump_samples_csv(path, p, points, h=1e-4):
     """Write per-point samples (x, |F|^2, |nabla F|^2, |d|F||^2, Kato residual)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    columns = np.column_stack([points,
+                               curvature_norm_sq(p, points),
+                               cov_norm_sq(covariant_derivative_at(p, points, h)),
+                               curvature_norm_grad_sq(p, points),
+                               kato_residual_at(p, points, h)])
     with open(path, 'w', newline='') as fh:
         writer = csv.writer(fh)
         writer.writerow(['x1', 'x2', 'x3', 'x4', 'F_norm_sq', 'covderiv_norm_sq',
                          'grad_norm_F_sq', 'kato_residual'])
-        for x in points:
-            nabla = covariant_derivative_at(p, x, h)
-            writer.writerow([*x,
-                             float(curvature_norm_sq(p, x)),
-                             cov_norm_sq(nabla),
-                             float(curvature_norm_grad_sq(p, x)),
-                             kato_residual_at(p, x, h)])
+        writer.writerows(columns.tolist())

@@ -62,6 +62,14 @@ class GapConfig:
             raise ConfigError("connection must be 'instanton' or 'flat'")
         if self.f_plus_l2_override is not None and self.f_plus_l2_override < 0:
             raise ConfigError("||F+|| override must be nonnegative")
+        if not self.tol > 0:
+            raise ConfigError("tol must be positive")
+        # the instanton and the radial grid check their own inputs
+        try:
+            self.instanton_params()
+            self.grid()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def instanton_params(self):
         return instanton.InstantonParams(self.scale, tuple(self.center))
@@ -114,9 +122,10 @@ class GapReport:
         return asdict(self)
 
 
-def gap_report(cfg):
-    """Evaluate the gap inequality for the configured bundle and metric."""
-    gamma1, gamma1_prov = gamma1_for(cfg)
+def gap_report(cfg, gamma1=None):
+    """Evaluate the gap inequality for the configured bundle and metric;
+    ``gamma1`` is a ``gamma1_for`` (value, provenance) pair, looked up if omitted."""
+    gamma1, gamma1_prov = gamma1 or gamma1_for(cfg)
     if not 0.0 < gamma1 <= liealg.GAMMA1_MAX + 1e-12:
         raise ConfigError(f"gamma1 = {gamma1} outside (0, 4/sqrt(6)]")
     if cfg.f_plus_l2_override is not None:
@@ -265,30 +274,28 @@ def _suite_kato(cfg):
     rng = np.random.default_rng(cfg.seed)
     params = cfg.instanton_params()
     pts = _sample_points(rng, 1000, radius=3.0)
-    worst = min(instanton.kato_residual_at(params, x, h=1e-4) for x in pts)
-    checks = [_check("kato-floor-1000pts", -worst, 1e-8)]
-    for x in pts[:3]:
-        r1 = abs(instanton.kato_residual_at(params, x, h=2e-3, richardson=False))
-        r2 = abs(instanton.kato_residual_at(params, x, h=1e-3, richardson=False))
-        # at least quadratic decay; the floor absorbs points where the h^2
-        # error coefficient happens to cross zero
-        checks.append(_check("kato-order2", r2 - (r1 / 3.0 + 1e-8), 0.0))
-    return checks, {}
+    worst = np.min(instanton.kato_residual_at(params, pts, h=1e-4))
+    return ([_check("kato-floor-1000pts", -worst, 1e-8)]
+            + _order2_checks("kato-order2", instanton.kato_residual_at, params, pts[:3])), {}
+
+
+def _order2_checks(name, residual_at, params, pts):
+    """One check per point that the residual decays at least quadratically
+    from h = 2e-3 to 1e-3; the floor absorbs points where the h^2 error
+    coefficient happens to cross zero."""
+    r1 = np.abs(residual_at(params, pts, h=2e-3, richardson=False))
+    r2 = np.abs(residual_at(params, pts, h=1e-3, richardson=False))
+    return [_check(name, gap, 0.0) for gap in r2 - (r1 / 3.0 + 1e-8)]
 
 
 def _suite_bochner(cfg):
     rng = np.random.default_rng(cfg.seed + 1)
     params = cfg.instanton_params()
-    checks = []
     pts = _sample_points(rng, 10, radius=2.0, min_radius=0.2)
-    for x in pts:
-        r1 = abs(instanton.bochner_residual_at(params, x, h=2e-3, richardson=False))
-        r2 = abs(instanton.bochner_residual_at(params, x, h=1e-3, richardson=False))
-        checks.append(_check("bochner-order2", r2 - (r1 / 3.0 + 1e-8), 0.0))
+    checks = _order2_checks("bochner-order2", instanton.bochner_residual_at, params, pts)
     origin = np.zeros(4)
-    lap_term = 0.5 * float(instanton.curvature_norm_sq_laplacian(instanton.STANDARD, origin))
-    f0 = instanton.curvature_closed_at(instanton.STANDARD, origin)
-    cubic = float(liealg.cubic_form(f0))
+    lap_term = 0.5 * instanton.curvature_norm_sq_laplacian(instanton.STANDARD, origin)
+    cubic = liealg.cubic_form(instanton.curvature_closed_at(instanton.STANDARD, origin))
     checks.append(_check("laplacian-term-at-0", abs(lap_term + 1536.0) / 1536.0, 1e-5))
     checks.append(_check("bracket-term-at-0", abs(cubic - 1536.0) / 1536.0, 1e-5))
     checks.append(_check("bochner-residual-default",
@@ -307,11 +314,9 @@ def _suite_bracket_sharpness(cfg):
                          abs(liealg.lv_norm(liealg.comm2form(p, p)) - 4.0 * np.sqrt(6.0)), 1e-12))
     checks.append(_check("bound-equality-bpst",
                          abs(liealg.bracket_bound_check(p, liealg.GAMMA0_SU2)), 1e-10))
-    worst = 0.0
-    for _ in range(200):
-        coeffs = rng.standard_normal((3, 3))
-        q = liealg.lv_from_sd_coeffs(np.einsum('ak,kij->aij', coeffs, basis))
-        worst = min(worst, liealg.bracket_bound_check(q, liealg.GAMMA0_SU2))
+    coeffs = rng.standard_normal((200, 3, 3))
+    q = liealg.lv_from_sd_coeffs(np.einsum('...ak,kij->...aij', coeffs, basis))
+    worst = min(0.0, np.min(liealg.bracket_bound_check(q, liealg.GAMMA0_SU2)))
     checks.append(_check("bound-nonneg-random", -worst, 1e-10))
     params = cfg.instanton_params()
     pts = _sample_points(rng, 50, radius=2.0)
@@ -325,29 +330,27 @@ def _suite_bracket_sharpness(cfg):
 
 def _suite_weyl_bound(cfg):
     rng = np.random.default_rng(cfg.seed + 3)
-    worst = -np.inf
-    for _ in range(10000):
-        w = forms4.random_weyl(rng)
-        v = rng.standard_normal(3)
-        gap = abs(forms4.weyl_quad(w, v)) - forms4.WEYL_BOUND * forms4.weyl_norm(w) * float(v @ v)
-        worst = max(worst, gap)
-    checks = [_check("weyl-bound-10k", worst, 1e-10)]
+    w = forms4.random_weyl(rng, size=(10000,))
+    v = rng.standard_normal((10000, 3))
+    worst = np.max(_weyl_gap(w, v))
     w, v = forms4.extremal_weyl(0.7)
-    eq_gap = abs(abs(forms4.weyl_quad(w, v)) - forms4.WEYL_BOUND * forms4.weyl_norm(w) * float(v @ v))
-    checks.append(_check("weyl-equality-extremal", eq_gap, 1e-12))
-    return checks, {}
+    return [_check("weyl-bound-10k", worst, 1e-10),
+            _check("weyl-equality-extremal", abs(_weyl_gap(w, v)), 1e-12)], {}
+
+
+def _weyl_gap(w, v):
+    """|<v, w v>| - (2/sqrt6)|w||v|^2, nonpositive by the sharp bound."""
+    return (np.abs(forms4.weyl_quad(w, v))
+            - forms4.WEYL_BOUND * forms4.weyl_norm(w) * np.sum(v * v, axis=-1))
 
 
 def _suite_circ_basis(cfg):
     rng = np.random.default_rng(cfg.seed + 4)
-    worst = 0.0
-    for _ in range(100):
-        basis = forms4.random_sd_basis(rng)
-        prods = np.stack([forms4.circ(basis[0], basis[1]),
-                          forms4.circ(basis[0], basis[2]),
-                          forms4.circ(basis[1], basis[2])])
-        gram = 2.0 * prods @ prods.T
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(3)))))
+    basis = forms4.random_sd_basis(rng, size=(100,))
+    # rows e1 o e2, e1 o e3, e2 o e3 of each basis
+    prods = forms4.circ(basis[:, [0, 0, 1]], basis[:, [1, 2, 2]])
+    gram = 2.0 * prods @ np.swapaxes(prods, -2, -1)
+    worst = np.max(np.abs(gram - np.eye(3)))
     return [_check("circ-orthonormal-100bases", worst, 1e-10)], {}
 
 
@@ -441,7 +444,8 @@ def _suite_yamabe(cfg):
 
 
 def _suite_gap(cfg):
-    rep = gap_report(cfg)
+    gamma1 = gamma1_for(cfg)
+    rep = gap_report(cfg, gamma1)
     checks = [
         _check("verdict-equality", 0.0 if rep.verdict == "equality" else 1.0, 0.5),
         _check("slack-relative", abs(rep.slack) / rep.yamabe, cfg.tol),
@@ -451,7 +455,7 @@ def _suite_gap(cfg):
     checks.append(_check("rhs-recomputable",
                          abs(rep.rhs - (3.0 * rep.gamma1 * rep.f_plus_l2
                                         + 2.0 * np.sqrt(6.0) * rep.w_plus_l2)), 0.0))
-    flat = gap_report(replace(cfg, connection="flat", f_plus_l2_override=None))
+    flat = gap_report(replace(cfg, connection="flat", f_plus_l2_override=None), gamma1)
     checks.append(_check("flat-is-case-1", 0.0 if flat.verdict == "case-1" else 1.0, 0.5))
     return checks, {'gap_report': rep.to_dict()}
 

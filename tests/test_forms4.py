@@ -142,3 +142,34 @@ def test_weyl_bound_random_and_sup():
     sup_ratio = max(sup_ratio, abs(forms4.weyl_quad(w, v)) /
                     (forms4.WEYL_BOUND * forms4.weyl_norm(w) * float(v @ v)))
     assert sup_ratio > 1.0 - 1e-3
+
+
+def test_weyl_helpers_batched_match_scalar_calls():
+    w = forms4.random_weyl(np.random.default_rng(41), scale=0.5, size=(4, 5))
+    assert w.shape == (4, 5, 3, 3)
+    assert np.max(np.abs(w - np.swapaxes(w, -2, -1))) == 0.0
+    assert np.max(np.abs(np.trace(w, axis1=-2, axis2=-1))) < 1e-15
+    v = np.random.default_rng(43).standard_normal((4, 5, 3))
+    quad = forms4.weyl_quad(w, v)
+    norm = forms4.weyl_norm(w)
+    assert quad.shape == norm.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        forms4.require_weyl(w[idx])
+        assert abs(quad[idx] - forms4.weyl_quad(w[idx], v[idx])) < 1e-14
+        assert abs(norm[idx] - forms4.weyl_norm(w[idx])) < 1e-15
+    # one operator against many triples broadcasts
+    one = forms4.weyl_quad(w[0, 0], v)
+    assert abs(one[2, 3] - forms4.weyl_quad(w[0, 0], v[2, 3])) < 1e-14
+
+
+def test_random_helpers_batched_draw_the_scalar_stream():
+    batched = forms4.random_weyl(np.random.default_rng(47), size=(6,))
+    rng = np.random.default_rng(47)
+    assert np.array_equal(batched, np.stack([forms4.random_weyl(rng) for _ in range(6)]))
+    bases = forms4.random_sd_basis(np.random.default_rng(53), size=(2, 3))
+    assert bases.shape == (2, 3, 3, 6)
+    rng = np.random.default_rng(53)
+    looped = np.stack([forms4.random_sd_basis(rng) for _ in range(6)]).reshape(2, 3, 3, 6)
+    assert np.max(np.abs(bases - looped)) < 1e-15
+    gram = 2.0 * bases @ np.swapaxes(bases, -2, -1)
+    assert np.max(np.abs(gram - np.eye(3))) < 1e-12

@@ -214,3 +214,66 @@ def test_dump_samples_csv(tmp_path):
     assert len(rows) == 4
     first = [float(v) for v in rows[1].split(",")]
     assert abs(first[4] - 96.0) < 1e-12
+
+
+# -- batched evaluation: points (..., 4) give results with leading shape (...) --
+
+OFF_STANDARD = instanton.InstantonParams(0.7, (0.3, -0.2, 0.1, 0.5))
+
+
+def _one_point_at_a_time(fn, pts):
+    """fn called on each single point (4,), stacked back into pts' leading shape."""
+    flat = pts.reshape(-1, 4)
+    values = np.stack([np.asarray(fn(x)) for x in flat])
+    return values.reshape(pts.shape[:-1] + values.shape[1:])
+
+
+def _fd_layer(p):
+    conn = lambda z: instanton.connection_at(p, z)
+    curv = lambda z: instanton.curvature_closed_at(p, z)
+    # (name, evaluator of (..., 4) points, tolerance against the pointwise loop)
+    return [
+        ('covariant_derivative_of',
+         lambda z: instanton.covariant_derivative_of(curv, conn, z, h=1e-4), 1e-10),
+        ('curvature_fd_of', lambda z: instanton.curvature_fd_of(conn, z, h=1e-4), 1e-12),
+        ('kato_residual_at', lambda z: instanton.kato_residual_at(p, z, h=1e-4), 1e-9),
+        ('bochner_residual_at', lambda z: instanton.bochner_residual_at(p, z, h=1e-3), 1e-11),
+        ('bianchi_residual_of',
+         lambda z: instanton.bianchi_residual_of(curv, conn, z, h=1e-3), 1e-12),
+    ]
+
+
+@pytest.mark.parametrize("p", [STD, OFF_STANDARD], ids=["standard", "off-standard"])
+@pytest.mark.parametrize("shape", [(40, 4), (2, 3, 4)])
+def test_fd_layer_batched_matches_pointwise(p, shape):
+    pts = np.random.default_rng(31).standard_normal(shape) * 1.5
+    for name, fn, tol in _fd_layer(p):
+        batched = fn(pts)
+        looped = _one_point_at_a_time(fn, pts)
+        assert batched.shape == looped.shape, name
+        assert np.max(np.abs(batched - looped)) < tol, name
+
+
+def test_fd_layer_shapes():
+    pts = np.zeros((2, 3, 4))
+    assert instanton.covariant_derivative_at(STD, pts).shape == (2, 3, 4, 6, 4, 4)
+    assert instanton.curvature_fd_at(STD, pts, h=1e-4).shape == (2, 3, 6, 4, 4)
+    for value in (instanton.kato_residual_at(STD, pts), instanton.bochner_residual_at(STD, pts),
+                  instanton.bianchi_residual_at(STD, pts),
+                  instanton.cov_norm_sq(instanton.covariant_derivative_at(STD, pts))):
+        assert np.shape(value) == (2, 3)
+    assert np.shape(instanton.kato_residual_at(STD, np.zeros(4))) == ()
+
+
+def test_dump_samples_csv_matches_pointwise(tmp_path):
+    path = tmp_path / "samples.csv"
+    pts = np.random.default_rng(37).standard_normal((5, 4))
+    instanton.dump_samples_csv(path, OFF_STANDARD, pts)
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in path.read_text().strip().split("\n")[1:]])
+    assert rows.shape == (5, 8)
+    assert np.array_equal(rows[:, :4], pts)
+    kato = [instanton.kato_residual_at(OFF_STANDARD, x) for x in pts]
+    cov = [instanton.cov_norm_sq(instanton.covariant_derivative_at(OFF_STANDARD, x)) for x in pts]
+    assert np.max(np.abs(rows[:, 7] - kato)) < 1e-9
+    assert np.max(np.abs(rows[:, 5] - cov) / np.maximum(1.0, np.abs(cov))) < 1e-12

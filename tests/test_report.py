@@ -212,6 +212,30 @@ def test_cli_non_finite_input_is_config_error(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "-1", "gap"],
+    ["--lambda", "0", "gap"],
+    ["--grid-panels", "0", "energy"],
+    ["--rmax", "0.1", "energy"],
+    ["--tol", "-1", "gap"],
+    ["--tol", "0", "gap"],
+])
+def test_cli_out_of_range_input_is_config_error(argv, capsys):
+    assert cli.main(["--format", "json"] + argv) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kwargs", [{"scale": -1.0}, {"panels": 0}, {"rmax": 0.1},
+                                    {"tol": 0.0}, {"tol": -1e-6},
+                                    {"center": (1.0, 2.0)}])
+def test_gap_config_rejects_what_lower_layers_reject(kwargs):
+    with pytest.raises(report.ConfigError):
+        report.GapConfig(**kwargs)
+
+
 @pytest.mark.parametrize("field", ["w_plus_l2", "yamabe", "scale", "f_plus_l2_override",
                                    "rmax", "tol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -261,6 +285,21 @@ def test_cli_constants_runs_each_search_once(monkeypatch, capsys):
         monkeypatch.setattr(liealg, name, counted)
     assert cli.main(["--format", "json", "constants"]) == 0
     assert calls == {"gamma0_estimate": 2, "gamma1_estimate": 3}
+
+
+def test_gap_suite_runs_gamma1_search_once(monkeypatch):
+    calls = []
+    original = liealg.gamma1_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(liealg, "gamma1_estimate", counted)
+    res = report.run_suite("gap", report.GapConfig(gamma1_source="estimate"))
+    assert res.passed
+    assert len(calls) == 1
+    assert res.sections["gap_report"]["provenance"]["gamma1"] == "computed"
 
 
 # parsed values each README command line must produce, by subcommand
