@@ -10,7 +10,7 @@ import numpy as np
 
 from ymgap import conformal, liealg
 
-print("round S^4: R =", conformal.round_scalar_curvature(),
+print("round S^4: R =", conformal.ROUND_SCALAR_CURVATURE,
       " vol =", conformal.ROUND_VOLUME,
       " Yamabe invariant =", conformal.YAMABE_S4, "(= 8 sqrt(6) pi)")
 
@@ -24,7 +24,7 @@ print("Rayleigh quotient of cos(rho):", conformal.rayleigh(prob, np.cos),
 borderline = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=2000)
 print("\ninstanton data: Phi = 12 - 3*(4/sqrt6)*sqrt6 -> max|Phi| =",
       np.max(np.abs(borderline.phi)))
-lam0, _ = conformal.lambda1(conformal.round_problem(borderline.phi, n=2000))
+lam0, _ = conformal.lambda1(borderline)
 print("borderline first eigenvalue:", lam0)
 
 print("\nconformal covariance, two independent discretizations:")

@@ -16,7 +16,7 @@ Subpackages:
 """
 
 from . import conformal, forms4, instanton, liealg, quad4, report
-from .conformal import YAMABE_S4, round_scalar_curvature
+from .conformal import ROUND_SCALAR_CURVATURE, YAMABE_S4
 from .instanton import InstantonParams
 from .liealg import (AlgebraSpec, GAMMA0_SO3, GAMMA0_SU2, GAMMA1_MAX,
                      GAMMA1_SO3, GAMMA1_SU2, gamma0_estimate, gamma1_estimate)
@@ -31,8 +31,8 @@ __all__ = [
     "InstantonParams", "AlgebraSpec", "RadialGrid", "SphereRule",
     "GapConfig", "GapReport",
     "GAMMA0_SU2", "GAMMA0_SO3", "GAMMA1_SU2", "GAMMA1_SO3", "GAMMA1_MAX",
-    "YAMABE_S4",
+    "ROUND_SCALAR_CURVATURE", "YAMABE_S4",
     "gamma0_estimate", "gamma1_estimate", "ym_energy", "l2_sd_norms",
     "chern_weil_kappa", "gap_report", "corollary_thresholds",
-    "flow_admissible", "run_suite", "run_all", "round_scalar_curvature",
+    "flow_admissible", "run_suite", "run_all",
 ]

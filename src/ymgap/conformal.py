@@ -13,6 +13,10 @@ volumes of sin^3; fluxes vanish at the poles, which encodes the
 regularity boundary condition. Constants are annihilated exactly, so
 Phi = const reproduces lambda_1 = const to solver precision on any grid.
 
+One discrete operator, ``SLProblem``, evaluates L: the field ``phi_of``
+returns is the round problem for its Phi, and Phi_hat = u^-3 L u goes
+through ``SLProblem.apply`` on a problem the caller builds once.
+
 A ``RadialFunction`` argument means either a vectorized callable of rho or
 an array of node values.
 """
@@ -31,11 +35,6 @@ ROUND_SCALAR_CURVATURE = 12.0
 ROUND_VOLUME = 8.0 * np.pi ** 2 / 3.0
 #: Yamabe invariant of the round conformal class: 12 * sqrt(vol) = 8 sqrt(6) pi
 YAMABE_S4 = ROUND_SCALAR_CURVATURE * np.sqrt(ROUND_VOLUME)
-
-
-def round_scalar_curvature():
-    """Scalar curvature of the unit round S^4."""
-    return 12.0
 
 
 def cell_grid(n):
@@ -61,14 +60,6 @@ def cell_volumes(n):
     return 2.0 * np.sin(mid) * sh * bracket
 
 
-def _faces(n):
-    """Face angles and face weights sin^3, zeroed at the poles (no flux there)."""
-    faces = np.arange(n + 1) * (np.pi / n)
-    s3f = np.sin(faces) ** 3
-    s3f[[0, -1]] = 0.0
-    return faces, s3f
-
-
 def as_values(u, rho):
     """Sample a RadialFunction: callable of rho, scalar, or node array."""
     if callable(u):
@@ -80,40 +71,6 @@ def as_values(u, rho):
     if vals.shape != rho.shape:
         raise ValueError("radial values do not match the grid")
     return vals
-
-
-def pole_regularity_defect(values, rho):
-    """One-sided derivative magnitude at the poles (should be O(h))."""
-    h = rho[1] - rho[0]
-    return max(abs(values[1] - values[0]) / h, abs(values[-1] - values[-2]) / h)
-
-
-@dataclass(frozen=True)
-class ModifiedScalarField:
-    """Phi = scalar_curv - 2 sqrt(6) weyl_norm - 3 gamma1 f_plus_norm on a grid."""
-
-    rho: np.ndarray
-    phi: np.ndarray
-    scalar_curv: np.ndarray
-    weyl_norm: np.ndarray
-    f_plus_norm: np.ndarray
-    gamma1: float
-
-    def reconstruction_residual(self):
-        rebuilt = self.scalar_curv - 2.0 * SQRT6 * self.weyl_norm - 3.0 * self.gamma1 * self.f_plus_norm
-        return float(np.max(np.abs(self.phi - rebuilt)))
-
-
-def phi_of(scalar_curv, weyl_norm, f_plus_norm, gamma1, n=2000):
-    """Assemble the modified scalar curvature field on an n-cell grid."""
-    if gamma1 < 0:
-        raise ValueError("gamma1 must be nonnegative")
-    rho, _ = cell_grid(n)
-    r = as_values(scalar_curv, rho)
-    w = as_values(weyl_norm, rho)
-    f = as_values(f_plus_norm, rho)
-    phi = r - 2.0 * SQRT6 * w - 3.0 * gamma1 * f
-    return ModifiedScalarField(rho, phi, r, w, f, float(gamma1))
 
 
 @dataclass(frozen=True)
@@ -133,9 +90,8 @@ class SLProblem:
     phi: np.ndarray
 
     def stiffness_times(self, f):
-        """Inflow minus outflow of f's face fluxes: -6 Lap f times the cell masses.
-
-        Broadcasts over leading axes of f."""
+        """Inflow minus outflow of f's face fluxes, -6 Lap f times the cell
+        masses; broadcasts over leading axes of f."""
         flux = self.cond[1:-1] * np.diff(f) / self.h
         return -np.diff(flux, prepend=0.0, append=0.0)
 
@@ -167,28 +123,42 @@ class SLProblem:
 
 
 def round_problem(phi, n=2000):
-    """Eigenproblem for -6 Lap + Phi on the unit round S^4."""
+    """-6 Lap + Phi on the unit round S^4: face conductivities 6 sin^3, zero at the poles."""
     rho, h = cell_grid(n)
-    _, s3f = _faces(n)
-    return SLProblem(rho, h, cell_volumes(n), 6.0 * s3f, as_values(phi, rho))
+    cond = 6.0 * np.sin(np.arange(n + 1) * h) ** 3
+    cond[[0, -1]] = 0.0
+    return SLProblem(rho, h, cell_volumes(n), cond, as_values(phi, rho))
 
 
-def flux_laplacian(u_vals, n):
-    """Conservative radial Laplacian on the round S^4 (cell averages): the
-    stiffness operator of the conductivities sin^3, divided by the cell masses."""
-    rho, h = cell_grid(n)
-    vol = cell_volumes(n)
-    return -SLProblem(rho, h, vol, _faces(n)[1], 0.0).stiffness_times(u_vals) / vol
+@dataclass(frozen=True)
+class ModifiedScalarField(SLProblem):
+    """The round problem for Phi = scalar_curv - 2 sqrt(6) weyl_norm - 3 gamma1
+    f_plus_norm, with the constituents that covariance_check's route (b) transforms."""
+
+    scalar_curv: np.ndarray
+    weyl_norm: np.ndarray
+    f_plus_norm: np.ndarray
+    gamma1: float
 
 
-def pointwise_laplacian(u_vals, n):
-    """u'' + 3 cot(rho) u' by central differences with even reflection at
-    the poles; an independent discretization of the same operator."""
-    rho, h = cell_grid(n)
+def phi_of(scalar_curv, weyl_norm, f_plus_norm, gamma1, n=2000):
+    """Assemble the modified scalar curvature field on an n-cell grid."""
+    if gamma1 < 0:
+        raise ValueError("gamma1 must be nonnegative")
+    rho, _ = cell_grid(n)
+    r, w, f = (as_values(v, rho) for v in (scalar_curv, weyl_norm, f_plus_norm))
+    phi = r - 2.0 * SQRT6 * w - 3.0 * gamma1 * f
+    return ModifiedScalarField(**vars(round_problem(phi, n)), scalar_curv=r, weyl_norm=w,
+                               f_plus_norm=f, gamma1=float(gamma1))
+
+
+def pointwise_laplacian(u_vals, prob):
+    """u'' + 3 cot(rho) u' on the nodes of ``prob`` by central differences with even
+    reflection at the poles; an independent discretization sharing only the grid."""
     ug = np.concatenate([[u_vals[0]], u_vals, [u_vals[-1]]])
-    upp = (ug[2:] - 2.0 * ug[1:-1] + ug[:-2]) / h ** 2
-    up = (ug[2:] - ug[:-2]) / (2.0 * h)
-    return upp + 3.0 * up / np.tan(rho)
+    upp = (ug[2:] - 2.0 * ug[1:-1] + ug[:-2]) / prob.h ** 2
+    up = (ug[2:] - ug[:-2]) / (2.0 * prob.h)
+    return upp + 3.0 * up / np.tan(prob.rho)
 
 
 class EigenSolveError(RuntimeError):
@@ -248,56 +218,57 @@ def transform_problem(prob, u):
 
     u must be a positive callable so it can be sampled at faces as well.
     Conductivities scale by u^2, masses by u^4, and the potential becomes
-    Phi_hat = u^-3 (-6 Lap u + Phi u). The sign of lambda1 is preserved.
+    Phi_hat = u^-3 L u. The sign of lambda1 is preserved.
     """
     if not callable(u):
         raise ValueError("transform_problem needs a callable conformal factor")
-    n = len(prob.rho)
-    faces, s3f = _faces(n)
-    uf = np.asarray(u(faces), dtype=float)
+    uf = np.asarray(u(np.arange(len(prob.rho) + 1) * prob.h), dtype=float)
     if np.any(uf <= 0):
         raise ValueError("conformal factor must be positive")
     un = np.asarray(u(prob.rho), dtype=float)
-    return SLProblem(prob.rho, prob.h, cell_volumes(n) * un ** 4, 6.0 * s3f * uf ** 2,
+    return SLProblem(prob.rho, prob.h, prob.weight * un ** 4, prob.cond * uf ** 2,
                      transformed_phi(un, prob))
 
 
-def transformed_phi(u, field):
-    """Phi_hat = u^-3 (-6 Lap u + Phi u) on the grid of ``field`` (flux path);
-    a ModifiedScalarField or an SLProblem, anything with ``rho`` and ``phi``."""
-    un = as_values(u, field.rho)
+def transformed_phi(u, prob):
+    """Phi_hat = u^-3 L u = u^-3 (-6 Lap u + Phi u) on the grid of ``prob``,
+    an SLProblem (a ModifiedScalarField is one), through ``prob.apply``."""
+    un = as_values(u, prob.rho)
     if np.any(un <= 0):
         raise ValueError("conformal factor must be positive")
-    return (-6.0 * flux_laplacian(un, len(field.rho)) + field.phi * un) / un ** 3
+    return prob.apply(un) / un ** 3
 
 
 def covariance_check(u, field):
     """Max pointwise gap between the two routes to Phi_hat.
 
-    Route (a): u^-3 (-6 Lap u + Phi u) with the conservative Laplacian.
+    Route (a): u^-3 L u with the conservative (flux) operator of ``field``.
     Route (b): transform each constituent (R_hat = u^-3(-6 Lap u + R u)
     with the pointwise cotangent Laplacian, |W+| and |F+| scaling by
     u^-2) and recombine. Both are O(h^2) discretizations of the same
     identity, so the gap is O(h^2) and sensitive to any factor or sign
     slip in either route.
     """
-    n = len(field.rho)
     un = as_values(u, field.rho)
     route_a = transformed_phi(un, field)
-    r_hat = (-6.0 * pointwise_laplacian(un, n) + field.scalar_curv * un) / un ** 3
+    r_hat = (-6.0 * pointwise_laplacian(un, field) + field.scalar_curv * un) / un ** 3
     route_b = (r_hat
                - 2.0 * SQRT6 * field.weyl_norm / un ** 2
                - 3.0 * field.gamma1 * field.f_plus_norm / un ** 2)
     return float(np.max(np.abs(route_a - route_b)))
 
 
-def yamabe_quotient(u, n=20000):
+def yamabe_quotient(u, prob=None):
     """int(6|du|^2 + 12 u^2) dV / (int u^4 dV)^(1/2) on the unit round S^4.
+
+    ``prob`` is the round problem with Phi = 12 that u lives on, built once by
+    callers of many factors; default ``round_problem(ROUND_SCALAR_CURVATURE, 20000)``.
 
     Equals 8 sqrt(6) pi at constants (and along the conformal-factor
     family of round metrics); larger for everything else, up to O(h^2).
     """
-    prob = round_problem(ROUND_SCALAR_CURVATURE, n)
+    if prob is None:
+        prob = round_problem(ROUND_SCALAR_CURVATURE, 20000)
     vals = as_values(u, prob.rho)
     if np.any(vals <= 0):
         raise ValueError("conformal factor must be positive")
@@ -319,19 +290,3 @@ def dilation_factor(lam):
         return lam * (1.0 + t2) / (1.0 + lam ** 2 * t2)
 
     return u
-
-
-def stereographic_factor(rho):
-    """u with g_round = u^2 g_flat under stereographic projection,
-    u = 2/(1+|x|^2) = 1 + cos(rho) at |x| = tan(rho/2)."""
-    return 1.0 + np.cos(np.asarray(rho))
-
-
-def phi_to_csv(path, field):
-    data = np.column_stack([field.rho, field.phi])
-    np.savetxt(path, data, delimiter=',', header='rho,phi', comments='')
-
-
-def phi_from_csv(path):
-    data = np.loadtxt(path, delimiter=',', skiprows=1)
-    return data[:, 0], data[:, 1]

@@ -44,8 +44,8 @@ class RadialGrid:
     def make(cls, rmax=1000.0, panels=24, order=24, inner=0.25):
         """Geometrically graded panels accumulate near the origin where the
         instanton profile varies; accuracy is spectral per panel."""
-        if panels < 1 or order < 2:
-            raise ValueError("need at least one panel and order >= 2")
+        if panels < 2 or order < 2:
+            raise ValueError("need at least two panels (one ends at inner) and order >= 2")
         edges = np.concatenate([[0.0], np.geomspace(inner, rmax, panels)])
         xs, ws = leggauss(order)
         nodes = []

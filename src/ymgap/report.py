@@ -411,18 +411,22 @@ def _suite_eigenvalue(cfg):
     prob = conformal.round_problem(12.0, n=16000)
     checks.append(_check("rayleigh-cos-36", abs(conformal.rayleigh(prob, np.cos) - 36.0), 1e-6))
     borderline = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=2000)
-    lam0, _ = conformal.lambda1(conformal.round_problem(borderline.phi, n=2000))
+    lam0, _ = conformal.lambda1(borderline)
     checks.append(_check("lambda1-borderline", abs(lam0), 1e-6))
     return checks, {}
 
 
 def _suite_covariance(cfg):
     rng = np.random.default_rng(cfg.seed + 5)
-    field = conformal.phi_of(12.0, 0.0, 0.0, liealg.GAMMA1_SU2, n=65536)
+    # nonzero |W+| and |F+| (sqrt 6 is the instanton's |F+|): route (b) scales both
+    field = conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
+                             liealg.GAMMA1_SU2, n=65536)
     worst = 0.0
     for _ in range(20):
         amps = rng.uniform(-1.0, 1.0, 3)
         amps *= 0.3 / max(np.sum(np.abs(amps)), 1e-9)
+        # cos modes per sample, not tabulated once as in _suite_yamabe: at this
+        # n a (3, n) table is 1.5 MiB and raised the pointwise peak RSS by 2 MiB
         u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(amps))
         worst = max(worst, conformal.covariance_check(u, field))
     return [_check("covariance-20-random", worst, 1e-6)], {}
@@ -430,15 +434,16 @@ def _suite_covariance(cfg):
 
 def _suite_yamabe(cfg):
     rng = np.random.default_rng(cfg.seed + 6)
+    prob = conformal.round_problem(conformal.ROUND_SCALAR_CURVATURE, 20000)
     checks = [_check("quotient-at-round",
-                     abs(conformal.yamabe_quotient(1.0) - conformal.YAMABE_S4), 1e-8)]
-    rho, _ = conformal.cell_grid(20000)
+                     abs(conformal.yamabe_quotient(1.0, prob) - conformal.YAMABE_S4), 1e-8)]
+    modes = np.cos(np.arange(1, 4)[:, None] * prob.rho)
     min_q = np.inf
     for _ in range(50):
         amps = rng.uniform(-1.0, 1.0, 3)
         amps *= rng.uniform(0.05, 0.4) / np.sum(np.abs(amps))
-        u = 1.0 + sum(a * np.cos((k + 1) * rho) for k, a in enumerate(amps))
-        min_q = min(min_q, conformal.yamabe_quotient(u))
+        u = 1.0 + sum(a * mode for a, mode in zip(amps, modes))
+        min_q = min(min_q, conformal.yamabe_quotient(u, prob))
     checks.append(_check("quotient-family-floor", conformal.YAMABE_S4 - min_q, 1e-6))
     return checks, {}
 

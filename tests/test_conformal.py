@@ -10,7 +10,7 @@ Y = conformal.YAMABE_S4
 
 
 def test_round_constants():
-    assert conformal.round_scalar_curvature() == 12.0
+    assert conformal.ROUND_SCALAR_CURVATURE == 12.0
     assert abs(conformal.ROUND_VOLUME - 8 * np.pi ** 2 / 3) < 1e-14
     assert abs(Y - 8 * np.sqrt(6) * np.pi) < 1e-12
     assert abs(12.0 * np.sqrt(conformal.ROUND_VOLUME) - Y) < 1e-12
@@ -30,7 +30,9 @@ def test_cell_volumes_exact():
 
 def test_phi_of_reconstruction():
     field = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=256)
-    assert field.reconstruction_residual() == 0.0
+    round_ = conformal.round_problem(field.phi, n=256)   # the field is its round problem
+    for name in ("rho", "h", "weight", "cond", "phi"):
+        assert np.array_equal(getattr(field, name), getattr(round_, name))
     assert np.max(np.abs(field.phi)) < 1e-13          # the borderline field
     field12 = conformal.phi_of(12.0, 0.0, 0.0, liealg.GAMMA1_SU2, n=256)
     assert np.max(np.abs(field12.phi - 12.0)) == 0.0
@@ -163,29 +165,6 @@ def test_yamabe_quotient_random_family_floor():
         u = 1.0 + sum(a * np.cos((k + 1) * rho) for k, a in enumerate(amps))
         min_q = min(min_q, conformal.yamabe_quotient(u))
     assert min_q >= Y - 1e-6
-
-
-def test_stereographic_factor_known_values():
-    rho = np.array([0.0, np.pi / 2, np.pi * 0.999])
-    u = conformal.stereographic_factor(rho)
-    assert abs(u[0] - 2.0) < 1e-12
-    assert abs(u[1] - 1.0) < 1e-12
-    assert u[2] > 0
-
-
-def test_pole_regularity_helper():
-    rho, _ = conformal.cell_grid(512)
-    assert conformal.pole_regularity_defect(np.cos(rho), rho) < 0.01
-    assert conformal.pole_regularity_defect(np.sin(rho), rho) > 0.5
-
-
-def test_phi_csv_roundtrip(tmp_path):
-    field = conformal.phi_of(lambda r: 12 + np.cos(r), 0.0, 0.0, 1.0, n=128)
-    path = tmp_path / "phi.csv"
-    conformal.phi_to_csv(path, field)
-    rho, phi = conformal.phi_from_csv(path)
-    assert np.max(np.abs(rho - field.rho)) < 1e-12
-    assert np.max(np.abs(phi - field.phi)) < 1e-12
 
 
 def test_eigen_solver_error_trace():

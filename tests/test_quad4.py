@@ -28,6 +28,15 @@ def test_radial_grid_validation_and_tail():
         quad4.integrate_r4_radial(lambda r: np.where(r > 500, np.inf, 1.0), grid)
 
 
+def test_radial_grid_weights_reach_rmax():
+    for panels in (2, 3, 24):
+        grid = quad4.RadialGrid.make(rmax=1000.0, panels=panels)
+        assert abs(grid.weights.sum() - 1000.0) < 1e-9
+        assert grid.nodes[-1] > 900.0
+    with pytest.raises(ValueError):
+        quad4.RadialGrid.make(panels=1)
+
+
 def test_sphere_rule_moments():
     rule = quad4.SphereRule.make(12)
     assert abs(rule.weights.sum() - 2 * np.pi ** 2) < 1e-12

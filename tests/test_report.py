@@ -219,6 +219,7 @@ def test_cli_non_finite_input_is_config_error(argv, capsys):
     ["--rmax", "0.1", "energy"],
     ["--tol", "-1", "gap"],
     ["--tol", "0", "gap"],
+    ["--grid-panels", "1", "energy"],
 ])
 def test_cli_out_of_range_input_is_config_error(argv, capsys):
     assert cli.main(["--format", "json"] + argv) == 2
@@ -230,7 +231,7 @@ def test_cli_out_of_range_input_is_config_error(argv, capsys):
 
 @pytest.mark.parametrize("kwargs", [{"scale": -1.0}, {"panels": 0}, {"rmax": 0.1},
                                     {"tol": 0.0}, {"tol": -1e-6},
-                                    {"center": (1.0, 2.0)}])
+                                    {"center": (1.0, 2.0)}, {"panels": 1}])
 def test_gap_config_rejects_what_lower_layers_reject(kwargs):
     with pytest.raises(report.ConfigError):
         report.GapConfig(**kwargs)
