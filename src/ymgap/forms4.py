@@ -54,20 +54,6 @@ def basis_form(i, j):
     return c
 
 
-def to_matrix(c):
-    """Six-component array(s) (..., 6) -> antisymmetric matrices (..., 4, 4)."""
-    c = np.asarray(c, dtype=float)
-    m = np.zeros(c.shape[:-1] + (4, 4))
-    m[..., PAIR_I, PAIR_J] = c
-    m[..., PAIR_J, PAIR_I] = -c
-    return m
-
-
-def from_matrix(m):
-    """Antisymmetric matrices (..., 4, 4) -> six-component arrays (..., 6)."""
-    return np.asarray(m, dtype=float)[..., PAIR_I, PAIR_J]
-
-
 def inner_2form(a, b):
     """<a, b> = 2 sum_{i<j} a_ij b_ij; broadcasts over leading axes."""
     a = np.asarray(a, dtype=float)
@@ -154,33 +140,11 @@ def circ(a, b):
 
 # -- operators on the self-dual space ---------------------------------------
 
-def require_weyl(w, tol=1e-12):
-    """Validate a symmetric trace-free 3x3 operator; returns it as ndarray."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (3, 3):
-        raise ValueError(f"expected 3x3 operator, got shape {w.shape}")
-    if np.max(np.abs(w - w.T)) > tol:
-        raise ValueError("operator is not symmetric")
-    if abs(np.trace(w)) > tol:
-        raise ValueError("operator is not trace-free")
-    return w
-
-
 def weyl_norm(w):
     """sqrt(sum of squared eigenvalues) = Frobenius norm of symmetric
     operators (..., 3, 3); returns (...)."""
     w = np.asarray(w, dtype=float)
     return np.sqrt(np.sum(w * w, axis=(-2, -1)))
-
-
-def weyl_act(w, coeffs):
-    """Apply w to self-dual coefficient triples.
-
-    ``coeffs`` has the coefficient axis first: shape (3,) for scalar forms
-    or (3, n, n) for Lie-algebra-valued ones; the action touches only the
-    form factor.
-    """
-    return np.einsum('ab,b...->a...', np.asarray(w, dtype=float), np.asarray(coeffs, dtype=float))
 
 
 def weyl_quad(w, coeffs):

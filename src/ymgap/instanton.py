@@ -101,12 +101,6 @@ def connection_at(p, x):
     return theta * (f / p.scale)[..., None, None, None]
 
 
-def flat_connection(x):
-    """Zero connection, same output shape as connection_at."""
-    x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape[:-1] + (4, 4, 4))
-
-
 def curvature_closed_at(p, x):
     """Closed-form curvature at x: (..., 6, 4, 4), self-dual."""
     x = np.asarray(x, dtype=float)
@@ -261,14 +255,6 @@ def bianchi_residual_of(curv_fn, conn_fn, x, h):
 def bianchi_residual_at(p, x, h=1e-3):
     return bianchi_residual_of(lambda z: curvature_closed_at(p, z),
                                lambda z: connection_at(p, z), x, h)
-
-
-def conjugated(fn, g):
-    """Wrap a matrix-valued evaluator with a constant gauge conjugation."""
-    gt = np.asarray(g, dtype=float).T
-    def wrapped(x):
-        return g @ fn(x) @ gt
-    return wrapped
 
 
 def dump_samples_csv(path, p, points, h=1e-4):

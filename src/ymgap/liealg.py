@@ -19,7 +19,7 @@ once, never on matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -236,12 +236,6 @@ def lv_from_sd_coeffs(coeffs, basis=None):
     return np.einsum('ac,...aij->...cij', e, np.asarray(coeffs, dtype=float))
 
 
-def lv_sd_coeffs(p, basis=None):
-    """Coefficients <e_a, .> of a self-dual form (..., 6, n, n) -> (..., 3, n, n)."""
-    e = forms4.sd_basis() if basis is None else np.asarray(basis, dtype=float)
-    return 2.0 * np.einsum('ac,...cij->...aij', e, np.asarray(p, dtype=float))
-
-
 _BRACKET_SIGN = forms4.CIRC_SIGN[:, :, None, None]
 
 
@@ -276,14 +270,21 @@ def bracket_bound_check(p, gamma0):
 
 # -- sharp-constant optimizers ----------------------------------------------
 
+_TOL = 1e-7         # stop when |P grad f| < _TOL * max(1, |f|)
+_MAX_ITER = 800     # gradient evaluations per restart
+_TIE = 1e-12        # relative distance from the best value that counts as a tie
+
+
 @dataclass
 class GammaEstimate:
     """Result of a seeded projected-gradient search.
 
     ``value`` is a certified local maximum when ``converged`` (projected
     gradient norm below tolerance on the constraint sphere(s)); otherwise
-    it is the best value reached. ``argmax`` is an (A, B) pair for gamma0
-    and a unit-norm Lie-valued 2-form for gamma1.
+    it is the best value reached. ``restart`` is the earliest restart whose
+    value is within a relative _TIE = 1e-12 of the best one, and ``argmax``,
+    ``grad_norm`` and ``iterations`` are that restart's: an (A, B) pair for
+    gamma0 and a unit-norm Lie-valued 2-form for gamma1.
     """
 
     value: float
@@ -294,68 +295,80 @@ class GammaEstimate:
     converged: bool
 
 
-def _unit(v):
-    return v / np.linalg.norm(v)
+def _sphere_ascent(objective, starts):
+    """Maximize f over products of unit spheres, all restarts as one array.
+
+    ``starts`` is (R, B, n): one row per restart, each a point on B spheres
+    in R^n (normalized here). ``objective(z)`` returns f (R',) and its
+    gradient (R', B, n) for any (R', B, n) stack. Each restart keeps its
+    own step along the projected gradient: a renormalized trial step is
+    accepted if it raises f (step x1.5, at most 1) and halved otherwise. A
+    restart stops when |P grad f| < _TOL max(1, |f|) (converged), when its
+    step falls to 1e-16, or after _MAX_ITER gradient evaluations. Returns a
+    GammaEstimate of f for the earliest restart within a relative _TIE of
+    the best value, with its point as ``argmax``.
+    """
+    if len(starts) < 1:
+        raise ValueError("restarts must be >= 1")
+
+    def unit(v):
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    def tangent(g, z):
+        pg = g - np.sum(g * z, axis=-1, keepdims=True) * z
+        return pg, np.sqrt(np.sum(pg * pg, axis=(-2, -1)))
+
+    z = unit(starts)
+    val, grad = objective(z)
+    pg, gn = tangent(grad, z)
+    iterations = np.ones(len(z), dtype=int)
+    step = np.full(len(z), 0.5)
+    while True:
+        converged = gn < _TOL * np.maximum(1.0, np.abs(val))
+        active = np.flatnonzero(~converged & (step > 1e-16) & (iterations < _MAX_ITER))
+        if not active.size:
+            break
+        trial = unit(z[active] + step[active, None, None] * pg[active])
+        tval, tgrad = objective(trial)
+        up = tval > val[active]
+        acc = active[up]
+        z[acc], val[acc] = trial[up], tval[up]
+        pg[acc], gn[acc] = tangent(tgrad[up], trial[up])
+        iterations[acc] += 1
+        step[acc] = np.minimum(1.5 * step[acc], 1.0)
+        step[active[~up]] *= 0.5
+    r = int(np.flatnonzero(val >= val.max() - _TIE * abs(val.max()))[0])
+    return GammaEstimate(float(val[r]), z[r], float(gn[r]), int(iterations[r]), r,
+                         bool(converged[r]))
 
 
-def gamma0_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=400):
+def gamma0_estimate(alg, restarts=64, seed=0):
     """Maximize |[A,B]| / (|A||B|) by projected gradient ascent on spheres.
 
     Works on orthonormal-basis coefficients x, y with the algebra's
     structure constants f: [A,B] has coefficients c = f(x, y, .), so the
-    objective is |c|^2 with gradients 2 f(., y, c) and 2 f(x, ., c) (the
-    coefficients of 2[B,[A,B]] and 2[[A,B],A] by ad-invariance). Only the
-    projection onto the sphere tangents remains. Deterministic for a fixed
-    seed; restarts are reduced by max value with ties going to the earliest.
+    ascent climbs |c|^2 with gradients 2 f(., y, c) and 2 f(x, ., c) (the
+    coefficients of 2[B,[A,B]] and 2[[A,B],A] by ad-invariance).
+    ``grad_norm`` is that of the ratio |c| itself. Deterministic for a
+    fixed seed.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     k = alg.dim
     f = alg.structure_constants
     f2 = f.reshape(k, k * k)
-    rng = np.random.default_rng(seed)
 
-    def bracket_of(x, y):
-        ad_x = (x @ f2).reshape(k, k)       # ad_x[l, m] = f(x, l, m)
-        return ad_x, y @ ad_x
+    def objective(z):
+        x, y = z[:, 0], z[:, 1]
+        ad_x = (x @ f2).reshape(-1, k, k)       # ad_x[r, l, m] = f(x_r, l, m)
+        c = np.einsum('rl,rlm->rm', y, ad_x)
+        gx = np.einsum('klm,rl,rm->rk', f, y, c)
+        gy = np.einsum('rlm,rm->rl', ad_x, c)
+        return np.sum(c * c, axis=-1), 2.0 * np.stack([gx, gy], axis=1)
 
-    best = None
-    for r in range(restarts):
-        x = _unit(rng.standard_normal(k))
-        y = _unit(rng.standard_normal(k))
-        step = 0.5
-        val = 0.0
-        gn = np.inf
-        converged = False
-        it = 0
-        for it in range(max_iter):
-            ad_x, c = bracket_of(x, y)
-            val = c @ c
-            gx = 2.0 * ((f @ c) @ y)
-            gy = 2.0 * (ad_x @ c)
-            pgx = gx - np.dot(gx, x) * x
-            pgy = gy - np.dot(gy, y) * y
-            gn = np.sqrt(np.dot(pgx, pgx) + np.dot(pgy, pgy)) / (2.0 * np.sqrt(max(val, 1e-30)))
-            if gn < tol:
-                converged = True
-                break
-            while step > 1e-16:
-                x2 = _unit(x + step * pgx)
-                y2 = _unit(y + step * pgy)
-                c2 = bracket_of(x2, y2)[1]
-                if c2 @ c2 > val:
-                    x, y = x2, y2
-                    step = min(step * 1.5, 1.0)
-                    break
-                step *= 0.5
-            else:
-                break
-        converged = converged or gn < tol
-        cand = GammaEstimate(float(np.sqrt(max(val, 0.0))), (alg.element(x), alg.element(y)),
-                             float(gn), it + 1, r, converged)
-        if best is None or cand.value > best.value:
-            best = cand
-    return best
+    est = _sphere_ascent(objective, np.random.default_rng(seed).standard_normal((restarts, 2, k)))
+    x, y = est.argmax
+    norm = np.sqrt(est.value)
+    return replace(est, value=float(norm), argmax=(alg.element(x), alg.element(y)),
+                   grad_norm=est.grad_norm / (2.0 * max(norm, 1e-15)))
 
 
 def sd_cubic_tensor(alg):
@@ -379,61 +392,28 @@ def sd_cubic_tensor(alg):
     return np.einsum('abc,lmk->akblcm', eps, alg.structure_constants).reshape(3 * k, 3 * k, 3 * k)
 
 
-def gamma1_estimate(alg, restarts=64, tol=1e-7, seed=0, max_iter=800):
+def gamma1_estimate(alg, restarts=64, seed=0):
     """Maximize <omega,[omega,omega]> / |omega|^3 over self-dual forms.
 
     omega is parameterized by three orthonormal-basis coefficient vectors z
-    (one per self-dual basis form), normalized to |omega| = |z| = 1 each
-    step. The cubic form is T(z, z, z) for the fully symmetric tensor
+    (one per self-dual basis form) on the single sphere |omega| = |z| = 1.
+    The cubic form is T(z, z, z) for the fully symmetric tensor
     T = eps (x) f of ``sd_cubic_tensor``, so its gradient is 3 T(., z, z),
-    the coefficient array of 3[omega,omega]. The argmax is assembled as a
-    Lie-valued 2-form.
+    the coefficient array of 3[omega,omega]. Each start is flipped to make
+    the cubic form nonnegative. The argmax is assembled as a Lie-valued
+    2-form.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    onb = alg.orthonormal_basis
     k = alg.dim
-    t2 = sd_cubic_tensor(alg).reshape(9 * k * k, 3 * k)
+    t2 = sd_cubic_tensor(alg).reshape(3 * k, 9 * k * k)
+
+    def objective(z):
+        zf = z[:, 0]
+        tzz = np.einsum('rij,rj->ri', (zf @ t2).reshape(-1, 3 * k, 3 * k), zf)
+        return np.sum(zf * tzz, axis=-1), 3.0 * tzz[:, None]
+
     rng = np.random.default_rng(seed)
-
-    def cubic(z):
-        """(T(z,z,z), T(., z, z)) for coefficients z of shape (3, k)."""
-        zf = z.ravel()
-        tzz = (t2 @ zf).reshape(3 * k, 3 * k) @ zf
-        return zf @ tzz, tzz
-
-    best = None
-    for r in range(restarts):
-        z = rng.standard_normal((3, k))
-        z /= np.linalg.norm(z)
-        if cubic(z)[0] < 0.0:
-            z = -z
-        step = 0.5
-        val = 0.0
-        gn = np.inf
-        converged = False
-        it = 0
-        for it in range(max_iter):
-            val, tzz = cubic(z)
-            g = 3.0 * tzz.reshape(3, k)
-            pg = g - np.sum(g * z) * z
-            gn = float(np.linalg.norm(pg))
-            if gn < tol * max(1.0, abs(val)):
-                converged = True
-                break
-            while step > 1e-16:
-                z2 = z + step * pg
-                z2 /= np.linalg.norm(z2)
-                if cubic(z2)[0] > val:
-                    z = z2
-                    step = min(step * 1.5, 1.0)
-                    break
-                step *= 0.5
-            else:
-                break
-        converged = converged or gn < tol * max(1.0, abs(val))
-        omega = lv_from_sd_coeffs(np.einsum('ak,kij->aij', z, onb))
-        cand = GammaEstimate(float(val), omega, float(gn), it + 1, r, converged)
-        if best is None or cand.value > best.value:
-            best = cand
-    return best
+    starts = rng.standard_normal((restarts, 3, k)).reshape(restarts, 1, 3 * k)
+    starts *= np.where(objective(starts)[0] < 0.0, -1.0, 1.0)[:, None, None]
+    est = _sphere_ascent(objective, starts)
+    coeffs = np.einsum('ak,kij->aij', est.argmax.reshape(3, k), alg.orthonormal_basis)
+    return replace(est, argmax=lv_from_sd_coeffs(coeffs))

@@ -112,13 +112,16 @@ def test_covariance_smooth_factor():
 
 
 def test_covariance_random_family():
-    rng = np.random.default_rng(7)
-    field = conformal.phi_of(12.0, 0.0, 0.0, liealg.GAMMA1_SU2, n=65536)
-    for _ in range(20):
-        amps = rng.uniform(-1, 1, 3)
-        amps *= 0.3 / np.sum(np.abs(amps))
-        u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(amps))
-        assert conformal.covariance_check(u, field) < 1e-6
+    # the second field, as in the covariance suite, has nonzero |W+| and |F+|,
+    # so route (b)'s u^-2 scaling of them is seen
+    for w_plus, f_plus in ((0.0, 0.0), (lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0))):
+        rng = np.random.default_rng(7)
+        field = conformal.phi_of(12.0, w_plus, f_plus, liealg.GAMMA1_SU2, n=65536)
+        for _ in range(20):
+            amps = rng.uniform(-1, 1, 3)
+            amps *= 0.3 / np.sum(np.abs(amps))
+            u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(amps))
+            assert conformal.covariance_check(u, field) < 1e-6
 
 
 def test_sign_invariance_under_conformal_change():

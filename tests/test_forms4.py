@@ -10,15 +10,41 @@ def dx(i, j):
     return forms4.basis_form(i - 1, j - 1)
 
 
+def to_matrix(c):
+    """Six-component array(s) (..., 6) -> antisymmetric matrices (..., 4, 4)."""
+    c = np.asarray(c, dtype=float)
+    m = np.zeros(c.shape[:-1] + (4, 4))
+    m[..., forms4.PAIR_I, forms4.PAIR_J] = c
+    m[..., forms4.PAIR_J, forms4.PAIR_I] = -c
+    return m
+
+
+def from_matrix(m):
+    """Antisymmetric matrices (..., 4, 4) -> six-component arrays (..., 6)."""
+    return np.asarray(m, dtype=float)[..., forms4.PAIR_I, forms4.PAIR_J]
+
+
 def brute_circ(a, b):
     """Independent loop implementation of the circ contraction."""
-    am = forms4.to_matrix(a)
-    bm = forms4.to_matrix(b)
+    am = to_matrix(a)
+    bm = to_matrix(b)
     out = np.zeros((4, 4))
     for i in range(4):
         for j in range(4):
             out[i, j] = sum(am[i, k] * bm[j, k] - am[j, k] * bm[i, k] for k in range(4))
-    return forms4.from_matrix(out)
+    return from_matrix(out)
+
+
+def require_weyl(w, tol=1e-12):
+    """Validate a symmetric trace-free 3x3 operator; returns it as ndarray."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (3, 3):
+        raise ValueError(f"expected 3x3 operator, got shape {w.shape}")
+    if np.max(np.abs(w - w.T)) > tol:
+        raise ValueError("operator is not symmetric")
+    if abs(np.trace(w)) > tol:
+        raise ValueError("operator is not trace-free")
+    return w
 
 
 def test_inner_product_convention():
@@ -104,19 +130,10 @@ def test_circ_basis_orthonormal_for_random_bases():
 
 def test_weyl_validation():
     with pytest.raises(ValueError):
-        forms4.require_weyl(np.eye(3))          # not trace-free
+        require_weyl(np.eye(3))          # not trace-free
     with pytest.raises(ValueError):
-        forms4.require_weyl(np.triu(np.ones((3, 3))))
-    forms4.require_weyl(np.diag([1.0, 1.0, -2.0]))
-
-
-def test_weyl_act_self_adjoint_and_zero():
-    rng = np.random.default_rng(23)
-    w = forms4.random_weyl(rng)
-    u = rng.standard_normal(3)
-    v = rng.standard_normal(3)
-    assert abs(u @ forms4.weyl_act(w, v) - v @ forms4.weyl_act(w, u)) < 1e-12
-    assert forms4.weyl_quad(np.zeros((3, 3)), v) == 0.0
+        require_weyl(np.triu(np.ones((3, 3))))
+    require_weyl(np.diag([1.0, 1.0, -2.0]))
 
 
 def test_weyl_extremal_equality():
@@ -125,6 +142,7 @@ def test_weyl_extremal_equality():
     rhs = forms4.WEYL_BOUND * forms4.weyl_norm(w) * float(v @ v)
     assert abs(lhs - rhs) < 1e-12
     assert abs(forms4.weyl_quad(w, v) - (-2 * 0.7)) < 1e-12
+    assert forms4.weyl_quad(np.zeros((3, 3)), v) == 0.0
 
 
 def test_weyl_bound_random_and_sup():
@@ -154,7 +172,7 @@ def test_weyl_helpers_batched_match_scalar_calls():
     norm = forms4.weyl_norm(w)
     assert quad.shape == norm.shape == (4, 5)
     for idx in np.ndindex(4, 5):
-        forms4.require_weyl(w[idx])
+        require_weyl(w[idx])
         assert abs(quad[idx] - forms4.weyl_quad(w[idx], v[idx])) < 1e-14
         assert abs(norm[idx] - forms4.weyl_norm(w[idx])) < 1e-15
     # one operator against many triples broadcasts

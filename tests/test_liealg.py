@@ -25,6 +25,11 @@ def brute_comm2form(p, q):
     return np.stack([out[i, j] for (i, j) in forms4.PAIRS])
 
 
+def lv_sd_coeffs(p):
+    """Coefficients <e_a, .> of a self-dual form (..., 6, n, n) -> (..., 3, n, n)."""
+    return 2.0 * np.einsum('ac,...cij->...aij', forms4.sd_basis(), np.asarray(p, dtype=float))
+
+
 def bpst_shape():
     """The unit-coefficient extremal configuration e1(x)i + e2(x)j + e3(x)k."""
     return liealg.lv_from_sd_coeffs(np.stack([liealg.SU2_I, liealg.SU2_J, liealg.SU2_K]))
@@ -177,6 +182,43 @@ def test_gamma0_deterministic_and_validates():
         liealg.gamma0_estimate(alg, restarts=0)
 
 
+# (estimator, algebra, restarts, sharp value) as searched by the gamma-constants suite
+SUITE_SEARCHES = [
+    (liealg.gamma0_estimate, 'su2', 64, liealg.GAMMA0_SU2),
+    (liealg.gamma0_estimate, 'so3', 64, liealg.GAMMA0_SO3),
+    (liealg.gamma1_estimate, 'su2', 32, liealg.GAMMA1_SU2),
+    (liealg.gamma1_estimate, 'so3', 32, liealg.GAMMA1_SO3),
+]
+SEEDS = range(24)
+
+
+@pytest.fixture(scope='module')
+def suite_estimates():
+    return {(estimate, name, seed): estimate(liealg.algebra_by_name(name), restarts=r, seed=seed)
+            for estimate, name, r, _ in SUITE_SEARCHES for seed in SEEDS}
+
+
+def test_gamma_searches_converge_to_the_sharp_constants(suite_estimates):
+    for estimate, name, _, sharp in SUITE_SEARCHES:
+        for seed in SEEDS:
+            est = suite_estimates[estimate, name, seed]
+            assert est.converged and abs(est.value - sharp) < 1e-12
+    so4 = liealg.AlgebraSpec.so_n(4)
+    for seed in SEEDS:
+        est = liealg.gamma1_estimate(so4, restarts=16, seed=seed)
+        assert est.converged and est.value <= liealg.GAMMA1_MAX + 1e-12
+
+
+def test_gamma_restart_tie_rule_ignores_roundoff(suite_estimates):
+    # scaling the basis by 1 + 2^-50 moves the orthonormal basis only at roundoff
+    for estimate, name, restarts, _ in SUITE_SEARCHES:
+        alg = liealg.algebra_by_name(name)
+        nudged = liealg.AlgebraSpec(alg.name, alg.n, alg.basis * (1.0 + 2.0 ** -50))
+        for seed in SEEDS:
+            est = estimate(nudged, restarts=restarts, seed=seed)
+            assert est.restart == suite_estimates[estimate, name, seed].restart
+
+
 def test_gamma1_estimates():
     su2 = liealg.gamma1_estimate(liealg.AlgebraSpec.su2_real(), restarts=8, seed=1)
     assert abs(su2.value - liealg.GAMMA1_SU2) < 1e-5
@@ -219,7 +261,7 @@ def test_cubic_gradient_matches_finite_differences():
         return liealg.lv_inner(om, liealg.comm2form(om, om))
 
     om = liealg.lv_from_sd_coeffs(np.einsum('ak,kij->aij', z, onb))
-    bsd = liealg.lv_sd_coeffs(liealg.comm2form(om, om))
+    bsd = lv_sd_coeffs(liealg.comm2form(om, om))
     grad = 3.0 * np.array([[liealg.ip_endo(bsd[a], onb[k]) for k in range(3)] for a in range(3)])
     eps = 1e-6
     for a in range(3):
@@ -285,7 +327,7 @@ def test_sd_cubic_tensor_matches_comm2form_so4():
         om = omega(z)
         assert abs(tensor_cubic(z) - liealg.lv_inner(om, liealg.comm2form(om, om))) < 1e-12
         grad = 3.0 * np.einsum('ijk,j,k->i', t, z.ravel(), z.ravel()).reshape(3, k)
-        oracle = 3.0 * np.einsum('aij,kji->ak', liealg.lv_sd_coeffs(liealg.comm2form(om, om)),
+        oracle = 3.0 * np.einsum('aij,kji->ak', lv_sd_coeffs(liealg.comm2form(om, om)),
                                  onb) * -0.5
         assert np.max(np.abs(grad - oracle)) < 1e-12
         for a in range(3):

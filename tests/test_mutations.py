@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from ymgap import conformal, report
+from ymgap import conformal, liealg, report
 
 
 def _failed(suites):
@@ -37,6 +37,16 @@ def _doubled_volumes(monkeypatch):
     monkeypatch.setattr(conformal, "cell_volumes", lambda n: 2.0 * cell_volumes(n))
 
 
+def _scaled_cubic_tensor(monkeypatch):
+    sd_cubic_tensor = liealg.sd_cubic_tensor
+    monkeypatch.setattr(liealg, "sd_cubic_tensor", lambda alg: (1 + 1e-4) * sd_cubic_tensor(alg))
+
+
+def _negated_comm2form(monkeypatch):
+    comm2form = liealg.comm2form
+    monkeypatch.setattr(liealg, "comm2form", lambda p, q: -comm2form(p, q))
+
+
 MUTATIONS = [
     ("stiffness-sign", _negated_stiffness, ["covariance"], {"covariance-20-random"}),
     ("f-plus-norm-x1.01", _scaled_constituent("f_plus_norm"), ["covariance"],
@@ -45,6 +55,10 @@ MUTATIONS = [
      {"covariance-20-random"}),
     ("cell-volumes-x2", _doubled_volumes, ["eigenvalue", "yamabe-quotient"],
      {"rayleigh-cos-36", "quotient-at-round"}),
+    ("cubic-tensor-x1.0001", _scaled_cubic_tensor, ["gamma-constants"],
+     {"gamma1-su2", "gamma1-so3", "gamma1-so4-bound"}),
+    ("comm2form-sign", _negated_comm2form, ["bracket-sharpness", "bochner"],
+     {"cubic-form-bpst", "bracket-term-at-0"}),
 ]
 
 
