@@ -15,7 +15,7 @@ E16 = 16 * np.pi ** 2
 grid = quad4.RadialGrid.make()
 
 print("radial rule sanity: 2pi^2 int r^3 (1+r^2)^-4 dr =",
-      quad4.integrate_r4_radial(lambda r: (1 + r ** 2) ** -4.0, grid),
+      quad4.integrate_r4(lambda x: (1 + np.sum(x * x, axis=-1)) ** -4.0, grid, quad4.RAY),
       " (pi^2/6 =", np.pi ** 2 / 6, ")")
 
 print("\nstandard instanton energy:", quad4.ym_energy(instanton.STANDARD, grid),

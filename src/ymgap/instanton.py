@@ -257,14 +257,14 @@ def bianchi_residual_at(p, x, h=1e-3):
                                lambda z: connection_at(p, z), x, h)
 
 
-def dump_samples_csv(path, p, points, h=1e-4):
+def dump_samples_csv(path, p, points):
     """Write per-point samples (x, |F|^2, |nabla F|^2, |d|F||^2, Kato residual)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     columns = np.column_stack([points,
                                curvature_norm_sq(p, points),
-                               cov_norm_sq(covariant_derivative_at(p, points, h)),
+                               cov_norm_sq(covariant_derivative_at(p, points)),
                                curvature_norm_grad_sq(p, points),
-                               kato_residual_at(p, points, h)])
+                               kato_residual_at(p, points)])
     with open(path, 'w', newline='') as fh:
         writer = csv.writer(fh)
         writer.writerow(['x1', 'x2', 'x3', 'x4', 'F_norm_sq', 'covderiv_norm_sq',

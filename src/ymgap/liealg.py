@@ -68,9 +68,9 @@ def bracket(a, b):
     return a @ b - b @ a
 
 
-def is_skew(a, tol=1e-14):
+def is_skew(a):
     a = np.asarray(a, dtype=float)
-    return np.max(np.abs(a + np.swapaxes(a, -1, -2))) <= tol
+    return np.max(np.abs(a + np.swapaxes(a, -1, -2))) <= 1e-14
 
 
 def pauli_pair(t, s, n=4):
@@ -139,10 +139,10 @@ class AlgebraSpec:
         object.__setattr__(self, '_f', ip_endo(brackets[:, :, None], onb))
         self._check_closure(brackets)
 
-    def _check_closure(self, brackets, tol=1e-12):
+    def _check_closure(self, brackets):
         """[E_k, E_l] - sum_m f[k,l,m] E_m vanishes iff the span is closed."""
         leak = brackets - np.einsum('klm,mij->klij', self._f, self._onb)
-        if np.max(norm_endo(leak)) > tol:
+        if np.max(norm_endo(leak)) > 1e-12:
             raise ValueError(f"{self.name}: bracket leaves the basis span")
 
     @property

@@ -1,20 +1,19 @@
 """Integration over R^4 of radially dominated integrands.
 
-Radial integrals use composite Gauss-Legendre panels on [0, R_max] with
-geometrically graded panel edges; angular integrals use a tensor-product
-rule on S^3 (Gauss-Legendre in the two polar angles, uniform in the
-azimuth). Summation is plain np.sum (pairwise, fixed order), so results
-are reproducible run to run.
-
-The truncation tail for (1+r^2)^-4-decay integrands at the default
-R_max = 1000 is below 1e-10 in absolute value; ``tail_estimate`` gives an
-r^-8-model correction that ``ym_energy`` adds by default.
+``integrate_r4`` is the one integrator. Its radii are composite
+Gauss-Legendre panels on [0, R_max] with geometrically graded panel edges.
+On each sphere it applies a ``SphereRule``: the tensor-product rule on S^3
+(Gauss-Legendre in the two polar angles, uniform in the azimuth), or
+``RAY``, one node that is exact for integrands radial about the origin.
+Beyond R_max the integrand is taken to decay like r^-8, the curvature
+density's decay, so the tail is one more radius at R_max and every
+integral includes it. Sums run in a fixed order, so results are
+reproducible run to run.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +40,13 @@ class RadialGrid:
             raise ValueError("nodes must be strictly increasing")
 
     @classmethod
-    def make(cls, rmax=1000.0, panels=24, order=24, inner=0.25):
+    def make(cls, rmax=1000.0, panels=24, order=24):
         """Geometrically graded panels accumulate near the origin where the
-        instanton profile varies; accuracy is spectral per panel."""
+        instanton profile varies; accuracy is spectral per panel. The first
+        panel is [0, 0.25]."""
         if panels < 2 or order < 2:
-            raise ValueError("need at least two panels (one ends at inner) and order >= 2")
-        edges = np.concatenate([[0.0], np.geomspace(inner, rmax, panels)])
+            raise ValueError("need at least two panels (one ends at 0.25) and order >= 2")
+        edges = np.concatenate([[0.0], np.geomspace(0.25, rmax, panels)])
         xs, ws = leggauss(order)
         nodes = []
         weights = []
@@ -54,12 +54,6 @@ class RadialGrid:
             nodes.append(0.5 * (xs + 1.0) * (b - a) + a)
             weights.append(0.5 * (b - a) * ws)
         return cls(np.concatenate(nodes), np.concatenate(weights), float(rmax))
-
-    def tail_estimate(self, f):
-        """Estimated truncated mass 2 pi^2 int_rmax^inf f r^3 dr, assuming
-        f ~ C r^-8 beyond rmax (the curvature-density decay)."""
-        frm = float(f(np.asarray([self.rmax]))[0])
-        return TWO_PI_SQ * frm * self.rmax ** 4 / 4.0
 
 
 @dataclass(frozen=True)
@@ -94,95 +88,73 @@ class SphereRule:
         return cls(pts.reshape(4, -1).T, w.reshape(-1))
 
 
-def integrate_r4_radial(f, grid):
-    """2 pi^2 int_0^rmax f(r) r^3 dr for a vectorized radial profile f."""
-    vals = np.asarray(f(grid.nodes), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        r = grid.nodes[bad][0]
-        raise ValueError(f"non-finite integrand sample at r = {r}")
-    return TWO_PI_SQ * float(np.sum(grid.weights * grid.nodes ** 3 * vals))
+#: one node carrying the whole of S^3: exact for integrands radial about
+#: the origin of the integral
+RAY = SphereRule(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([TWO_PI_SQ]))
+
+#: points per integrand call: every radius of RAY in one call, one sphere
+#: of the 27 648-point rule per call
+_MAX_POINTS = 32768
 
 
 def integrate_r4(f, grid, rule, origin=(0.0, 0.0, 0.0, 0.0)):
-    """Full integral of f over R^4 with radius measured from ``origin``.
+    """Integral of f over R^4 with radius measured from ``origin``.
 
-    f must accept an (N, 4) array of points and return (N,) values; the
-    radial loop keeps the working set small. The points of one sphere go
-    through a buffer reused for every radius, so f must not keep it.
+    f must accept a (B, N, 4) array of points, B radii times the N points
+    of ``rule``, and return (B, N) values. The points go through one buffer
+    reused for every block of radii, so f must not keep it. The integrand
+    is taken to decay like r^-8 beyond ``grid.rmax``, so the tail
+    int_rmax^inf r^3 (rmax/r)^8 dr = rmax^4/4 is one more radius at rmax.
     """
     origin = np.asarray(origin, dtype=float)
-    x = np.empty_like(rule.points)
+    radii = np.append(grid.nodes, grid.rmax)
+    mass = np.append(grid.weights * grid.nodes ** 3, grid.rmax ** 4 / 4.0)
+    n = len(rule.weights)
+    block = max(1, _MAX_POINTS // n)
+    # coordinate-major, like rule.points
+    buf = np.moveaxis(np.empty((4, min(block, len(radii)), n)), 0, -1)
     total = 0.0
-    for r, w in zip(grid.nodes, grid.weights):
-        np.multiply(rule.points, r, out=x)
+    for start in range(0, len(radii), block):
+        r = radii[start:start + block]
+        x = buf[:len(r)]
+        np.multiply(r[:, None, None], rule.points, out=x)
         x += origin
         vals = np.asarray(f(x), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"non-finite integrand sample at r = {r}")
-        total += w * r ** 3 * float(np.dot(rule.weights, vals))
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise ValueError(f"non-finite integrand sample at r = {r[np.any(bad, axis=-1)][0]}")
+        total += float(np.dot(mass[start:start + block], vals @ rule.weights))
     return total
 
 
-def _curvature_profile(p, grid):
-    """Curvature samples along a ray from the instanton center.
-
-    The pointwise norm of every curvature part is radial about the center
-    for this family, so one ray determines the profiles.
-    """
-    ray = np.zeros((len(grid.nodes), 4))
-    ray[:, 0] = grid.nodes
-    return instanton.curvature_closed_at(p, p.center_array + ray)
-
-
-def ym_energy(p, grid=None, rule=None, about=None, tail=True, tail_warn=1e-8):
+def ym_energy(p, grid=None, rule=None, about=None):
     """Total energy int |F|^2 over R^4; 16 pi^2 for every family member.
 
-    Default path: radial quadrature about the instanton center with |F|^2
+    Default path: the ``RAY`` rule about the instanton center, where the
+    norm of every curvature part is radial for this family, with |F|^2
     evaluated from the curvature matrices. With ``rule`` (and optionally
-    ``about``) the integral is done by the full angular product rule with
-    the norm law as integrand, exercising conformal invariance
-    nontrivially when the grid is not centered on the instanton.
+    ``about``) the integral is done by that sphere rule with the norm law as
+    integrand, exercising conformal invariance nontrivially when the grid
+    is not centered on the instanton.
     """
     grid = grid or RadialGrid.make()
     if rule is None:
-        fsq = liealg.lv_norm_sq(_curvature_profile(p, grid))
-        if not np.all(np.isfinite(fsq)):
-            raise ValueError("non-finite curvature sample")
-        value = TWO_PI_SQ * float(np.sum(grid.weights * grid.nodes ** 3 * fsq))
-        tail_mass = grid.tail_estimate(lambda r: curvature_norm_sq_shifted(p, r, p.center_array))
-    else:
-        origin = p.center_array if about is None else np.asarray(about, dtype=float)
-        value = integrate_r4(lambda x: instanton.curvature_norm_sq(p, x), grid, rule, origin)
-        tail_mass = grid.tail_estimate(lambda r: curvature_norm_sq_shifted(p, r, origin))
-    if tail:
-        value += tail_mass
-    elif tail_mass > tail_warn * max(abs(value), 1.0):
-        warnings.warn(f"truncation tail estimate {tail_mass:.2e} exceeds "
-                      f"{tail_warn:.0e} of the integral", stacklevel=2)
-    return value
-
-
-def curvature_norm_sq_shifted(p, r, origin):
-    """|F|^2 on the sphere of radius r about origin, worst-case direction.
-
-    Used only for tail estimates; takes the direction minimizing the
-    distance to the instanton center (largest integrand).
-    """
-    r = np.asarray(r, dtype=float)
-    origin = np.asarray(origin, dtype=float)
-    dist = np.abs(r - np.linalg.norm(origin - p.center_array))
-    return 96.0 * p.scale ** 4 / (p.scale ** 2 + dist ** 2) ** 4
+        return integrate_r4(lambda x: liealg.lv_norm_sq(instanton.curvature_closed_at(p, x)),
+                            grid, RAY, p.center_array)
+    origin = p.center_array if about is None else about
+    return integrate_r4(lambda x: instanton.curvature_norm_sq(p, x), grid, rule, origin)
 
 
 def l2_sd_norms(p, grid=None):
-    """(‖F+‖_L2, ‖F-‖_L2); the squares sum to the energy on the same nodes."""
+    """(‖F+‖_L2, ‖F-‖_L2) by the ``RAY`` rule about the instanton center;
+    the squares sum to the energy on the same grid."""
     grid = grid or RadialGrid.make()
-    f = _curvature_profile(p, grid)
-    plus, minus = liealg.lv_sd_project(f)
-    wr3 = grid.weights * grid.nodes ** 3
-    plus_sq = TWO_PI_SQ * float(np.sum(wr3 * liealg.lv_norm_sq(plus)))
-    minus_sq = TWO_PI_SQ * float(np.sum(wr3 * liealg.lv_norm_sq(minus)))
+
+    def part_sq(k):
+        return lambda x: liealg.lv_norm_sq(
+            liealg.lv_sd_project(instanton.curvature_closed_at(p, x))[k])
+
+    plus_sq, minus_sq = (integrate_r4(part_sq(k), grid, RAY, p.center_array) for k in (0, 1))
     return float(np.sqrt(plus_sq)), float(np.sqrt(minus_sq))
 
 
@@ -201,16 +173,15 @@ def chern_weil_kappa(p, grid=None, reverse_orientation=False):
 
 def flat_energy(grid=None):
     """Energy of the flat connection (identically zero curvature)."""
-    grid = grid or RadialGrid.make()
-    return integrate_r4_radial(lambda r: np.zeros_like(r), grid)
+    return integrate_r4(lambda x: np.zeros(x.shape[:-1]), grid or RadialGrid.make(), RAY)
 
 
-def energy_convergence_table(p, panel_counts, rmax=1000.0, order=24):
+def energy_convergence_table(p, panel_counts, rmax=1000.0):
     """Energy vs panel count, for grid-refinement audits."""
     rows = []
     prev = None
     for panels in panel_counts:
-        grid = RadialGrid.make(rmax=rmax, panels=panels, order=order)
+        grid = RadialGrid.make(rmax=rmax, panels=panels)
         e = ym_energy(p, grid)
         rows.append({
             'panels': panels,

@@ -8,24 +8,34 @@ from ymgap import instanton, liealg, quad4
 E16 = quad4.EPI2_16
 
 
+def _radial(g):
+    """The integrand x -> g(|x|)."""
+    return lambda x: g(np.linalg.norm(x, axis=-1))
+
+
 def test_radial_oracle_integrals():
     grid = quad4.RadialGrid.make()
     # int r^3 (1+r^2)^-4 dr = 1/12, times 2 pi^2
-    val = quad4.integrate_r4_radial(lambda r: (1 + r ** 2) ** -4.0, grid)
+    val = quad4.integrate_r4(_radial(lambda r: (1 + r ** 2) ** -4.0), grid, quad4.RAY)
     assert abs(val - np.pi ** 2 / 6.0) < 1e-10
-    val = quad4.integrate_r4_radial(lambda r: np.exp(-r ** 2), grid)
+    val = quad4.integrate_r4(_radial(lambda r: np.exp(-r ** 2)), grid, quad4.RAY)
     assert abs(val - np.pi ** 2) < 1e-10
-    assert quad4.integrate_r4_radial(lambda r: np.zeros_like(r), grid) == 0.0
+    assert quad4.integrate_r4(_radial(np.zeros_like), grid, quad4.RAY) == 0.0
 
 
 def test_radial_grid_validation_and_tail():
     grid = quad4.RadialGrid.make()
     assert np.all(grid.weights > 0)
     assert np.all(np.diff(grid.nodes) > 0)
-    tail = grid.tail_estimate(lambda r: (1 + r ** 2) ** -4.0)
+    # the tail is the node at rmax: 2 pi^2 f(rmax) rmax^4 / 4
+    f = lambda r: (1 + r ** 2) ** -4.0
+    tail = (quad4.integrate_r4(_radial(f), grid, quad4.RAY)
+            - quad4.integrate_r4(_radial(lambda r: np.where(r < grid.rmax, f(r), 0.0)),
+                                 grid, quad4.RAY))
     assert 0 < tail < 1e-10
+    assert abs(tail - 2 * np.pi ** 2 * f(grid.rmax) * grid.rmax ** 4 / 4) < 1e-15
     with pytest.raises(ValueError):
-        quad4.integrate_r4_radial(lambda r: np.where(r > 500, np.inf, 1.0), grid)
+        quad4.integrate_r4(_radial(lambda r: np.where(r > 500, np.inf, 1.0)), grid, quad4.RAY)
 
 
 def test_radial_grid_weights_reach_rmax():
@@ -81,14 +91,11 @@ def test_energy_radial_vs_angular_consistency():
 def test_tail_estimate_vs_extended_grid():
     short = quad4.RadialGrid.make(rmax=50.0, panels=20)
     long = quad4.RadialGrid.make(rmax=5000.0, panels=32)
-    e_short_raw = quad4.ym_energy(instanton.STANDARD, short, tail=False, tail_warn=1.0)
-    e_long = quad4.ym_energy(instanton.STANDARD, long)
-    estimated = short.tail_estimate(lambda r: instanton.curvature_norm_sq(
-        instanton.STANDARD, np.column_stack([r, np.zeros((len(np.atleast_1d(r)), 3))])))
-    true_tail = e_long - e_short_raw
-    assert abs(estimated - true_tail) / true_tail < 2e-3
-    with pytest.warns(UserWarning):
-        quad4.ym_energy(instanton.STANDARD, short, tail=False, tail_warn=1e-12)
+    # 2 pi^2 int_rmax^inf 96 r^3 (1+r^2)^-4 dr in closed form
+    s = 1.0 + short.rmax ** 2
+    true_tail = 2 * np.pi ** 2 * 96.0 * (1.0 / (4.0 * s ** 2) - 1.0 / (6.0 * s ** 3))
+    error = quad4.ym_energy(instanton.STANDARD, short) - quad4.ym_energy(instanton.STANDARD, long)
+    assert abs(error) / true_tail < 2e-3
 
 
 def test_flat_energy_zero():
@@ -100,17 +107,21 @@ def test_l2_sd_norms():
     assert abs(plus - 4 * np.pi) < 1e-7
     assert minus < 1e-10
     p = instanton.InstantonParams(0.5, (1.0, 0, 0, 0))
-    grid = quad4.RadialGrid.make()
-    plus, minus = quad4.l2_sd_norms(p, grid)
-    energy = quad4.ym_energy(p, grid, tail=False)
-    assert abs(plus ** 2 + minus ** 2 - energy) < 1e-10
+    # at rmax = 100 the tail is 3e-8 of the energy: both sides must include it
+    for grid in (quad4.RadialGrid.make(), quad4.RadialGrid.make(rmax=100.0)):
+        plus, minus = quad4.l2_sd_norms(p, grid)
+        energy = quad4.ym_energy(p, grid)
+        assert abs(plus ** 2 + minus ** 2 - energy) < 1e-10
 
 
 def test_chern_weil_kappa():
-    kappa = quad4.chern_weil_kappa(instanton.STANDARD)
-    assert abs(kappa + 1.0) < 1e-8
-    assert abs(quad4.chern_weil_kappa(instanton.STANDARD, reverse_orientation=True) - 1.0) < 1e-8
-    assert abs(quad4.chern_weil_kappa(instanton.InstantonParams(2.0, (0.5, 0, 0, 0))) + 1.0) < 1e-8
+    for grid in (None, quad4.RadialGrid.make(rmax=100.0)):
+        kappa = quad4.chern_weil_kappa(instanton.STANDARD, grid)
+        assert abs(kappa + 1.0) < 1e-8
+        assert abs(quad4.chern_weil_kappa(instanton.STANDARD, grid,
+                                          reverse_orientation=True) - 1.0) < 1e-8
+        assert abs(quad4.chern_weil_kappa(instanton.InstantonParams(2.0, (0.5, 0, 0, 0)), grid)
+                   + 1.0) < 1e-8
 
 
 def test_convergence_table(tmp_path):

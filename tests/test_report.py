@@ -257,8 +257,8 @@ def test_render_json_is_strict():
 
 
 def test_cli_check_failure_exit_code(capsys):
-    # an impossibly tight equality tolerance flips the gap verdict
-    code = cli.main(["--tol", "1e-15", "--format", "json", "gap"])
+    # a short grid under a tight equality tolerance flips the gap verdict
+    code = cli.main(["--rmax", "20", "--tol", "1e-9", "--format", "json", "gap"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["gap_report"]["verdict"] != "equality"
