@@ -22,7 +22,7 @@ from .liealg import (AlgebraSpec, GAMMA0_SO3, GAMMA0_SU2, GAMMA1_MAX,
                      GAMMA1_SO3, GAMMA1_SU2, gamma0_estimate, gamma1_estimate)
 from .quad4 import RadialGrid, SphereRule, chern_weil_kappa, l2_sd_norms, ym_energy
 from .report import (GapConfig, GapReport, corollary_thresholds, flow_admissible,
-                     gap_report, run_all, run_suite)
+                     gap_inequality, gap_report, run_all, run_suite)
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,6 @@ __all__ = [
     "GAMMA0_SU2", "GAMMA0_SO3", "GAMMA1_SU2", "GAMMA1_SO3", "GAMMA1_MAX",
     "ROUND_SCALAR_CURVATURE", "YAMABE_S4",
     "gamma0_estimate", "gamma1_estimate", "ym_energy", "l2_sd_norms",
-    "chern_weil_kappa", "gap_report", "corollary_thresholds",
+    "chern_weil_kappa", "gap_inequality", "gap_report", "corollary_thresholds",
     "flow_admissible", "run_suite", "run_all",
 ]

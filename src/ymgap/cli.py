@@ -8,6 +8,7 @@ checks pass, 1 on a check failure, 2 on a configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -27,9 +28,6 @@ _COMMAND_SUITES = {
     'flow-check': ('flow-check',),
     'all': report.SUITE_IDS,
 }
-
-# subcommand flags that are passed on to the suites as inputs
-_SUITE_INPUTS = ('kappa', 'energy')
 
 
 def _parse_center(text):
@@ -51,12 +49,12 @@ def _common_flags(suppress):
     def flag(name, default, **kwargs):
         common.add_argument(name, default=argparse.SUPPRESS if suppress else default, **kwargs)
 
-    flag('--group', 'su2', choices=('su2', 'so3'))
+    flag('--group', 'su2', metavar='{su2,so3}', help='structure group of the thresholds')
     flag('--lambda', 1.0, dest='scale', type=float, help='instanton scale')
     flag('--center', (0.0, 0.0, 0.0, 0.0), type=_parse_center,
          help='instanton center x1,x2,x3,x4; a negative first value needs the '
               '--center=-1,0,0,0 form')
-    flag('--grid-panels', 24, type=int)
+    flag('--grid-panels', 24, dest='panels', type=int)
     flag('--rmax', 1000.0, type=float)
     flag('--seed', 0, type=int)
     flag('--tol', 1e-6, type=float)
@@ -87,9 +85,10 @@ def build_parser():
 
 
 def _config_from(args):
-    return report.GapConfig(group=args.group, scale=args.scale, center=args.center,
-                            panels=args.grid_panels, rmax=args.rmax,
-                            seed=args.seed, tol=args.tol)
+    """Fields whose flag this subcommand lacks (--kappa, --energy) keep their defaults."""
+    return report.GapConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(report.GapConfig)
+                               if hasattr(args, f.name)})
 
 
 def _write_side_files(args, cfg):
@@ -104,10 +103,9 @@ def _write_side_files(args, cfg):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    inputs = {key: getattr(args, key) for key in _SUITE_INPUTS if hasattr(args, key)}
     try:
         cfg = _config_from(args)
-        suites = [report.run_suite(name, cfg, **inputs) for name in _COMMAND_SUITES[args.command]]
+        suites = [report.run_suite(name, cfg) for name in _COMMAND_SUITES[args.command]]
         _write_side_files(args, cfg)
         text = report.render(report.report_document(cfg, suites, args.command), args.format)
     except report.ConfigError as exc:

@@ -171,12 +171,11 @@ class AlgebraSpec:
         return cls('su2_real', 4, np.stack([SU2_I, SU2_J, SU2_K]))
 
     @classmethod
-    def so3_block(cls, n=4):
-        """so(3) as 3x3 rotation generators padded to dimension n."""
-        gens3 = so3_generators()
-        gens = np.zeros((3, n, n))
-        gens[:, :3, :3] = gens3
-        return cls('so3_block', n, gens)
+    def so3_block(cls):
+        """so(3) as 3x3 rotation generators padded to 4x4."""
+        gens = np.zeros((3, 4, 4))
+        gens[:, :3, :3] = so3_generators()
+        return cls('so3_block', 4, gens)
 
     @classmethod
     def so_n(cls, n):
@@ -189,17 +188,6 @@ class AlgebraSpec:
                 m[b, a] = -1.0
                 basis.append(m)
         return cls(f'so({n})', n, np.stack(basis))
-
-
-def algebra_by_name(name, n=4):
-    key = name.lower().replace('_', '').replace('-', '')
-    if key in ('su2', 'su2real', 'su(2)'):
-        return AlgebraSpec.su2_real()
-    if key in ('so3', 'so3block', 'so(3)'):
-        return AlgebraSpec.so3_block(n)
-    if key in ('so4', 'so(4)'):
-        return AlgebraSpec.so_n(4)
-    raise ValueError(f"unknown algebra {name!r} (su2, so3, so4)")
 
 
 # -- Lie-algebra-valued 2-forms ---------------------------------------------

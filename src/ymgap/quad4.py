@@ -46,6 +46,8 @@ class RadialGrid:
         panel is [0, 0.25]."""
         if panels < 2 or order < 2:
             raise ValueError("need at least two panels (one ends at 0.25) and order >= 2")
+        if not rmax > 0.25:
+            raise ValueError(f"rmax must exceed 0.25, where the first panel ends; got {rmax!r}")
         edges = np.concatenate([[0.0], np.geomspace(0.25, rmax, panels)])
         xs, ws = leggauss(order)
         nodes = []

@@ -4,19 +4,19 @@ The central object is the sharp bound
 
     Y([g]) <= 3 gamma1 ||F+||_L2 + 2 sqrt(6) ||W+||_L2
 
-for a Yang-Mills connection with F+ not identically zero. ``gap_report``
-evaluates both sides from a configuration; the standard instanton on the
-round S^4 with the su(2) constant gamma1 = 4/sqrt(6) makes it an exact
-equality. Suites bundle the module-level checks behind stable ids with
-seeded sampling, so a fixed (config, seed) reproduces byte-identical
-reports.
+for a Yang-Mills connection with F+ not identically zero.
+``gap_inequality`` compares the four numbers; ``gap_report`` feeds it
+||F+|| of the configured instanton, for which the su(2) constant
+gamma1 = 4/sqrt(6) makes the bound an exact equality. Suites take only a
+``GapConfig``, the values the command line sets, and use seeded sampling,
+so a fixed (config, seed) reproduces byte-identical reports.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -31,40 +31,30 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GapConfig:
-    group: str = "su2"                      # su2 | so3, or an AlgebraSpec
-    gamma1_source: str = "paper"            # paper | estimate
-    w_plus_l2: float = 0.0                  # conformally flat default
-    yamabe: float = conformal.YAMABE_S4
+    """The values the command line sets, and nothing else."""
+
+    group: str = "su2"                      # su2 | so3; only thresholds reads it
     scale: float = 1.0
     center: tuple = (0.0, 0.0, 0.0, 0.0)
-    connection: str = "instanton"           # instanton | flat
-    f_plus_l2_override: float | None = None  # synthetic ||F+|| for what-if runs
     panels: int = 24
     rmax: float = 1000.0
     seed: int = 0
     tol: float = 1e-6                       # relative equality-verdict tolerance
+    kappa: float = 1.0                      # |kappa| of the bundle, for thresholds
+    energy: float | None = None             # flow-check energy; None: the instanton's
 
     def __post_init__(self):
-        for name in ("w_plus_l2", "yamabe", "scale", "center", "f_plus_l2_override",
-                     "rmax", "tol"):
+        for name in ("scale", "center", "rmax", "tol", "kappa", "energy"):
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.w_plus_l2 < 0:
-            raise ConfigError("||W+|| must be nonnegative")
-        if self.yamabe <= 0:
-            raise ConfigError("the Yamabe invariant input must be positive")
-        if self.gamma1_source not in ("paper", "estimate"):
-            raise ConfigError("gamma1_source must be 'paper' or 'estimate'")
-        if isinstance(self.group, str) and self.group not in ("su2", "so3"):
-            raise ConfigError("group must be 'su2', 'so3', or an AlgebraSpec")
-        if self.connection not in ("instanton", "flat"):
-            raise ConfigError("connection must be 'instanton' or 'flat'")
-        if self.f_plus_l2_override is not None and self.f_plus_l2_override < 0:
-            raise ConfigError("||F+|| override must be nonnegative")
+        if self.group not in ("su2", "so3"):
+            raise ConfigError(f"group must be 'su2' or 'so3', got {self.group!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
-        # the instanton and the radial grid check their own inputs
+        # the instanton, the grid, the thresholds and the flow predicate check the rest
         try:
             self.instanton_params()
             self.grid()
@@ -79,21 +69,8 @@ class GapConfig:
 
     def to_dict(self):
         d = asdict(self)
-        d['group'] = self.group if isinstance(self.group, str) else self.group.name
         d['center'] = list(self.center)
         return d
-
-
-def gamma1_for(cfg):
-    """(gamma1, provenance) for the configured structure group."""
-    if cfg.gamma1_source == "paper":
-        if not isinstance(cfg.group, str):
-            raise ConfigError("custom algebras need gamma1_source='estimate'")
-        value = {"su2": liealg.GAMMA1_SU2, "so3": liealg.GAMMA1_SO3}[cfg.group]
-        return value, "paper-constant"
-    alg = liealg.algebra_by_name(cfg.group) if isinstance(cfg.group, str) else cfg.group
-    est = liealg.gamma1_estimate(alg, restarts=32, seed=cfg.seed)
-    return est.value, "computed"
 
 
 @dataclass
@@ -103,8 +80,8 @@ class GapReport:
     ``rhs`` is stored exactly as ``3*gamma1*f_plus_l2 + 2*sqrt(6)*w_plus_l2``
     evaluates in floating point, so it is bit-recomputable from the fields.
     Verdicts: ``case-1`` (F+ vanishes), ``equality``, ``inequality-holds``,
-    ``strict-gap-violated`` (the configured data cannot come from a
-    Yang-Mills connection with F+ != 0).
+    ``strict-gap-violated`` (the data cannot come from a Yang-Mills
+    connection with F+ != 0).
     """
 
     yamabe: float
@@ -115,57 +92,53 @@ class GapReport:
     rhs: float
     slack: float
     verdict: str
-    equality_residual: float | None
-    provenance: dict
+    equality_residual: float | None = None
 
     def to_dict(self):
         return asdict(self)
 
 
-def gap_report(cfg, gamma1=None):
-    """Evaluate the gap inequality for the configured bundle and metric;
-    ``gamma1`` is a ``gamma1_for`` (value, provenance) pair, looked up if omitted."""
-    gamma1, gamma1_prov = gamma1 or gamma1_for(cfg)
+def gap_inequality(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0, tol=1e-6):
+    """Compare Y with 3 gamma1 ||F+|| + 2 sqrt(6) ||W+||; ``tol`` is the
+    relative slack below which the verdict is ``equality``."""
+    for name, value in (("f_plus_l2", f_plus_l2), ("gamma1", gamma1), ("yamabe", yamabe),
+                        ("w_plus_l2", w_plus_l2), ("tol", tol)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    if f_plus_l2 < 0 or w_plus_l2 < 0:
+        raise ConfigError("||F+|| and ||W+|| must be nonnegative")
+    if not yamabe > 0:
+        raise ConfigError("the Yamabe invariant must be positive")
+    if not tol > 0:
+        raise ConfigError("tol must be positive")
     if not 0.0 < gamma1 <= liealg.GAMMA1_MAX + 1e-12:
         raise ConfigError(f"gamma1 = {gamma1} outside (0, 4/sqrt(6)]")
-    if cfg.f_plus_l2_override is not None:
-        f_plus = cfg.f_plus_l2_override
-        f_plus_prov = 'configured'
-    elif cfg.connection == "flat":
-        f_plus = 0.0
-        f_plus_prov = 'computed'
-    else:
-        f_plus, _ = quad4.l2_sd_norms(cfg.instanton_params(), cfg.grid())
-        f_plus_prov = 'computed'
-    lhs = cfg.yamabe
-    rhs = 3.0 * gamma1 * f_plus + 2.0 * np.sqrt(6.0) * cfg.w_plus_l2
-    slack = rhs - lhs
+    rhs = 3.0 * gamma1 * f_plus_l2 + 2.0 * np.sqrt(6.0) * w_plus_l2
+    slack = rhs - yamabe
 
-    if f_plus < 1e-10:
+    if f_plus_l2 < 1e-10:
         verdict = "case-1"
-    elif abs(slack) < cfg.tol * lhs:
+    elif abs(slack) < tol * yamabe:
         verdict = "equality"
     elif slack > 0:
         verdict = "inequality-holds"
     else:
         verdict = "strict-gap-violated"
+    return GapReport(yamabe, gamma1, f_plus_l2, w_plus_l2, yamabe, rhs, slack, verdict)
 
-    equality_residual = None
-    if verdict == "equality" and cfg.w_plus_l2 == 0.0 and cfg.connection == "instanton":
-        # pointwise identity R - 3 gamma1 |F+| = 0 for the round representative
-        equality_residual = _equality_identity_residual(cfg.instanton_params(), gamma1)
 
-    provenance = {
-        'yamabe': 'paper-constant' if cfg.yamabe == conformal.YAMABE_S4 else 'configured',
-        'gamma1': gamma1_prov,
-        'f_plus_l2': f_plus_prov,
-        'w_plus_l2': 'configured',
-        'lhs': 'computed',
-        'rhs': 'computed',
-        'slack': 'computed',
-    }
-    return GapReport(cfg.yamabe, gamma1, f_plus, cfg.w_plus_l2, lhs, rhs, slack,
-                     verdict, equality_residual, provenance)
+def gap_report(cfg):
+    """The gap inequality for the configured instanton on the round S^4.
+
+    The instanton is su(2)-valued, so gamma1 is the su(2) constant whatever
+    ``cfg.group`` says. At equality the report also carries the residual
+    of the pointwise identity behind it."""
+    params = cfg.instanton_params()
+    f_plus, _ = quad4.l2_sd_norms(params, cfg.grid())
+    rep = gap_inequality(f_plus, liealg.GAMMA1_SU2, tol=cfg.tol)
+    if rep.verdict == "equality":
+        rep.equality_residual = _equality_identity_residual(params, rep.gamma1)
+    return rep
 
 
 def _equality_identity_residual(params, gamma1):
@@ -446,8 +419,7 @@ def _suite_yamabe(cfg):
 
 
 def _suite_gap(cfg):
-    gamma1 = gamma1_for(cfg)
-    rep = gap_report(cfg, gamma1)
+    rep = gap_report(cfg)
     checks = [
         _check("verdict-equality", 0.0 if rep.verdict == "equality" else 1.0, 0.5),
         _check("slack-relative", abs(rep.slack) / rep.yamabe, cfg.tol),
@@ -457,26 +429,25 @@ def _suite_gap(cfg):
     checks.append(_check("rhs-recomputable",
                          abs(rep.rhs - (3.0 * rep.gamma1 * rep.f_plus_l2
                                         + 2.0 * np.sqrt(6.0) * rep.w_plus_l2)), 0.0))
-    flat = gap_report(replace(cfg, connection="flat", f_plus_l2_override=None), gamma1)
+    flat = gap_inequality(0.0, rep.gamma1, tol=cfg.tol)
     checks.append(_check("flat-is-case-1", 0.0 if flat.verdict == "case-1" else 1.0, 0.5))
     return checks, {'gap_report': rep.to_dict()}
 
 
-def _suite_thresholds(cfg, kappa=1.0):
-    gamma1, _ = gamma1_for(cfg)
-    thr = corollary_thresholds(cfg.group, kappa, cfg.yamabe, gamma1)
+def _suite_thresholds(cfg):
+    gamma1 = {"su2": liealg.GAMMA1_SU2, "so3": liealg.GAMMA1_SO3}[cfg.group]
+    thr = corollary_thresholds(cfg.group, cfg.kappa, conformal.YAMABE_S4, gamma1)
     checks = [_check("general-vs-weak",
                      abs(thr.general - thr.weak_universal) if cfg.group == 'su2' else 0.0,
                      1e-9)]
-    if thr.specialized is not None:
-        expected = 16.0 * np.pi ** 2 * kappa + (32.0 if cfg.group == 'su2' else 64.0) * np.pi ** 2
-        checks.append(_check("specialized-value", abs(thr.specialized - expected), 1e-9))
+    expected = 16.0 * np.pi ** 2 * cfg.kappa + (32.0 if cfg.group == 'su2' else 64.0) * np.pi ** 2
+    checks.append(_check("specialized-value", abs(thr.specialized - expected), 1e-9))
     return checks, {'thresholds': {'general': thr.general, 'specialized': thr.specialized,
-                                   'weak_universal': thr.weak_universal, 'kappa_abs': kappa}}
+                                   'weak_universal': thr.weak_universal, 'kappa_abs': cfg.kappa}}
 
 
-def _suite_flow_check(cfg, energy=None):
-    source = 'configured'
+def _suite_flow_check(cfg):
+    energy, source = cfg.energy, 'configured'
     if energy is None:
         energy = quad4.ym_energy(cfg.instanton_params(), cfg.grid())
         source = 'computed'
@@ -490,9 +461,8 @@ def _suite_flow_check(cfg, energy=None):
                                      '(dynamics reported, not simulated)'}}
 
 
-# Each suite maps (cfg, **inputs) to (checks, sections); the sections are the
-# top-level report entries it owns. Only thresholds (kappa) and flow-check
-# (energy) take inputs beyond the configuration.
+# Each suite maps the configuration to (checks, sections); the sections are
+# the top-level report entries it owns.
 _SUITES = {
     "kato": _suite_kato,
     "bochner": _suite_bochner,
@@ -513,13 +483,13 @@ _SUITES = {
 SUITE_IDS = tuple(_SUITES)
 
 
-def run_suite(name, cfg=None, **inputs):
+def run_suite(name, cfg=None):
     """Run one named suite; unknown ids raise with the available list."""
     if name not in _SUITES:
         raise ConfigError(f"unknown suite {name!r}; available: {', '.join(SUITE_IDS)}")
     cfg = cfg or GapConfig()
     t0 = time.perf_counter()
-    checks, sections = _SUITES[name](cfg, **inputs)
+    checks, sections = _SUITES[name](cfg)
     runtime = time.perf_counter() - t0
     return SuiteResult(name, checks, all(c.passed for c in checks), runtime, sections)
 

@@ -190,11 +190,12 @@ SUITE_SEARCHES = [
     (liealg.gamma1_estimate, 'so3', 32, liealg.GAMMA1_SO3),
 ]
 SEEDS = range(24)
+ALGEBRAS = {'su2': liealg.AlgebraSpec.su2_real, 'so3': liealg.AlgebraSpec.so3_block}
 
 
 @pytest.fixture(scope='module')
 def suite_estimates():
-    return {(estimate, name, seed): estimate(liealg.algebra_by_name(name), restarts=r, seed=seed)
+    return {(estimate, name, seed): estimate(ALGEBRAS[name](), restarts=r, seed=seed)
             for estimate, name, r, _ in SUITE_SEARCHES for seed in SEEDS}
 
 
@@ -212,7 +213,7 @@ def test_gamma_searches_converge_to_the_sharp_constants(suite_estimates):
 def test_gamma_restart_tie_rule_ignores_roundoff(suite_estimates):
     # scaling the basis by 1 + 2^-50 moves the orthonormal basis only at roundoff
     for estimate, name, restarts, _ in SUITE_SEARCHES:
-        alg = liealg.algebra_by_name(name)
+        alg = ALGEBRAS[name]()
         nudged = liealg.AlgebraSpec(alg.name, alg.n, alg.basis * (1.0 + 2.0 ** -50))
         for seed in SEEDS:
             est = estimate(nudged, restarts=restarts, seed=seed)

@@ -57,6 +57,12 @@ def _regridded(change):
     return mutate
 
 
+def _scaled_sd_norms(monkeypatch):
+    l2_sd_norms = quad4.l2_sd_norms
+    monkeypatch.setattr(quad4, "l2_sd_norms",
+                        lambda p, grid=None: tuple((1 + 1e-5) * n for n in l2_sd_norms(p, grid)))
+
+
 def _flipped_star(monkeypatch):
     star = forms4.STAR.copy()
     star[2, 3] = star[3, 2] = -1.0
@@ -88,6 +94,8 @@ MUTATIONS = [
     _row("tail-dropped", _regridded(lambda g: dataclasses.replace(g, rmax=0.0)),
          ["energy", "chern-weil"], {"energy-standard", "kappa-bpst"},
          report.GapConfig(rmax=100.0)),
+    # slack/Y = 1e-5 against the default equality tolerance 1e-6
+    _row("sd-norms-x1.00001", _scaled_sd_norms, ["gap"], {"verdict-equality", "slack-relative"}),
     _row("star-sign-14-23", _flipped_star, ["kato", "chern-weil", "bracket-sharpness"],
          {"kato-floor-1000pts", "asd-part-vanishes", "pointwise-gamma1-attainment"}),
 ]

@@ -24,12 +24,11 @@ def test_gap_report_equality_case():
 
 
 def test_gap_report_flat_and_violated():
-    flat = report.gap_report(report.GapConfig(connection="flat"))
-    assert flat.verdict == "case-1"
-    synth = report.gap_report(report.GapConfig(f_plus_l2_override=1.0))
+    assert report.gap_inequality(0.0, liealg.GAMMA1_SU2).verdict == "case-1"
+    synth = report.gap_inequality(1.0, liealg.GAMMA1_SU2)
     assert synth.verdict == "strict-gap-violated"
     assert synth.slack < 0
-    big = report.gap_report(report.GapConfig(f_plus_l2_override=100.0))
+    big = report.gap_inequality(100.0, liealg.GAMMA1_SU2)
     assert big.verdict == "inequality-holds"
 
 
@@ -37,23 +36,18 @@ def test_gap_report_rhs_closure_and_provenance():
     rep = report.gap_report(report.GapConfig())
     recomputed = 3.0 * rep.gamma1 * rep.f_plus_l2 + 2.0 * np.sqrt(6.0) * rep.w_plus_l2
     assert rep.rhs == recomputed            # bit-exact recomposition
-    for key in ("yamabe", "gamma1", "f_plus_l2", "w_plus_l2", "lhs", "rhs", "slack"):
-        assert key in rep.provenance
-    assert rep.provenance["gamma1"] == "paper-constant"
-    est = report.gap_report(report.GapConfig(gamma1_source="estimate"))
-    assert est.provenance["gamma1"] == "computed"
-    assert abs(est.gamma1 - liealg.GAMMA1_SU2) < 1e-5
 
 
 def test_gap_config_validation():
     with pytest.raises(report.ConfigError):
         report.GapConfig(group="e8")
-    with pytest.raises(report.ConfigError):
-        report.GapConfig(w_plus_l2=-1.0)
-    with pytest.raises(report.ConfigError):
-        report.GapConfig(yamabe=0.0)
-    with pytest.raises(report.ConfigError):
-        report.GapConfig(gamma1_source="guess")
+    for kwargs in ({"w_plus_l2": -1.0}, {"yamabe": 0.0}, {"tol": 0.0}):
+        with pytest.raises(report.ConfigError):
+            report.gap_inequality(4 * np.pi, liealg.GAMMA1_SU2, **kwargs)
+    for f_plus, gamma1 in ((-1.0, liealg.GAMMA1_SU2), (4 * np.pi, 0.0),
+                           (4 * np.pi, liealg.GAMMA1_MAX * (1 + 1e-9))):
+        with pytest.raises(report.ConfigError):
+            report.gap_inequality(f_plus, gamma1)
 
 
 def test_corollary_thresholds():
@@ -95,19 +89,11 @@ def test_individual_suites_pass(name):
     assert result.runtime >= 0.0
 
 
-def test_gap_suite_flat_comparison_keeps_config():
-    # the flat comparison must reuse the configuration, not rebuild a default one
-    cfg = report.GapConfig(group=liealg.AlgebraSpec.su2_real(), gamma1_source="estimate")
-    result = report.run_suite("gap", cfg)
-    assert result.passed, [c for c in result.checks if not c.passed]
-    assert result.sections["gap_report"]["provenance"]["gamma1"] == "computed"
-
-
 # top-level sections and their inner keys, by the suite that owns them
 SECTION_KEYS = {
     'constants': {'su2', 'so3'},
     'gap_report': {'yamabe', 'gamma1', 'f_plus_l2', 'w_plus_l2', 'lhs', 'rhs', 'slack',
-                   'verdict', 'equality_residual', 'provenance'},
+                   'verdict', 'equality_residual'},
     'thresholds': {'general', 'specialized', 'weak_universal', 'kappa_abs'},
     'flow': {'energy', 'energy_source', 'threshold', 'admissible', 'note'},
 }
@@ -155,8 +141,11 @@ def test_cli_gap_json(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["command"] == "gap"
     assert doc["gap_report"]["verdict"] == "equality"
-    prov = doc["gap_report"]["provenance"]
-    assert prov["f_plus_l2"] == "computed"
+    # the instanton is su(2)-valued whatever --group says, so so3 is equality too
+    assert cli.main(["--group", "so3", "--format", "json", "gap"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["gap_report"]["verdict"] == "equality"
+    assert doc["gap_report"]["gamma1"] == liealg.GAMMA1_SU2
 
 
 def test_cli_thresholds_and_flow(capsys):
@@ -237,12 +226,19 @@ def test_gap_config_rejects_what_lower_layers_reject(kwargs):
         report.GapConfig(**kwargs)
 
 
-@pytest.mark.parametrize("field", ["w_plus_l2", "yamabe", "scale", "f_plus_l2_override",
-                                   "rmax", "tol"])
+@pytest.mark.parametrize("field", ["scale", "rmax", "tol", "kappa"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_gap_config_rejects_non_finite(field, value):
     with pytest.raises(report.ConfigError, match=field):
         report.GapConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["f_plus_l2", "w_plus_l2", "yamabe"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_gap_inequality_rejects_non_finite(field, value):
+    inputs = {"f_plus_l2": 4 * np.pi, "gamma1": liealg.GAMMA1_SU2, field: value}
+    with pytest.raises(report.ConfigError, match=field):
+        report.gap_inequality(**inputs)
 
 
 def test_gap_config_rejects_non_finite_center():
@@ -286,21 +282,6 @@ def test_cli_constants_runs_each_search_once(monkeypatch, capsys):
         monkeypatch.setattr(liealg, name, counted)
     assert cli.main(["--format", "json", "constants"]) == 0
     assert calls == {"gamma0_estimate": 2, "gamma1_estimate": 3}
-
-
-def test_gap_suite_runs_gamma1_search_once(monkeypatch):
-    calls = []
-    original = liealg.gamma1_estimate
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(liealg, "gamma1_estimate", counted)
-    res = report.run_suite("gap", report.GapConfig(gamma1_source="estimate"))
-    assert res.passed
-    assert len(calls) == 1
-    assert res.sections["gap_report"]["provenance"]["gamma1"] == "computed"
 
 
 # parsed values each README command line must produce, by subcommand
