@@ -108,13 +108,13 @@ def main(argv=None):
         suites = [report.run_suite(name, cfg) for name in _COMMAND_SUITES[args.command]]
         _write_side_files(args, cfg)
         text = report.render(report.report_document(cfg, suites, args.command), args.format)
-    except report.ConfigError as exc:
+        if args.out:
+            with open(args.out, 'w') as fh:
+                fh.write(text)
+    except (report.ConfigError, OSError) as exc:     # OSError: an unwritable output path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, 'w') as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0 if all(s.passed for s in suites) else 1
 

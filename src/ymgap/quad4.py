@@ -46,8 +46,9 @@ class RadialGrid:
         panel is [0, 0.25]."""
         if panels < 2 or order < 2:
             raise ValueError("need at least two panels (one ends at 0.25) and order >= 2")
-        if not rmax > 0.25:
-            raise ValueError(f"rmax must exceed 0.25, where the first panel ends; got {rmax!r}")
+        if not 0.25 < rmax < np.finfo(float).max ** 0.25:
+            raise ValueError("rmax must exceed 0.25, where the first panel ends, and its tail "
+                             f"mass rmax^4/4 must be finite; got {rmax!r}")
         edges = np.concatenate([[0.0], np.geomspace(0.25, rmax, panels)])
         xs, ws = leggauss(order)
         nodes = []

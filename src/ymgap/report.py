@@ -180,11 +180,10 @@ def corollary_thresholds(group, kappa_abs, yamabe, gamma1):
     floor = 16.0 * np.pi ** 2 * kappa_abs
     general = floor + 2.0 * yamabe ** 2 / (9.0 * gamma1 ** 2)
     weak = floor + yamabe ** 2 / 12.0
-    specialized = None
-    if group == "su2":
-        specialized = floor + 32.0 * np.pi ** 2
-    elif group == "so3":
-        specialized = floor + 64.0 * np.pi ** 2
+    if not np.all(np.isfinite([general, weak])):
+        raise ConfigError(f"thresholds are not finite at |kappa| = {kappa_abs:g}, "
+                          f"Y = {yamabe:g}, gamma1 = {gamma1:g}")
+    specialized = {"su2": floor + 32.0 * np.pi ** 2, "so3": floor + 64.0 * np.pi ** 2}.get(group)
     return Thresholds(general, specialized, weak)
 
 

@@ -47,13 +47,27 @@ def test_problem_symmetry():
     assert prob.asymmetry() < 1e-12
 
 
-def test_lambda1_constant_potentials():
+def test_lambda1_constant_potentials(monkeypatch):
+    # the start sqrt(weight) is the exact ground state of a constant Phi
+    monkeypatch.setattr(conformal, "_MAX_ITER", 1)
     lam, vec = conformal.lambda1(conformal.round_problem(12.0, n=2000))
     assert abs(lam - 12.0) < 1e-8
     assert np.min(vec) > 0                     # positive ground state
     assert np.max(np.abs(vec - vec[0])) < 1e-6  # constant eigenfunction
     lam0, _ = conformal.lambda1(conformal.round_problem(0.0, n=2000))
     assert abs(lam0) < 1e-8
+    # the eigenvalue suite's borderline field, Phi = 12 - 3 gamma1 sqrt(6) = 0
+    borderline = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=2000)
+    assert abs(conformal.lambda1(borderline)[0]) < 1e-8
+
+
+def _smooth_plus_noise(seed, n):
+    """Round problem for a random smooth potential plus cell-wise noise."""
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(-3.0, 3.0, 4)
+    rho, _ = conformal.cell_grid(n)
+    smooth = 12.0 + sum(a * np.cos((k + 1) * rho) for k, a in enumerate(amps))
+    return conformal.round_problem(smooth + rng.uniform(-0.5, 0.5, n), n=n)
 
 
 def test_lambda1_matches_lapack():
@@ -62,6 +76,16 @@ def test_lambda1_matches_lapack():
     d, e = prob.tridiagonal()
     ref = eigh_tridiagonal(d, e, select='i', select_range=(0, 0))[0][0]
     assert abs(lam - ref) < 1e-8
+    # general input, to a bound on the scale of the solver's roundoff floor
+    for seed in range(12):
+        for n in (250, 2000):
+            prob = _smooth_plus_noise(seed, n)
+            lam, vec = conformal.lambda1(prob)
+            d, e = prob.tridiagonal()
+            ref = eigh_tridiagonal(d, e, select='i', select_range=(0, 0))[0][0]
+            norm = np.max(np.abs(d) + np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0]))
+            assert abs(lam - ref) <= 2.0 * np.finfo(float).eps * norm, (seed, n)
+            assert np.min(vec) > 0, (seed, n)
 
 
 def test_lambda1_convergence_order():
@@ -170,8 +194,9 @@ def test_yamabe_quotient_random_family_floor():
     assert min_q >= Y - 1e-6
 
 
-def test_eigen_solver_error_trace():
-    prob = conformal.round_problem(12.0, n=256)
-    with pytest.raises(conformal.EigenSolveError) as err:
-        conformal.lambda1(prob, tol=0.0, max_iter=3)
-    assert len(err.value.trace) > 0
+def test_eigen_solver_error_trace(monkeypatch):
+    # a non-constant Phi: a constant one converges in the first step
+    monkeypatch.setattr(conformal, "_MAX_ITER", 1)
+    prob = conformal.round_problem(lambda r: 12 + 3 * np.cos(2 * r), n=256)
+    with pytest.raises(conformal.EigenSolveError, match=r"residual \S+ above its floor"):
+        conformal.lambda1(prob)

@@ -33,6 +33,14 @@ def _scaled_constituent(name):
     return mutate
 
 
+def _route_b_u_cubed(monkeypatch):
+    """|W+| and |F+| scale by u^-3 in place of u^-2 in covariance route (b)."""
+    covariance_check = conformal.covariance_check
+    monkeypatch.setattr(conformal, "covariance_check", lambda u, field: covariance_check(
+        u, dataclasses.replace(field, weyl_norm=field.weyl_norm / u,
+                               f_plus_norm=field.f_plus_norm / u)))
+
+
 def _doubled_volumes(monkeypatch):
     cell_volumes = conformal.cell_volumes
     monkeypatch.setattr(conformal, "cell_volumes", lambda n: 2.0 * cell_volumes(n))
@@ -79,6 +87,7 @@ MUTATIONS = [
          {"covariance-20-random"}),
     _row("weyl-norm-x1.01", _scaled_constituent("weyl_norm"), ["covariance"],
          {"covariance-20-random"}),
+    _row("route-b-u-cubed", _route_b_u_cubed, ["covariance"], {"covariance-20-random"}),
     _row("cell-volumes-x2", _doubled_volumes, ["eigenvalue", "yamabe-quotient"],
          {"rayleigh-cos-36", "quotient-at-round"}),
     _row("cubic-tensor-x1.0001", _scaled_cubic_tensor, ["gamma-constants"],

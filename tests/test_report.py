@@ -89,6 +89,70 @@ def test_individual_suites_pass(name):
     assert result.runtime >= 0.0
 
 
+# (suite, check, tolerance) of every check of ``run_all(GapConfig())``, in order
+PINNED_TOLERANCES = [
+    ('kato', 'kato-floor-1000pts', 1e-08),
+    ('kato', 'kato-order2', 0.0),
+    ('kato', 'kato-order2', 0.0),
+    ('kato', 'kato-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'bochner-order2', 0.0),
+    ('bochner', 'laplacian-term-at-0', 1e-05),
+    ('bochner', 'bracket-term-at-0', 1e-05),
+    ('bochner', 'bochner-residual-default', 1e-06),
+    ('bracket-sharpness', 'cubic-form-bpst', 1e-12),
+    ('bracket-sharpness', 'bracket-norm-bpst', 1e-12),
+    ('bracket-sharpness', 'bound-equality-bpst', 1e-10),
+    ('bracket-sharpness', 'bound-nonneg-random', 1e-10),
+    ('bracket-sharpness', 'pointwise-gamma1-attainment', 1e-10),
+    ('weyl-bound', 'weyl-bound-10k', 1e-10),
+    ('weyl-bound', 'weyl-equality-extremal', 1e-12),
+    ('circ-basis', 'circ-orthonormal-100bases', 1e-10),
+    ('gamma-constants', 'gamma0-su2', 1e-06),
+    ('gamma-constants', 'gamma0-so3', 1e-06),
+    ('gamma-constants', 'gamma1-su2', 1e-05),
+    ('gamma-constants', 'gamma1-so3', 1e-05),
+    ('gamma-constants', 'gamma1-so4-bound', 1e-05),
+    ('energy', 'energy-standard', 1e-08),
+    ('energy', 'energy-dilation-invariance', 1e-06),
+    ('energy', 'energy-shift-1.0', 1e-06),
+    ('energy', 'energy-shift-0.5', 1e-06),
+    ('energy', 'energy-flat', 1e-14),
+    ('chern-weil', 'kappa-bpst', 1e-08),
+    ('chern-weil', 'asd-part-vanishes', 1e-10),
+    ('chern-weil', 'kappa-orientation-reversed', 1e-08),
+    ('eigenvalue', 'lambda1-const-12', 1e-08),
+    ('eigenvalue', 'eigenfunction-positive', 1e-08),
+    ('eigenvalue', 'rayleigh-cos-36', 1e-06),
+    ('eigenvalue', 'lambda1-borderline', 1e-06),
+    ('covariance', 'covariance-20-random', 1e-06),
+    ('yamabe-quotient', 'quotient-at-round', 1e-08),
+    ('yamabe-quotient', 'quotient-family-floor', 1e-06),
+    ('gap', 'verdict-equality', 0.5),
+    ('gap', 'slack-relative', 1e-06),
+    ('gap', 'equality-identity', 1e-08),
+    ('gap', 'rhs-recomputable', 0.0),
+    ('gap', 'flat-is-case-1', 0.5),
+    ('thresholds', 'general-vs-weak', 1e-09),
+    ('thresholds', 'specialized-value', 1e-09),
+    ('flow-check', 'predicate-consistent', 0.0),
+]
+
+
+def test_check_tolerances_are_pinned():
+    rows = [(s.suite, c.name, c.tolerance)
+            for s in report.run_all(report.GapConfig()) for c in s.checks]
+    assert rows == PINNED_TOLERANCES
+
+
 # top-level sections and their inner keys, by the suite that owns them
 SECTION_KEYS = {
     'constants': {'su2', 'so3'},
@@ -209,8 +273,14 @@ def test_cli_non_finite_input_is_config_error(argv, capsys):
     ["--tol", "-1", "gap"],
     ["--tol", "0", "gap"],
     ["--grid-panels", "1", "energy"],
+    ["--rmax", "1e80", "gap"],               # the tail mass rmax^4/4 overflows
+    ["thresholds", "--kappa", "1e308"],      # the thresholds overflow
+    ["--out", "{missing}/report.json", "eigen"],
+    ["energy", "--grid-panels", "8", "--convergence-table", "{missing}/table.csv"],
+    ["kato", "--samples-csv", "{missing}/samples.csv"],
 ])
-def test_cli_out_of_range_input_is_config_error(argv, capsys):
+def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
+    argv = [arg.format(missing=tmp_path / "no-such-dir") for arg in argv]   # unwritable paths
     assert cli.main(["--format", "json"] + argv) == 2
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
@@ -338,3 +408,16 @@ def test_cli_entrypoint_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "suite,check,passed,residual,tolerance"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    code = ("import sys, ymgap.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [dep.split(">")[0] for dep in dependencies] == ["numpy"]
