@@ -111,15 +111,6 @@ class SLProblem:
         e = -self.cond[1:-1] / (self.h * np.sqrt(self.weight[:-1] * self.weight[1:]))
         return d, e
 
-    def asymmetry(self):
-        """Max |<Lf,g>_w - <f,Lg>_w| over a fixed family of test functions,
-        normalized by the form magnitude; zero up to roundoff."""
-        k = np.arange(4)[:, None]
-        tests = np.sin((k + 1) * self.rho) + 0.25 * np.cos(k * self.rho)
-        forms = (self.apply(tests) * self.weight) @ tests.T      # [i, j] = <L f_i, f_j>_w
-        scale = np.maximum(np.maximum(np.abs(forms), np.abs(forms.T)), 1.0)
-        return float(np.max(np.abs(forms - forms.T) / scale))
-
 
 def round_problem(phi, n=2000):
     """-6 Lap + Phi on the unit round S^4: face conductivities 6 sin^3, zero at the poles."""

@@ -5,6 +5,8 @@ Gauss-Legendre panels on [0, R_max] with geometrically graded panel edges.
 On each sphere it applies a ``SphereRule``: the tensor-product rule on S^3
 (Gauss-Legendre in the two polar angles, uniform in the azimuth), or
 ``RAY``, one node that is exact for integrands radial about the origin.
+A caller may grade the rule by radius: the off-center energy integrals take
+on each sphere the lowest order that resolves the integrand there.
 Beyond R_max the integrand is taken to decay like r^-8, the curvature
 density's decay, so the tail is one more radius at R_max and every
 integral includes it. Sums run in a fixed order, so results are
@@ -23,6 +25,9 @@ from . import instanton, liealg
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
 EPI2_16 = 16.0 * np.pi ** 2
+#: largest rmax: on 24 panels every energy check keeps >= 100x headroom up
+#: to about 2e23; from about 1e30 the panels no longer resolve the profile
+RMAX_LIMIT = 1e20
 
 
 @dataclass(frozen=True)
@@ -46,17 +51,13 @@ class RadialGrid:
         panel is [0, 0.25]."""
         if panels < 2 or order < 2:
             raise ValueError("need at least two panels (one ends at 0.25) and order >= 2")
-        if not 0.25 < rmax < np.finfo(float).max ** 0.25:
-            raise ValueError("rmax must exceed 0.25, where the first panel ends, and its tail "
-                             f"mass rmax^4/4 must be finite; got {rmax!r}")
+        if not 0.25 < rmax <= RMAX_LIMIT:
+            raise ValueError(f"rmax must exceed 0.25, where the first panel ends, and be at "
+                             f"most {RMAX_LIMIT:g}; got {rmax!r}")
         edges = np.concatenate([[0.0], np.geomspace(0.25, rmax, panels)])
+        a, h = edges[:-1, None], np.diff(edges)[:, None]
         xs, ws = leggauss(order)
-        nodes = []
-        weights = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            nodes.append(0.5 * (xs + 1.0) * (b - a) + a)
-            weights.append(0.5 * (b - a) * ws)
-        return cls(np.concatenate(nodes), np.concatenate(weights), float(rmax))
+        return cls((0.5 * (xs + 1.0) * h + a).ravel(), (0.5 * h * ws).ravel(), float(rmax))
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,15 @@ class SphereRule:
 
     @classmethod
     def make(cls, n=24):
-        xps, wps = leggauss(n)
-        psi = 0.5 * (xps + 1.0) * np.pi
-        wpsi = 0.5 * np.pi * wps * np.sin(psi) ** 2
-        xth, wth = leggauss(n)
-        theta = 0.5 * (xth + 1.0) * np.pi
-        wtheta = 0.5 * np.pi * wth * np.sin(theta)
+        # the polar angles psi and theta share the Gauss-Legendre nodes
+        xs, ws = leggauss(n)
+        psi = 0.5 * (xs + 1.0) * np.pi
+        wpsi = 0.5 * np.pi * ws * np.sin(psi) ** 2
+        wtheta = 0.5 * np.pi * ws * np.sin(psi)
         m = 2 * n
         phi = np.arange(m) * 2.0 * np.pi / m
         wphi = np.full(m, 2.0 * np.pi / m)
-        cp, sp = np.cos(psi), np.sin(psi)
-        ct, st = np.cos(theta), np.sin(theta)
+        cp, sp = ct, st = np.cos(psi), np.sin(psi)
         # coordinate-major storage: points is the (N, 4) transpose of a
         # contiguous (4, N) array, so per-coordinate arithmetic runs over
         # contiguous memory instead of rows of four
@@ -99,53 +98,83 @@ RAY = SphereRule(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([TWO_PI_SQ]))
 #: of the 27 648-point rule per call
 _MAX_POINTS = 32768
 
+#: order n resolves a sphere when (2 * 24)^3 rho^-2n <= 1e-16
+_LOG_RATIO = float(np.log(48.0 ** 3 * 1e16))
 
-def integrate_r4(f, grid, rule, origin=(0.0, 0.0, 0.0, 0.0)):
+
+def integrate_r4(f, grid, rule, origin=(0.0, 0.0, 0.0, 0.0), coarser=None):
     """Integral of f over R^4 with radius measured from ``origin``.
 
     f must accept a (B, N, 4) array of points, B radii times the N points
-    of ``rule``, and return (B, N) values. The points go through one buffer
-    reused for every block of radii, so f must not keep it. The integrand
-    is taken to decay like r^-8 beyond ``grid.rmax``, so the tail
+    of one sphere rule, and return (B, N) values. The points go through one
+    buffer reused for every block of radii, so f must not keep it. The
+    integrand is taken to decay like r^-8 beyond ``grid.rmax``, so the tail
     int_rmax^inf r^3 (rmax/r)^8 dr = rmax^4/4 is one more radius at rmax.
+
+    Every sphere uses ``rule`` unless ``coarser`` is given: it maps the
+    radii (the grid nodes, then the tail radius) to one entry per radius,
+    the rule for that sphere or None for ``rule``.
     """
     origin = np.asarray(origin, dtype=float)
     radii = np.append(grid.nodes, grid.rmax)
     mass = np.append(grid.weights * grid.nodes ** 3, grid.rmax ** 4 / 4.0)
-    n = len(rule.weights)
-    block = max(1, _MAX_POINTS // n)
-    # coordinate-major, like rule.points
-    buf = np.moveaxis(np.empty((4, min(block, len(radii)), n)), 0, -1)
+    rules = [rule] * len(radii) if coarser is None else [
+        rule if c is None else c for c in coarser(radii)]
+    # blocks of consecutive radii on one rule, at most _MAX_POINTS points each
+    edges = [0] + [i for i in range(1, len(radii)) if rules[i] is not rules[i - 1]] + [len(radii)]
+    blocks = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        step = max(1, _MAX_POINTS // len(rules[a].weights))
+        blocks += [(s, min(s + step, b), rules[a]) for s in range(a, b, step)]
+    buf = np.empty(4 * max((b - a) * len(rl.weights) for a, b, rl in blocks))
     total = 0.0
-    for start in range(0, len(radii), block):
-        r = radii[start:start + block]
-        x = buf[:len(r)]
-        np.multiply(r[:, None, None], rule.points, out=x)
+    for a, b, rl in blocks:
+        r = radii[a:b]
+        # coordinate-major, like rl.points
+        x = np.moveaxis(buf[:4 * (b - a) * len(rl.weights)].reshape(4, b - a, -1), 0, -1)
+        np.multiply(r[:, None, None], rl.points, out=x)
         x += origin
         vals = np.asarray(f(x), dtype=float)
         bad = ~np.isfinite(vals)
         if np.any(bad):
             raise ValueError(f"non-finite integrand sample at r = {r[np.any(bad, axis=-1)][0]}")
-        total += float(np.dot(mass[start:start + block], vals @ rule.weights))
+        total += float(np.dot(mass[a:b], vals @ rl.weights))
     return total
 
 
-def ym_energy(p, grid=None, rule=None, about=None):
+def ym_energy(p, grid=None, about=None):
     """Total energy int |F|^2 over R^4; 16 pi^2 for every family member.
 
     Default path: the ``RAY`` rule about the instanton center, where the
     norm of every curvature part is radial for this family, with |F|^2
-    evaluated from the curvature matrices. With ``rule`` (and optionally
-    ``about``) the integral is done by that sphere rule with the norm law as
-    integrand, exercising conformal invariance nontrivially when the grid
-    is not centered on the instanton.
+    evaluated from the curvature matrices. With ``about`` the integral is
+    taken about that point by sphere rules with the norm law as integrand,
+    exercising conformal invariance nontrivially when ``about`` is not the
+    instanton center.
+
+    The angular order is graded by radius. On the sphere of radius r the
+    integrand is (1 - q t)^-4 in t = cos(angle to center - about), with
+    q = 2 r d / (scale^2 + r^2 + d^2) < 1 and d = |center - about|. Its
+    harmonic coefficients decay like k^3 rho^-k, rho = (1 + sqrt(1 - q^2))/q,
+    and order n is exact to degree 2n - 1: each sphere takes the least n in
+    (8, 16, 24) with (2 * 24)^3 rho^-2n <= 1e-16, else 24.
     """
     grid = grid or RadialGrid.make()
-    if rule is None:
+    if about is None:
         return integrate_r4(lambda x: liealg.lv_norm_sq(instanton.curvature_closed_at(p, x)),
                             grid, RAY, p.center_array)
-    origin = p.center_array if about is None else about
-    return integrate_r4(lambda x: instanton.curvature_norm_sq(p, x), grid, rule, origin)
+    d = float(np.linalg.norm(p.center_array - np.asarray(about, dtype=float)))
+    coarser = {n: SphereRule.make(n) for n in (8, 16)}
+
+    def graded(radii):
+        q = 2.0 * radii * d / (p.scale ** 2 + radii ** 2 + d ** 2)
+        with np.errstate(divide='ignore'):
+            log_rho = np.log((1.0 + np.sqrt(1.0 - q ** 2)) / q)
+        return [next((coarser[n] for n in coarser if 2 * n * lr >= _LOG_RATIO), None)
+                for lr in log_rho]
+
+    return integrate_r4(lambda x: instanton.curvature_norm_sq(p, x), grid,
+                        SphereRule.make(24), about, graded)
 
 
 def l2_sd_norms(p, grid=None):
@@ -184,14 +213,10 @@ def energy_convergence_table(p, panel_counts, rmax=1000.0):
     rows = []
     prev = None
     for panels in panel_counts:
-        grid = RadialGrid.make(rmax=rmax, panels=panels)
-        e = ym_energy(p, grid)
-        rows.append({
-            'panels': panels,
-            'energy': e,
-            'delta_prev': None if prev is None else e - prev,
-            'rel_err_16pi2': (e - EPI2_16) / EPI2_16,
-        })
+        e = ym_energy(p, RadialGrid.make(rmax=rmax, panels=panels))
+        rows.append({'panels': panels, 'energy': e,
+                     'delta_prev': None if prev is None else e - prev,
+                     'rel_err_16pi2': (e - EPI2_16) / EPI2_16})
         prev = e
     return rows
 

@@ -349,10 +349,9 @@ def _suite_energy(cfg):
                 for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
     spread = (max(energies) - min(energies)) / quad4.EPI2_16
     checks.append(_check("energy-dilation-invariance", spread, 1e-6))
-    rule = quad4.SphereRule.make(24)
-    for scale, c1 in ((1.0, 0.6), (0.5, 0.6)):
-        e = quad4.ym_energy(instanton.InstantonParams(scale, (c1, 0.0, 0.0, 0.0)),
-                            grid, rule=rule, about=(0.0, 0.0, 0.0, 0.0))
+    # one center on the sphere rule's polar axis, one off every axis
+    for scale, center in ((1.0, (0.6, 0.0, 0.0, 0.0)), (0.5, (0.3, 0.3, 0.3, 0.3))):
+        e = quad4.ym_energy(instanton.InstantonParams(scale, center), grid, about=np.zeros(4))
         checks.append(_check(f"energy-shift-{scale}", abs(e - quad4.EPI2_16) / quad4.EPI2_16, 1e-6))
     checks.append(_check("energy-flat", abs(quad4.flat_energy(grid)), 1e-14))
     return checks, {}

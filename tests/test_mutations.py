@@ -60,9 +60,20 @@ def _regridded(change):
     """Every R^4 integral runs on change(grid) in place of its grid."""
     def mutate(monkeypatch):
         integrate_r4 = quad4.integrate_r4
-        monkeypatch.setattr(quad4, "integrate_r4", lambda f, grid, rule, origin=(0.0,) * 4:
-                            integrate_r4(f, change(grid), rule, origin))
+        monkeypatch.setattr(quad4, "integrate_r4",
+                            lambda f, grid, rule, origin=(0.0,) * 4, coarser=None:
+                            integrate_r4(f, change(grid), rule, origin, coarser))
     return mutate
+
+
+def _scaled_sphere_weights(monkeypatch):
+    make = quad4.SphereRule.make
+
+    def scaled(n=24):
+        rule = make(n)
+        return dataclasses.replace(rule, weights=(1 + 1e-5) * rule.weights)
+
+    monkeypatch.setattr(quad4.SphereRule, "make", scaled)
 
 
 def _scaled_sd_norms(monkeypatch):
@@ -103,6 +114,9 @@ MUTATIONS = [
     _row("tail-dropped", _regridded(lambda g: dataclasses.replace(g, rmax=0.0)),
          ["energy", "chern-weil"], {"energy-standard", "kappa-bpst"},
          report.GapConfig(rmax=100.0)),
+    # relative 1e-5 against the shift checks' tolerance 1e-6
+    _row("sphere-weights-x1.00001", _scaled_sphere_weights, ["energy"],
+         {"energy-shift-1.0", "energy-shift-0.5"}),
     # slack/Y = 1e-5 against the default equality tolerance 1e-6
     _row("sd-norms-x1.00001", _scaled_sd_norms, ["gap"], {"verdict-equality", "slack-relative"}),
     _row("star-sign-14-23", _flipped_star, ["kato", "chern-weil", "bracket-sharpness"],

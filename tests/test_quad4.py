@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ymgap import instanton, liealg, quad4
+from ymgap import instanton, liealg, quad4, report
 
 E16 = quad4.EPI2_16
 
@@ -73,10 +73,9 @@ def test_energy_dilation_invariance():
 
 def test_energy_center_shift_angular_path():
     grid = quad4.RadialGrid.make(panels=20, order=20)
-    rule = quad4.SphereRule.make(24)
     for scale, center in ((1.0, (0.6, 0, 0, 0)), (0.5, (0.3, 0.3, 0, 0.2))):
         p = instanton.InstantonParams(scale, center)
-        e = quad4.ym_energy(p, grid, rule=rule, about=(0, 0, 0, 0))
+        e = quad4.ym_energy(p, grid, about=(0, 0, 0, 0))
         assert abs(e - E16) / E16 < 1e-6
 
 
@@ -84,8 +83,45 @@ def test_energy_radial_vs_angular_consistency():
     p = instanton.InstantonParams(0.7, (0.4, 0, -0.2, 0))
     grid = quad4.RadialGrid.make(panels=20, order=20)
     e_rad = quad4.ym_energy(p, grid)
-    e_ang = quad4.ym_energy(p, grid, rule=quad4.SphereRule.make(16))  # about the center
+    e_ang = quad4.ym_energy(p, grid, about=p.center)  # d = 0: order 8 on every sphere
     assert abs(e_rad - e_ang) / E16 < 1e-10
+
+
+@pytest.mark.parametrize("scale, center", [
+    (1.0, (0.6, 0, 0, 0)), (0.5, (0.6, 0, 0, 0)), (0.5, (0.3, 0.3, 0.3, 0.3)),
+    (1.0, (0.3, 0.3, 0.3, 0.3)), (4.0, (2.0, 0, 1.0, 0)), (0.25, (0.1, 0, 0, 0)),
+    (0.25, (1.0, -0.5, 0.3, 0.2)), (2.0, (0, 1.2, -1.2, 0.8)),
+])
+def test_graded_angular_order_matches_uniform_rule(scale, center):
+    # the oracle: the order-24 rule on every sphere, on the same radii
+    p = instanton.InstantonParams(scale, center)
+    grid = quad4.RadialGrid.make(panels=20, order=20)
+    uniform = quad4.integrate_r4(lambda x: instanton.curvature_norm_sq(p, x), grid,
+                                 quad4.SphereRule.make(24), (0.0, 0.0, 0.0, 0.0))
+    graded = quad4.ym_energy(p, grid, about=(0.0, 0.0, 0.0, 0.0))
+    assert abs(graded - uniform) / uniform < 1e-9
+
+
+def test_energy_shift_integrals_stay_graded(monkeypatch):
+    # the uniform order-24 rule gives each 577 x 27 648 = 15.95 M points
+    seen = []
+    curvature_norm_sq = instanton.curvature_norm_sq
+
+    def counted(p, x):
+        seen[-1] += np.prod(np.shape(x)[:-1])
+        return curvature_norm_sq(p, x)
+
+    ym_energy = quad4.ym_energy
+
+    def recorded(*args, **kwargs):
+        seen.append(0)
+        return ym_energy(*args, **kwargs)
+
+    monkeypatch.setattr(instanton, "curvature_norm_sq", counted)
+    monkeypatch.setattr(quad4, "ym_energy", recorded)
+    assert report.run_suite("energy").passed
+    shifts = [n for n in seen if n]      # the RAY integrals call no curvature_norm_sq
+    assert len(shifts) == 2 and max(shifts) <= 6_000_000
 
 
 def test_tail_estimate_vs_extended_grid():

@@ -273,7 +273,8 @@ def test_cli_non_finite_input_is_config_error(argv, capsys):
     ["--tol", "-1", "gap"],
     ["--tol", "0", "gap"],
     ["--grid-panels", "1", "energy"],
-    ["--rmax", "1e80", "gap"],               # the tail mass rmax^4/4 overflows
+    ["--rmax", "1e80", "gap"],               # the tail mass rmax^4/4 would overflow
+    ["--rmax", "1e30", "energy"],            # 24 panels no longer resolve the profile
     ["thresholds", "--kappa", "1e308"],      # the thresholds overflow
     ["--out", "{missing}/report.json", "eigen"],
     ["energy", "--grid-panels", "8", "--convergence-table", "{missing}/table.csv"],
