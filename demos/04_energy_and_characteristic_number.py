@@ -35,9 +35,9 @@ for scale, center in ((1.0, (0.6, 0, 0, 0)), (0.5, (0.5, 0.2, 0.0, 0.0))):
 plus, minus = quad4.l2_sd_norms(instanton.STANDARD, grid)
 print("\nL2 norms of the two curvature parts: ||F+|| =", plus, "(= 4 pi =",
       4 * np.pi, "), ||F-|| =", minus)
-print("kappa =", quad4.chern_weil_kappa(instanton.STANDARD, grid),
-      " orientation-reversed:", quad4.chern_weil_kappa(instanton.STANDARD, grid,
-                                                       reverse_orientation=True))
+kappa = quad4.chern_weil_kappa(instanton.STANDARD, grid)
+print("kappa = (||F-||^2 - ||F+||^2) / 16 pi^2 =", kappa)
+print("the reversed orientation swaps F+ and F-, so kappa =", -kappa, "there")
 
 print("\ngrid refinement audit:")
 for row in quad4.energy_convergence_table(instanton.STANDARD, [8, 16, 24, 32]):

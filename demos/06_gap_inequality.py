@@ -19,7 +19,7 @@ print(f"  Y                 = {rep.yamabe:.10f}")
 print(f"  gamma1            = {rep.gamma1:.10f}")
 print(f"  ||F+||_L2         = {rep.f_plus_l2:.10f}   (4 pi = {4*np.pi:.10f})")
 print(f"  ||W+||_L2         = {rep.w_plus_l2}")
-print(f"  lhs = {rep.lhs:.10f}   rhs = {rep.rhs:.10f}   slack = {rep.slack:+.2e}")
+print(f"  rhs = 3 gamma1 ||F+|| + 2 sqrt(6) ||W+|| = {rep.rhs:.10f}   slack = {rep.slack:+.2e}")
 print(f"  verdict: {rep.verdict}   pointwise equality residual: {rep.equality_residual:.2e}")
 
 # the inequality itself is a function of its four numbers
@@ -29,10 +29,11 @@ print("synthetic small ||F+|| (cannot be Yang-Mills with F+ != 0):",
       report.gap_inequality(1.0, liealg.GAMMA1_SU2).verdict)
 
 print("\nenergy thresholds for non-instanton Yang-Mills connections (|kappa| = 1):")
-su2 = report.corollary_thresholds("su2", 1.0, rep.yamabe, liealg.GAMMA1_SU2)
-so3 = report.corollary_thresholds("so3", 1.0, rep.yamabe, liealg.GAMMA1_SO3)
-print(f"  su(2): {su2.specialized:.6f} = 48 pi^2 = {48*np.pi**2:.6f}")
-print(f"  so(3): {so3.specialized:.6f} = 80 pi^2 = {80*np.pi**2:.6f}")
+su2 = report.corollary_thresholds(1.0, rep.yamabe, liealg.GAMMA1_SU2)
+so3 = report.corollary_thresholds(1.0, rep.yamabe, liealg.GAMMA1_SO3)
+print("  general: 16 pi^2 |kappa| + 2 Y^2 / (9 gamma1^2)")
+print(f"  su(2): {su2.general:.6f}   the paper's 48 pi^2 = {48*np.pi**2:.6f}")
+print(f"  so(3): {so3.general:.6f}   the paper's 80 pi^2 = {80*np.pi**2:.6f}")
 print(f"  weak universal bound: 16 pi^2 |kappa| + Y^2/12 = {su2.weak_universal:.6f}")
 
 print("\nflow admissibility gate (energy strictly below 16 pi^2):")

@@ -207,14 +207,6 @@ def cov_norm_sq(nabla):
     return np.sum(liealg.lv_norm_sq(nabla), axis=-1)
 
 
-def _sd_curvature_fn(p):
-    """x -> F+(x), the self-dual half of the closed-form curvature."""
-    def plus(x):
-        f = curvature_closed_at(p, x)
-        return 0.5 * (f + liealg.lv_hodge(f))
-    return plus
-
-
 def kato_residual_at(p, x, h=1e-4, richardson=True):
     """|nabla F+|^2 - (3/2)|d|F+||^2 at x.
 
@@ -222,8 +214,8 @@ def kato_residual_at(p, x, h=1e-4, richardson=True):
     derivative side is finite-difference. Nonnegative up to FD error; this
     family attains equality identically.
     """
-    nabla = covariant_derivative_of(_sd_curvature_fn(p), lambda z: connection_at(p, z),
-                                    x, h, richardson)
+    nabla = covariant_derivative_of(lambda z: liealg.lv_sd_project(curvature_closed_at(p, z))[0],
+                                    lambda z: connection_at(p, z), x, h, richardson)
     return cov_norm_sq(nabla) - 1.5 * curvature_norm_grad_sq(p, x)
 
 
@@ -233,7 +225,9 @@ def bochner_residual_at(p, x, h=1e-3, richardson=False):
     The Laplacian term is analytic (norm law), the bracket term closed
     form, the middle term finite-difference; vanishes at O(h^2).
     """
-    plus = _sd_curvature_fn(p)
+    def plus(z):
+        return liealg.lv_sd_project(curvature_closed_at(p, z))[0]
+
     nabla = covariant_derivative_of(plus, lambda z: connection_at(p, z), x, h, richardson)
     return (0.5 * curvature_norm_sq_laplacian(p, x) - cov_norm_sq(nabla)
             + liealg.cubic_form(plus(x)))

@@ -215,7 +215,10 @@ def lv_hodge(p):
 def lv_sd_project(p):
     p = np.asarray(p, dtype=float)
     sp = lv_hodge(p)
-    return 0.5 * (p + sp), 0.5 * (p - sp)
+    minus = 0.5 * (p - sp)
+    sp += p             # in place: the finite-difference suites project large stencils
+    sp *= 0.5
+    return sp, minus
 
 
 def lv_from_sd_coeffs(coeffs, basis=None):

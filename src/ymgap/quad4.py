@@ -190,22 +190,15 @@ def l2_sd_norms(p, grid=None):
     return float(np.sqrt(plus_sq)), float(np.sqrt(minus_sq))
 
 
-def chern_weil_kappa(p, grid=None, reverse_orientation=False):
+def chern_weil_kappa(p, grid=None):
     """(int |F-|^2 - int |F+|^2) / (16 pi^2).
 
-    Equals -1 for this family under the package orientation (the sign is
-    orientation-bound; downstream bounds use |kappa|). Swapping the roles
-    of the two parts models the reversed orientation.
+    Equals -1 for this family under the package orientation. The sign is
+    orientation-bound: the reversed orientation swaps F+ and F- and so
+    negates kappa. Downstream bounds use |kappa|.
     """
     plus, minus = l2_sd_norms(p, grid)
-    if reverse_orientation:
-        plus, minus = minus, plus
     return (minus ** 2 - plus ** 2) / EPI2_16
-
-
-def flat_energy(grid=None):
-    """Energy of the flat connection (identically zero curvature)."""
-    return integrate_r4(lambda x: np.zeros(x.shape[:-1]), grid or RadialGrid.make(), RAY)
 
 
 def energy_convergence_table(p, panel_counts, rmax=1000.0):

@@ -199,10 +199,10 @@ def test_criterion_13_gap_equality():
 
 
 def test_criterion_14_thresholds_and_flow():
-    su2 = report.corollary_thresholds("su2", 1.0, conformal.YAMABE_S4, liealg.GAMMA1_SU2)
-    so3 = report.corollary_thresholds("so3", 1.0, conformal.YAMABE_S4, liealg.GAMMA1_SO3)
-    err_su2 = abs(su2.specialized - 48 * np.pi ** 2)
-    err_so3 = abs(so3.specialized - 80 * np.pi ** 2)
+    su2 = report.corollary_thresholds(1.0, conformal.YAMABE_S4, liealg.GAMMA1_SU2)
+    so3 = report.corollary_thresholds(1.0, conformal.YAMABE_S4, liealg.GAMMA1_SO3)
+    err_su2 = abs(su2.general - 48 * np.pi ** 2)
+    err_so3 = abs(so3.general - 80 * np.pi ** 2)
     flow = report.flow_admissible(E16)
     ok = err_su2 < 1e-9 and err_so3 < 1e-9 and flow is False
     _verdict(14, "corollary thresholds and flow gate", ok,

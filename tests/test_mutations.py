@@ -1,13 +1,16 @@
 """Mutation table: each row injects one deliberate defect and asserts that a
 named report check fails, so the check is shown to be able to see it.
 
-Rows run only the suites the defect affects."""
+Rows run only the suites the defect affects. Every check of the report
+fails under some row or is exempt, with its reason, in ``EXEMPT``."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from ymgap import conformal, forms4, liealg, quad4, report
+from test_report import PINNED_TOLERANCES
+from ymgap import conformal, forms4, instanton, liealg, quad4, report
 
 
 def _failed(suites, cfg=None):
@@ -15,10 +18,16 @@ def _failed(suites, cfg=None):
             if not c.passed}
 
 
-def _negated_stiffness(monkeypatch):
-    stiffness = conformal.SLProblem.stiffness_times
-    monkeypatch.setattr(conformal.SLProblem, "stiffness_times",
-                        lambda self, f: -stiffness(self, f))
+def _set(owner, name, value):
+    def mutate(monkeypatch):
+        monkeypatch.setattr(owner, name, value)
+    return mutate
+
+
+def _scaled(owner, name, factor):
+    """owner.name, a function or method, returns factor times its value."""
+    fn = getattr(owner, name)
+    return _set(owner, name, lambda *args: factor * fn(*args))
 
 
 def _scaled_constituent(name):
@@ -39,21 +48,6 @@ def _route_b_u_cubed(monkeypatch):
     monkeypatch.setattr(conformal, "covariance_check", lambda u, field: covariance_check(
         u, dataclasses.replace(field, weyl_norm=field.weyl_norm / u,
                                f_plus_norm=field.f_plus_norm / u)))
-
-
-def _doubled_volumes(monkeypatch):
-    cell_volumes = conformal.cell_volumes
-    monkeypatch.setattr(conformal, "cell_volumes", lambda n: 2.0 * cell_volumes(n))
-
-
-def _scaled_cubic_tensor(monkeypatch):
-    sd_cubic_tensor = liealg.sd_cubic_tensor
-    monkeypatch.setattr(liealg, "sd_cubic_tensor", lambda alg: (1 + 1e-4) * sd_cubic_tensor(alg))
-
-
-def _negated_comm2form(monkeypatch):
-    comm2form = liealg.comm2form
-    monkeypatch.setattr(liealg, "comm2form", lambda p, q: -comm2form(p, q))
 
 
 def _regridded(change):
@@ -88,27 +82,90 @@ def _flipped_star(monkeypatch):
     monkeypatch.setattr(forms4, "STAR", star)
 
 
+def _scaled_structure_constants(monkeypatch):
+    structure_constants = liealg.AlgebraSpec.structure_constants
+    monkeypatch.setattr(liealg.AlgebraSpec, "structure_constants",
+                        property(lambda alg: (1 + 1e-4) * structure_constants.fget(alg)))
+
+
+def _flipped_circ_sign(monkeypatch):
+    sign = forms4.CIRC_SIGN.copy()
+    sign[0, 0] = -sign[0, 0]
+    monkeypatch.setattr(forms4, "CIRC_SIGN", sign)
+
+
+def _scaled_diagonal_potential(monkeypatch):
+    """The solver's diagonal carries (1 + 1e-6) Phi; the quadratic form keeps Phi."""
+    tridiagonal = conformal.SLProblem.tridiagonal
+
+    def scaled(prob):
+        d, e = tridiagonal(prob)
+        return d + 1e-6 * prob.phi, e
+
+    monkeypatch.setattr(conformal.SLProblem, "tridiagonal", scaled)
+
+
+def _flipped_offdiagonal(monkeypatch):
+    """One off-diagonal entry of the symmetrized operator with the wrong sign:
+    the spectrum stays, the ground state changes sign past that entry."""
+    tridiagonal = conformal.SLProblem.tridiagonal
+
+    def flipped(prob):
+        d, e = tridiagonal(prob)
+        e = e.copy()
+        e[len(e) // 2] *= -1.0
+        return d, e
+
+    monkeypatch.setattr(conformal.SLProblem, "tridiagonal", flipped)
+
+
+def _laplacian_in_r3(monkeypatch):
+    """The norm law's Laplacian g'' + 3 g'/r taken as g'' + 2 g'/r, where
+    g'/r = -768 scale^4 (scale^2 + r^2)^-5."""
+    laplacian = instanton.curvature_norm_sq_laplacian
+
+    def in_r3(p, x):
+        u = p.scale ** 2 + np.sum((np.asarray(x) - p.center_array) ** 2, axis=-1)
+        return laplacian(p, x) + 768.0 * p.scale ** 4 / u ** 5
+
+    monkeypatch.setattr(instanton, "curvature_norm_sq_laplacian", in_r3)
+
+
+def _halved_conductivity(monkeypatch):
+    """-3 Lap + Phi in place of the conformal Laplacian's -6 Lap + Phi."""
+    round_problem = conformal.round_problem
+
+    def halved(phi, n=2000):
+        prob = round_problem(phi, n)
+        return dataclasses.replace(prob, cond=0.5 * prob.cond)
+
+    monkeypatch.setattr(conformal, "round_problem", halved)
+
+
 def _row(name, mutate, suites, expected, cfg=None):
     return pytest.param(mutate, suites, expected, cfg, id=name)
 
 
 MUTATIONS = [
-    _row("stiffness-sign", _negated_stiffness, ["covariance"], {"covariance-20-random"}),
+    _row("stiffness-sign", _scaled(conformal.SLProblem, "stiffness_times", -1.0), ["covariance"],
+         {"covariance-20-random"}),
     _row("f-plus-norm-x1.01", _scaled_constituent("f_plus_norm"), ["covariance"],
          {"covariance-20-random"}),
     _row("weyl-norm-x1.01", _scaled_constituent("weyl_norm"), ["covariance"],
          {"covariance-20-random"}),
     _row("route-b-u-cubed", _route_b_u_cubed, ["covariance"], {"covariance-20-random"}),
-    _row("cell-volumes-x2", _doubled_volumes, ["eigenvalue", "yamabe-quotient"],
+    _row("cell-volumes-x2", _scaled(conformal, "cell_volumes", 2.0),
+         ["eigenvalue", "yamabe-quotient"],
          {"rayleigh-cos-36", "quotient-at-round"}),
-    _row("cubic-tensor-x1.0001", _scaled_cubic_tensor, ["gamma-constants"],
+    _row("cubic-tensor-x1.0001", _scaled(liealg, "sd_cubic_tensor", 1 + 1e-4), ["gamma-constants"],
          {"gamma1-su2", "gamma1-so3", "gamma1-so4-bound"}),
-    _row("comm2form-sign", _negated_comm2form, ["bracket-sharpness", "bochner"],
+    _row("comm2form-sign", _scaled(liealg, "comm2form", -1.0), ["bracket-sharpness", "bochner"],
          {"cubic-form-bpst", "bracket-term-at-0"}),
     # weights w / r turn the mass w r^3 into w r^2
     _row("radial-measure-r2",
          _regridded(lambda g: dataclasses.replace(g, weights=g.weights / g.nodes)),
-         ["energy", "chern-weil"], {"energy-standard", "kappa-bpst"}),
+         ["energy", "chern-weil"],
+         {"energy-standard", "energy-dilation-invariance", "kappa-bpst"}),
     # rmax = 0 gives the tail node zero mass; the tail is 3e-12 of the energy
     # at the default rmax, so the row runs at rmax = 100, where it is 3e-8
     _row("tail-dropped", _regridded(lambda g: dataclasses.replace(g, rmax=0.0)),
@@ -120,8 +177,48 @@ MUTATIONS = [
     # slack/Y = 1e-5 against the default equality tolerance 1e-6
     _row("sd-norms-x1.00001", _scaled_sd_norms, ["gap"], {"verdict-equality", "slack-relative"}),
     _row("star-sign-14-23", _flipped_star, ["kato", "chern-weil", "bracket-sharpness"],
-         {"kato-floor-1000pts", "asd-part-vanishes", "pointwise-gamma1-attainment"}),
+         {"kato-floor-1000pts", "kato-order2", "asd-part-vanishes",
+          "pointwise-gamma1-attainment"}),
+    # general moves by 2e-6 * 32 pi^2 against 1e-9; the borderline Phi is -1.2e-5
+    _row("gamma1-su2-x1.000001", _set(liealg, "GAMMA1_SU2", (1 + 1e-6) * liealg.GAMMA1_SU2),
+         ["thresholds", "eigenvalue"],
+         {"general-vs-weak", "specialized-value", "lambda1-borderline"}),
+    # the instanton's energy, 16 pi^2 to 1e-12, falls below the raised gate
+    _row("flow-threshold-x1.000001", _set(quad4, "EPI2_16", (1 + 1e-6) * quad4.EPI2_16),
+         ["flow-check"], {"gate-rejects-instanton"}),
+    _row("structure-constants-x1.0001", _scaled_structure_constants, ["gamma-constants"],
+         {"gamma0-su2", "gamma0-so3"}),
+    # the sampled su(2) brackets reach 1.58 |p|^2; so(3)'s constant allows 1.15 |p|^2
+    _row("gamma0-su2-from-so3", _set(liealg, "GAMMA0_SU2", liealg.GAMMA0_SO3),
+         ["bracket-sharpness"], {"bound-equality-bpst", "bound-nonneg-random"}),
+    # the norm cannot see comm2form-sign, but it sees a scale
+    _row("comm2form-x1.000001", _scaled(liealg, "comm2form", 1 + 1e-6), ["bracket-sharpness"],
+         {"bracket-norm-bpst"}),
+    _row("circ-sign-12", _flipped_circ_sign, ["circ-basis"], {"circ-orthonormal-100bases"}),
+    # the sampled ratios reach 0.98 of the sharp 2/sqrt(6)
+    _row("weyl-bound-x0.95", _set(forms4, "WEYL_BOUND", 0.95 * forms4.WEYL_BOUND),
+         ["weyl-bound"], {"weyl-bound-10k", "weyl-equality-extremal"}),
+    # lambda1 reads the tridiagonal form, rayleigh the quadratic form
+    _row("diagonal-potential-x1.000001", _scaled_diagonal_potential, ["eigenvalue"],
+         {"lambda1-const-12"}),
+    _row("offdiagonal-sign-mid", _flipped_offdiagonal, ["eigenvalue"],
+         {"eigenfunction-positive"}),
+    _row("laplacian-in-r3", _laplacian_in_r3, ["bochner"],
+         {"laplacian-term-at-0", "bochner-order2", "bochner-residual-default"}),
+    # constants do not feel it; the perturbed factors fall below Y
+    _row("conductivity-x0.5", _halved_conductivity, ["yamabe-quotient"],
+         {"quotient-family-floor"}),
+    # ||F+|| comes from the curvature matrices, the pointwise identity from the norm law
+    _row("norm-law-x1.000001", _scaled(instanton, "curvature_norm_sq", 1 + 1e-6), ["gap"],
+         {"equality-identity"}),
 ]
+
+# checks no row can fail, with the reason
+EXEMPT = {
+    "flat-is-case-1": "the verdict at ||F+|| = 0 is a branch on a literal in gap_inequality "
+                      "that no module attribute reaches; test_gap_report_flat_and_violated "
+                      "pins it",
+}
 
 
 @pytest.mark.parametrize("mutate, suites, expected, cfg", MUTATIONS)
@@ -129,3 +226,10 @@ def test_mutation_is_caught(monkeypatch, mutate, suites, expected, cfg):
     assert not _failed(suites, cfg)
     mutate(monkeypatch)
     assert expected <= _failed(suites, cfg)
+
+
+def test_every_check_fails_under_a_row_or_is_exempt():
+    caught = set().union(*(row.values[2] for row in MUTATIONS))
+    checks = {name for _, name, _ in PINNED_TOLERANCES}
+    assert caught <= checks
+    assert checks - caught == set(EXEMPT)

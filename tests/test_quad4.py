@@ -134,10 +134,6 @@ def test_tail_estimate_vs_extended_grid():
     assert abs(error) / true_tail < 2e-3
 
 
-def test_flat_energy_zero():
-    assert quad4.flat_energy() == 0.0
-
-
 def test_l2_sd_norms():
     plus, minus = quad4.l2_sd_norms(instanton.STANDARD)
     assert abs(plus - 4 * np.pi) < 1e-7
@@ -154,8 +150,6 @@ def test_chern_weil_kappa():
     for grid in (None, quad4.RadialGrid.make(rmax=100.0)):
         kappa = quad4.chern_weil_kappa(instanton.STANDARD, grid)
         assert abs(kappa + 1.0) < 1e-8
-        assert abs(quad4.chern_weil_kappa(instanton.STANDARD, grid,
-                                          reverse_orientation=True) - 1.0) < 1e-8
         assert abs(quad4.chern_weil_kappa(instanton.InstantonParams(2.0, (0.5, 0, 0, 0)), grid)
                    + 1.0) < 1e-8
 
