@@ -8,17 +8,22 @@ the self-dual space.
 
 import numpy as np
 
-from ymgap import forms4
+from ymgap import forms4, liealg
 
 rng = np.random.default_rng(0)
 
-dx12 = forms4.basis_form(0, 1)
-dx34 = forms4.basis_form(2, 3)
+dx12, dx34 = np.eye(6)[[forms4.PAIR_INDEX[(0, 1)], forms4.PAIR_INDEX[(2, 3)]]]
 print("|dx12|^2 =", forms4.inner_2form(dx12, dx12), "(the factor-2 convention)")
-print("star(dx12) = dx34:", np.array_equal(forms4.hodge_star(dx12), dx34))
+
+# the package applies the star to Lie-algebra-valued forms; tensor a scalar
+# form with the quaternion i, whose (0, 2) entry is 1, to read it back
+i = liealg.SU2_I
+print("star(dx12 (x) i) = dx34 (x) i:",
+      np.array_equal(liealg.lv_hodge(dx12[:, None, None] * i), dx34[:, None, None] * i))
 
 a = rng.standard_normal(6)
-plus, minus = forms4.sd_project(a)
+plus = liealg.lv_self_dual(a[:, None, None] * i)[:, 0, 2]
+minus = a - plus
 print("\nrandom 2-form split: |a|^2 = |a+|^2 + |a-|^2 ->",
       forms4.inner_2form(a, a), "=",
       forms4.inner_2form(plus, plus) + forms4.inner_2form(minus, minus))

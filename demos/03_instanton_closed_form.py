@@ -16,8 +16,7 @@ x = np.array([0.3, -0.1, 0.7, 0.2])
 f = instanton.curvature_closed_at(p, x)
 print("|F|^2 at x:", liealg.lv_norm_sq(f), " norm law:",
       instanton.curvature_norm_sq(p, x))
-_, minus = liealg.lv_sd_project(f)
-print("anti-self-dual part:", np.max(np.abs(minus)))
+print("anti-self-dual part:", np.max(np.abs(f - liealg.lv_self_dual(f))))
 
 fd = instanton.curvature_fd_at(p, x, h=1e-4)
 print("finite-difference vs closed form:", np.max(np.abs(fd - f)))

@@ -35,7 +35,7 @@ for scale, center in ((1.0, (0.6, 0, 0, 0)), (0.5, (0.5, 0.2, 0.0, 0.0))):
 plus, minus = quad4.l2_sd_norms(instanton.STANDARD, grid)
 print("\nL2 norms of the two curvature parts: ||F+|| =", plus, "(= 4 pi =",
       4 * np.pi, "), ||F-|| =", minus)
-kappa = quad4.chern_weil_kappa(instanton.STANDARD, grid)
+kappa = quad4.chern_weil_kappa(plus, minus)
 print("kappa = (||F-||^2 - ||F+||^2) / 16 pi^2 =", kappa)
 print("the reversed orientation swaps F+ and F-, so kappa =", -kappa, "there")
 

@@ -3,8 +3,8 @@ Yang-Mills connections in dimension four.
 
 Subpackages:
 
-* ``forms4``    -- 2-form algebra on oriented R^4 (star, self-dual split,
-                   circ product, operators on the self-dual space)
+* ``forms4``    -- 2-form algebra on oriented R^4 (star table, self-dual
+                   basis, circ product, operators on the self-dual space)
 * ``liealg``    -- skew matrix algebras, bracket constants gamma0/gamma1
 * ``instanton`` -- the charge-one instanton family in closed form plus
                    finite-difference cross-checks

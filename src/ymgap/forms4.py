@@ -40,37 +40,11 @@ STAR.setflags(write=False)
 WEYL_BOUND = 2.0 / np.sqrt(6.0)
 
 
-def basis_form(i, j):
-    """Unit-coefficient dx^i ^ dx^j as a six-component array (i, j 0-based)."""
-    c = np.zeros(6)
-    if i == j:
-        raise ValueError("degenerate index pair")
-    if i > j:
-        i, j = j, i
-        sign = -1.0
-    else:
-        sign = 1.0
-    c[PAIR_INDEX[(i, j)]] = sign
-    return c
-
-
 def inner_2form(a, b):
     """<a, b> = 2 sum_{i<j} a_ij b_ij; broadcasts over leading axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return 2.0 * np.sum(a * b, axis=-1)
-
-
-def hodge_star(a):
-    """Apply the Hodge star; linear involution on six-component arrays."""
-    return np.asarray(a, dtype=float) @ STAR
-
-
-def sd_project(a):
-    """Split a into (self-dual, anti-self-dual) parts a = plus + minus."""
-    a = np.asarray(a, dtype=float)
-    sa = hodge_star(a)
-    return 0.5 * (a + sa), 0.5 * (a - sa)
 
 
 def sd_basis():

@@ -214,7 +214,7 @@ def kato_residual_at(p, x, h=1e-4, richardson=True):
     derivative side is finite-difference. Nonnegative up to FD error; this
     family attains equality identically.
     """
-    nabla = covariant_derivative_of(lambda z: liealg.lv_sd_project(curvature_closed_at(p, z))[0],
+    nabla = covariant_derivative_of(lambda z: liealg.lv_self_dual(curvature_closed_at(p, z)),
                                     lambda z: connection_at(p, z), x, h, richardson)
     return cov_norm_sq(nabla) - 1.5 * curvature_norm_grad_sq(p, x)
 
@@ -226,7 +226,7 @@ def bochner_residual_at(p, x, h=1e-3, richardson=False):
     form, the middle term finite-difference; vanishes at O(h^2).
     """
     def plus(z):
-        return liealg.lv_sd_project(curvature_closed_at(p, z))[0]
+        return liealg.lv_self_dual(curvature_closed_at(p, z))
 
     nabla = covariant_derivative_of(plus, lambda z: connection_at(p, z), x, h, richardson)
     return (0.5 * curvature_norm_sq_laplacian(p, x) - cov_norm_sq(nabla)

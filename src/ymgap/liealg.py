@@ -73,22 +73,6 @@ def is_skew(a):
     return np.max(np.abs(a + np.swapaxes(a, -1, -2))) <= 1e-14
 
 
-def pauli_pair(t, s, n=4):
-    """The commuting-block pair attaining |[A,B]| = sqrt(2)|A||B|.
-
-    A carries t on two diagonal rotation blocks, B couples the blocks with
-    +-s; both are padded with zeros to dimension n. Degenerate t or s
-    simply yields a zero matrix.
-    """
-    if n < 4:
-        raise ValueError("pauli pair needs dimension >= 4")
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    a[0, 1], a[1, 0], a[2, 3], a[3, 2] = t, -t, t, -t
-    b[0, 2], b[2, 0], b[1, 3], b[3, 1] = -s, s, s, -s
-    return a, b
-
-
 def so3_generators():
     """3x3 rotation generators with [L1, L2] = L3 cyclically and |La| = 1."""
     gens = np.zeros((3, 3, 3))
@@ -212,13 +196,12 @@ def lv_hodge(p):
     return np.einsum('ab,...bij->...aij', forms4.STAR, np.asarray(p, dtype=float))
 
 
-def lv_sd_project(p):
-    p = np.asarray(p, dtype=float)
+def lv_self_dual(p):
+    """Self-dual part (p + *p)/2; the anti-self-dual part is p minus it."""
     sp = lv_hodge(p)
-    minus = 0.5 * (p - sp)
     sp += p             # in place: the finite-difference suites project large stencils
     sp *= 0.5
-    return sp, minus
+    return sp
 
 
 def lv_from_sd_coeffs(coeffs, basis=None):

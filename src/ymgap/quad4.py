@@ -182,22 +182,24 @@ def l2_sd_norms(p, grid=None):
     the squares sum to the energy on the same grid."""
     grid = grid or RadialGrid.make()
 
-    def part_sq(k):
-        return lambda x: liealg.lv_norm_sq(
-            liealg.lv_sd_project(instanton.curvature_closed_at(p, x))[k])
+    def plus_sq(x):
+        return liealg.lv_norm_sq(liealg.lv_self_dual(instanton.curvature_closed_at(p, x)))
 
-    plus_sq, minus_sq = (integrate_r4(part_sq(k), grid, RAY, p.center_array) for k in (0, 1))
-    return float(np.sqrt(plus_sq)), float(np.sqrt(minus_sq))
+    def minus_sq(x):
+        f = instanton.curvature_closed_at(p, x)
+        return liealg.lv_norm_sq(f - liealg.lv_self_dual(f))
+
+    plus, minus = (integrate_r4(part, grid, RAY, p.center_array) for part in (plus_sq, minus_sq))
+    return float(np.sqrt(plus)), float(np.sqrt(minus))
 
 
-def chern_weil_kappa(p, grid=None):
-    """(int |F-|^2 - int |F+|^2) / (16 pi^2).
+def chern_weil_kappa(plus, minus):
+    """(‖F-‖^2 - ‖F+‖^2) / (16 pi^2) from the two L2 norms of ``l2_sd_norms``.
 
     Equals -1 for this family under the package orientation. The sign is
     orientation-bound: the reversed orientation swaps F+ and F- and so
     negates kappa. Downstream bounds use |kappa|.
     """
-    plus, minus = l2_sd_norms(p, grid)
     return (minus ** 2 - plus ** 2) / EPI2_16
 
 

@@ -83,6 +83,8 @@ class GapReport:
     Verdicts: ``case-1`` (F+ vanishes), ``equality``, ``inequality-holds``,
     ``strict-gap-violated`` (the data cannot come from a Yang-Mills
     connection with F+ != 0).
+    ``equality_residual`` is set by ``gap_report``, which has an instanton
+    to measure; ``gap_inequality`` of bare numbers leaves it None.
     """
 
     yamabe: float
@@ -131,13 +133,13 @@ def gap_report(cfg):
     """The gap inequality for the configured instanton on the round S^4.
 
     The instanton is su(2)-valued, so gamma1 is the su(2) constant whatever
-    ``cfg.group`` says. At equality the report also carries the residual
-    of the pointwise identity behind it."""
+    ``cfg.group`` says. The report also carries the residual of the
+    pointwise identity behind the equality case, a property of the
+    instanton whatever the L2 verdict."""
     params = cfg.instanton_params()
     f_plus, _ = quad4.l2_sd_norms(params, cfg.grid())
     rep = gap_inequality(f_plus, liealg.GAMMA1_SU2, tol=cfg.tol)
-    if rep.verdict == "equality":
-        rep.equality_residual = _equality_identity_residual(params, rep.gamma1)
+    rep.equality_residual = _equality_identity_residual(params, rep.gamma1)
     return rep
 
 
@@ -269,6 +271,12 @@ def _suite_bochner(cfg):
     checks.append(_check("bochner-residual-default",
                          abs(instanton.bochner_residual_at(params, pts[0], h=1e-3, richardson=True)),
                          1e-6))
+    # the curvature and its Bianchi identity from the connection by differences
+    fd = instanton.curvature_fd_at(params, pts, h=1e-3, richardson=True)
+    checks.append(_check("curvature-fd",
+                         np.max(np.abs(fd - instanton.curvature_closed_at(params, pts))), 1e-10))
+    checks.append(_check("bianchi", np.max(instanton.bianchi_residual_at(params, pts, h=1e-3)),
+                         1e-4))
     return checks, {}
 
 
@@ -288,7 +296,7 @@ def _suite_bracket_sharpness(cfg):
     checks.append(_check("bound-nonneg-random", -worst, 1e-10))
     params = cfg.instanton_params()
     pts = _sample_points(rng, 50, radius=2.0)
-    fp = liealg.lv_sd_project(instanton.curvature_closed_at(params, pts))[0]
+    fp = liealg.lv_self_dual(instanton.curvature_closed_at(params, pts))
     cubic = liealg.cubic_form(fp)
     norms = liealg.lv_norm(fp)
     attain = np.max(np.abs(cubic - liealg.GAMMA1_SU2 * norms ** 3))
@@ -358,10 +366,9 @@ def _suite_energy(cfg):
 def _suite_chern_weil(cfg):
     grid = cfg.grid()
     params = cfg.instanton_params()
-    kappa = quad4.chern_weil_kappa(params, grid)
-    _, minus = quad4.l2_sd_norms(params, grid)
+    plus, minus = quad4.l2_sd_norms(params, grid)
     checks = [
-        _check("kappa-bpst", abs(kappa + 1.0), 1e-8),
+        _check("kappa-bpst", abs(quad4.chern_weil_kappa(plus, minus) + 1.0), 1e-8),
         _check("asd-part-vanishes", minus, 1e-10),
     ]
     return checks, {}
@@ -377,6 +384,11 @@ def _suite_eigenvalue(cfg):
     borderline = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=2000)
     lam0, _ = conformal.lambda1(borderline)
     checks.append(_check("lambda1-borderline", abs(lam0), 1e-6))
+    # a zero eigenvalue is conformally invariant: L phi = 0 gives L_hat (phi/u) = 0
+    coarse = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=500)
+    lam_hat, _ = conformal.lambda1(conformal.transform_problem(coarse,
+                                                               lambda r: 1.0 + 0.2 * np.cos(r)))
+    checks.append(_check("lambda1-borderline-conformal", abs(lam_hat), 1e-6))
     return checks, {}
 
 
@@ -409,6 +421,9 @@ def _suite_yamabe(cfg):
         u = 1.0 + sum(a * mode for a, mode in zip(amps, modes))
         min_q = min(min_q, conformal.yamabe_quotient(u, prob))
     checks.append(_check("quotient-family-floor", conformal.YAMABE_S4 - min_q, 1e-6))
+    dilated = max(abs(conformal.yamabe_quotient(conformal.dilation_factor(lam), prob)
+                      - conformal.YAMABE_S4) for lam in (0.5, 2.0))
+    checks.append(_check("quotient-dilation-family", dilated, 1e-5))
     return checks, {}
 
 
@@ -417,9 +432,8 @@ def _suite_gap(cfg):
     checks = [
         _check("verdict-equality", 0.0 if rep.verdict == "equality" else 1.0, 0.5),
         _check("slack-relative", abs(rep.slack) / rep.yamabe, cfg.tol),
+        _check("equality-identity", rep.equality_residual, 1e-8),
     ]
-    if rep.equality_residual is not None:
-        checks.append(_check("equality-identity", rep.equality_residual, 1e-8))
     flat = gap_inequality(0.0, rep.gamma1, tol=cfg.tol)
     checks.append(_check("flat-is-case-1", 0.0 if flat.verdict == "case-1" else 1.0, 0.5))
     return checks, {'gap_report': rep.to_dict()}

@@ -62,8 +62,8 @@ def test_criterion_03_energy():
 
 
 def test_criterion_04_chern_weil():
-    kappa = quad4.chern_weil_kappa(STD)
-    _, minus = quad4.l2_sd_norms(STD)
+    plus, minus = quad4.l2_sd_norms(STD)
+    kappa = quad4.chern_weil_kappa(plus, minus)
     ok = abs(abs(kappa) - 1.0) < 1e-8 and minus < 1e-10
     _verdict(4, "characteristic number", ok,
              f"|kappa|-1 = {abs(kappa)-1:.2e}, ||F-|| = {minus:.2e}")
@@ -106,7 +106,7 @@ def test_criterion_07_pointwise_sharpness():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((300, 4)) * 1.6
     f = instanton.curvature_closed_at(STD, pts)
-    fplus, _ = liealg.lv_sd_project(f)
+    fplus = liealg.lv_self_dual(f)
     cubic = liealg.lv_inner(fplus, liealg.comm2form(fplus, fplus))
     norms = liealg.lv_norm(fplus)
     gap1 = float(np.max(np.abs(cubic - (4 / np.sqrt(6.0)) * norms ** 3)))

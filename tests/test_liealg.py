@@ -76,17 +76,6 @@ def test_bracket_skew_and_jacobi():
         assert np.max(np.abs(jac)) < 1e-12
 
 
-def test_pauli_pairs():
-    a, b = liealg.pauli_pair(1.0, 1.0)
-    ratio = liealg.norm_endo(liealg.bracket(a, b)) / (liealg.norm_endo(a) * liealg.norm_endo(b))
-    assert abs(ratio - np.sqrt(2.0)) < 1e-14
-    a, b = liealg.pauli_pair(2.0, 3.0)
-    ratio = liealg.norm_endo(liealg.bracket(a, b)) / (liealg.norm_endo(a) * liealg.norm_endo(b))
-    assert abs(ratio - np.sqrt(2.0)) < 1e-14
-    a, b = liealg.pauli_pair(0.0, 1.0)
-    assert np.max(np.abs(a)) == 0.0 and np.max(np.abs(b)) == 1.0
-
-
 def test_algebra_specs_validate():
     for alg in (liealg.AlgebraSpec.su2_real(), liealg.AlgebraSpec.so3_block(),
                 liealg.AlgebraSpec.so_n(4), liealg.AlgebraSpec.so_n(5)):
@@ -124,8 +113,8 @@ def test_comm2form_symmetric_and_self_dual():
         p = liealg.lv_from_sd_coeffs(np.einsum('ak,kij->aij', rng.standard_normal((3, 3)), basis))
         q = liealg.lv_from_sd_coeffs(np.einsum('ak,kij->aij', rng.standard_normal((3, 3)), basis))
         assert np.max(np.abs(liealg.comm2form(p, q) - liealg.comm2form(q, p))) < 1e-12
-        _, minus = liealg.lv_sd_project(liealg.comm2form(p, q))
-        assert np.max(np.abs(minus)) < 1e-13
+        pq = liealg.comm2form(p, q)
+        assert np.max(np.abs(pq - liealg.lv_self_dual(pq))) < 1e-13
 
 
 def test_bpst_configuration_identities():

@@ -148,10 +148,10 @@ def test_l2_sd_norms():
 
 def test_chern_weil_kappa():
     for grid in (None, quad4.RadialGrid.make(rmax=100.0)):
-        kappa = quad4.chern_weil_kappa(instanton.STANDARD, grid)
-        assert abs(kappa + 1.0) < 1e-8
-        assert abs(quad4.chern_weil_kappa(instanton.InstantonParams(2.0, (0.5, 0, 0, 0)), grid)
-                   + 1.0) < 1e-8
+        for p in (instanton.STANDARD, instanton.InstantonParams(2.0, (0.5, 0, 0, 0))):
+            assert abs(quad4.chern_weil_kappa(*quad4.l2_sd_norms(p, grid)) + 1.0) < 1e-8
+    # the orientation-bound sign: swapping the two parts negates kappa
+    assert abs(quad4.chern_weil_kappa(0.0, 4.0 * np.pi) - 1.0) < 1e-15
 
 
 def test_convergence_table(tmp_path):
