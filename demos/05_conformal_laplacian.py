@@ -28,7 +28,9 @@ lam0, _ = conformal.lambda1(borderline)
 print("borderline first eigenvalue:", lam0)
 
 print("\nconformal covariance, two independent discretizations:")
-field = conformal.phi_of(12.0, 0.0, 0.0, liealg.GAMMA1_SU2, n=65536)
+print("  (|W+| = 0.2 (1 + cos rho) and |F+| = sqrt 6 scale by u^-2, R by the Laplacian)")
+field = conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
+                         liealg.GAMMA1_SU2, n=65536)
 u = 1.0 + 0.3 * np.cos(field.rho)
 print("  u = 1 + 0.3 cos(rho): residual =", conformal.covariance_check(u, field))
 

@@ -122,21 +122,22 @@ def round_problem(phi, n=2000):
 
 @dataclass(frozen=True)
 class ModifiedScalarField(SLProblem):
-    """The round problem for Phi = scalar_curv - 2 sqrt(6) weyl_norm - 3 gamma1
-    f_plus_norm, with the constituents that covariance_check's route (b) transforms."""
+    """The round problem for Phi = scalar_curv - 2 sqrt(6) weyl_norm - 3 gamma1 f_plus_norm
+    and the constituents covariance_check's route (b) transforms, a float where constant."""
 
-    scalar_curv: np.ndarray
-    weyl_norm: np.ndarray
-    f_plus_norm: np.ndarray
+    scalar_curv: np.ndarray | float
+    weyl_norm: np.ndarray | float
+    f_plus_norm: np.ndarray | float
     gamma1: float
 
 
 def phi_of(scalar_curv, weyl_norm, f_plus_norm, gamma1, n=2000):
-    """Assemble the modified scalar curvature field on an n-cell grid."""
+    """Assemble the modified scalar curvature field on an n-cell grid; scalars stay floats."""
     if gamma1 < 0:
         raise ValueError("gamma1 must be nonnegative")
     rho, _ = cell_grid(n)
-    r, w, f = (as_values(v, rho) for v in (scalar_curv, weyl_norm, f_plus_norm))
+    r, w, f = (float(v) if np.isscalar(v) else as_values(v, rho)
+               for v in (scalar_curv, weyl_norm, f_plus_norm))
     phi = r - 2.0 * SQRT6 * w - 3.0 * gamma1 * f
     return ModifiedScalarField(**vars(round_problem(phi, n)), scalar_curv=r, weyl_norm=w,
                                f_plus_norm=f, gamma1=float(gamma1))
@@ -146,9 +147,10 @@ def pointwise_laplacian(u_vals, prob):
     """u'' + 3 cot(rho) u' on the nodes of ``prob`` by central differences with even
     reflection at the poles; an independent discretization sharing only the grid."""
     ug = np.concatenate([[u_vals[0]], u_vals, [u_vals[-1]]])
-    upp = (ug[2:] - 2.0 * ug[1:-1] + ug[:-2]) / prob.h ** 2
-    up = (ug[2:] - ug[:-2]) / (2.0 * prob.h)
-    return upp + 3.0 * up / np.tan(prob.rho)
+    cot_term = (ug[2:] - ug[:-2]) / (2.0 * prob.h)     # 3 u' cot(rho), built in place
+    cot_term *= 3.0
+    cot_term /= np.tan(prob.rho)
+    return (ug[2:] - 2.0 * ug[1:-1] + ug[:-2]) / prob.h ** 2 + cot_term
 
 
 #: step cap of the inverse iteration in ``lambda1``
@@ -240,12 +242,16 @@ def covariance_check(u, field):
     slip in either route.
     """
     un = as_values(u, field.rho)
-    route_a = transformed_phi(un, field)
-    r_hat = (-6.0 * pointwise_laplacian(un, field) + field.scalar_curv * un) / un ** 3
-    route_b = (r_hat
-               - 2.0 * SQRT6 * field.weyl_norm / un ** 2
-               - 3.0 * field.gamma1 * field.f_plus_norm / un ** 2)
-    return float(np.max(np.abs(route_a - route_b)))
+    if np.any(un <= 0):
+        raise ValueError("conformal factor must be positive")
+    route_b = pointwise_laplacian(un, field)     # built in place, one array at a time
+    route_b *= -6.0
+    route_b += field.scalar_curv * un
+    route_b /= un ** 3
+    route_b -= 2.0 * SQRT6 * field.weyl_norm / un ** 2
+    route_b -= 3.0 * field.gamma1 * field.f_plus_norm / un ** 2
+    route_b -= transformed_phi(un, field)         # route (a)
+    return float(np.max(np.abs(route_b)))
 
 
 def yamabe_quotient(u, prob=None):

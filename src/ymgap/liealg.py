@@ -193,7 +193,9 @@ def lv_norm(p):
 
 
 def lv_hodge(p):
-    return np.einsum('ab,...bij->...aij', forms4.STAR, np.asarray(p, dtype=float))
+    """*p on the six components as one matmul; exact, each row of STAR holds one +-1."""
+    p = np.asarray(p, dtype=float)
+    return (forms4.STAR @ p.reshape(p.shape[:-3] + (6, -1))).reshape(p.shape)
 
 
 def lv_self_dual(p):

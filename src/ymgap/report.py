@@ -244,8 +244,9 @@ def _suite_kato(cfg):
     rng = np.random.default_rng(cfg.seed)
     params = cfg.instanton_params()
     pts = _sample_points(rng, 1000, radius=3.0)
-    worst = np.min(instanton.kato_residual_at(params, pts, h=1e-4))
-    return ([_check("kato-floor-1000pts", -worst, 1e-8)]
+    # |nabla F+|^2 scales like scale^-6: step and residual in the instanton's units
+    worst = np.min(instanton.kato_residual_at(params, pts, h=1e-4 * cfg.scale))
+    return ([_check("kato-floor-1000pts", -worst * cfg.scale ** 6, 1e-8)]
             + _order2_checks("kato-order2", instanton.kato_residual_at, params, pts[:3])), {}
 
 
@@ -299,8 +300,8 @@ def _suite_bracket_sharpness(cfg):
     fp = liealg.lv_self_dual(instanton.curvature_closed_at(params, pts))
     cubic = liealg.cubic_form(fp)
     norms = liealg.lv_norm(fp)
-    attain = np.max(np.abs(cubic - liealg.GAMMA1_SU2 * norms ** 3))
-    checks.append(_check("pointwise-gamma1-attainment", attain, 1e-10))
+    attain = np.max(np.abs(cubic - liealg.GAMMA1_SU2 * norms ** 3)) * cfg.scale ** 6
+    checks.append(_check("pointwise-gamma1-attainment", attain, 1e-10))   # |F+|^3 ~ scale^-6
     return checks, {}
 
 
@@ -397,13 +398,12 @@ def _suite_covariance(cfg):
     # nonzero |W+| and |F+| (sqrt 6 is the instanton's |F+|): route (b) scales both
     field = conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
                              liealg.GAMMA1_SU2, n=65536)
+    modes = np.cos(np.arange(1, 4)[:, None] * field.rho)
     worst = 0.0
     for _ in range(20):
         amps = rng.uniform(-1.0, 1.0, 3)
         amps *= 0.3 / max(np.sum(np.abs(amps)), 1e-9)
-        # cos modes per sample, not tabulated once as in _suite_yamabe: at this
-        # n a (3, n) table is 1.5 MiB and raised the pointwise peak RSS by 2 MiB
-        u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(amps))
+        u = 1.0 + sum(a * mode for a, mode in zip(amps, modes))
         worst = max(worst, conformal.covariance_check(u, field))
     return [_check("covariance-20-random", worst, 1e-6)], {}
 

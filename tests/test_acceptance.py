@@ -159,7 +159,9 @@ def test_criterion_10_eigenvalues():
 
 def test_criterion_11_covariance():
     rng = np.random.default_rng(5)
-    field = conformal.phi_of(12.0, 0.0, 0.0, liealg.GAMMA1_SU2, n=65536)
+    # nonzero |W+| and |F+|, as in the covariance suite, so route (b)'s u^-2 terms count
+    field = conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
+                             liealg.GAMMA1_SU2, n=65536)
     worst = 0.0
     for _ in range(20):
         amps = rng.uniform(-1, 1, 3)

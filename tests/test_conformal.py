@@ -1,5 +1,8 @@
 """Conformal machinery: eigenproblems, covariance, Yamabe quotients."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -137,12 +140,70 @@ def test_covariance_identity_and_constants():
     assert np.max(np.abs(phi_hat - field.phi / 2.5 ** 2)) < 1e-12
 
 
+def _suite_field(n=65536):
+    """The covariance suite's field: nonzero |W+| and |F+| = sqrt 6, so route (b)'s
+    u^-2 scaling of both constituents is seen."""
+    return conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
+                            liealg.GAMMA1_SU2, n=n)
+
+
 def test_covariance_smooth_factor():
-    field = conformal.phi_of(12.0, 0.0, 0.0, liealg.GAMMA1_SU2, n=65536)
+    field = _suite_field()
     u = 1.0 + 0.3 * np.cos(field.rho)
-    assert conformal.covariance_check(u, field) < 1e-6
+    assert conformal.covariance_check(u, field) < 1e-6      # measured 2.9e-7
+    # a 1% slip in |F+| reads 0.245 here; on a zero |F+| it would multiply zero
+    slipped = dataclasses.replace(field, f_plus_norm=1.01 * field.f_plus_norm)
+    assert conformal.covariance_check(u, slipped) > 0.1
     with pytest.raises(ValueError):
         conformal.covariance_check(-u, field)
+    zero_at_pole = u.copy()
+    zero_at_pole[0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")         # rejected before any division
+        with pytest.raises(ValueError):
+            conformal.covariance_check(zero_at_pole, field)
+
+
+def _covariance_out_of_place(u, field):
+    """Both routes to Phi_hat as separate arrays, with the cotangent Laplacian
+    as one expression: the arithmetic covariance_check does in place."""
+    un = np.asarray(u, dtype=float)
+    route_a = conformal.transformed_phi(un, field)
+    ug = np.concatenate([[un[0]], un, [un[-1]]])
+    upp = (ug[2:] - 2.0 * ug[1:-1] + ug[:-2]) / field.h ** 2
+    up = (ug[2:] - ug[:-2]) / (2.0 * field.h)
+    lap = upp + 3.0 * up / np.tan(field.rho)
+    assert np.array_equal(conformal.pointwise_laplacian(un, field), lap)
+    r_hat = (-6.0 * lap + field.scalar_curv * un) / un ** 3
+    route_b = (r_hat
+               - 2.0 * conformal.SQRT6 * field.weyl_norm / un ** 2
+               - 3.0 * field.gamma1 * field.f_plus_norm / un ** 2)
+    return float(np.max(np.abs(route_a - route_b)))
+
+
+def test_covariance_check_is_bit_identical_to_two_arrays():
+    field = _suite_field()
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        amps = rng.uniform(-1, 1, 3)
+        amps *= 0.3 / np.sum(np.abs(amps))
+        u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(amps))
+        assert conformal.covariance_check(u, field) == _covariance_out_of_place(u, field)
+
+
+def test_phi_of_scalar_constituents_match_arrays():
+    n = 4096
+    rho, _ = conformal.cell_grid(n)
+    weyl = lambda r: 0.2 * (1.0 + np.cos(r))
+    lean = conformal.phi_of(12.0, weyl, np.sqrt(6.0), liealg.GAMMA1_SU2, n=n)
+    full = conformal.phi_of(np.full(n, 12.0), weyl, np.full(n, np.sqrt(6.0)),
+                            liealg.GAMMA1_SU2, n=n)
+    assert type(lean.scalar_curv) is float and type(lean.f_plus_norm) is float
+    assert lean.weyl_norm.shape == (n,)
+    assert np.array_equal(lean.phi, full.phi)
+    u = 1.0 + 0.3 * np.cos(rho) - 0.1 * np.cos(3 * rho)
+    assert conformal.covariance_check(u, lean) == conformal.covariance_check(u, full)
+    assert np.array_equal(conformal.transformed_phi(u, lean), conformal.transformed_phi(u, full))
 
 
 def test_covariance_random_family():

@@ -336,3 +336,22 @@ def test_gamma1_deterministic():
     assert np.array_equal(r1.argmax, r2.argmax)
     with pytest.raises(ValueError):
         liealg.gamma1_estimate(alg, restarts=0)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["star", "flipped-star"])
+def test_lv_hodge_is_bit_identical_to_the_einsum(flip, monkeypatch):
+    # one +-1 per row of STAR: the matmul adds exact zeros, so it equals the
+    # generic contraction bit for bit, and it reads STAR at call time
+    if flip:
+        star = forms4.STAR.copy()
+        star[2, 3] = star[3, 2] = -1.0
+        monkeypatch.setattr(forms4, "STAR", star)
+    rng = np.random.default_rng(53)
+    for shape in ((6, 4, 4), (1000, 6, 4, 4), (2, 3, 4, 6, 4, 4)):
+        p = rng.standard_normal(shape)
+        for arg in (p, p[..., ::-1, :]):          # contiguous and a strided view
+            want = np.einsum('ab,...bij->...aij', forms4.STAR, arg)
+            got = liealg.lv_hodge(arg)
+            assert got.shape == want.shape and np.array_equal(got, want), shape
+    p = rng.standard_normal((6, 4, 4))
+    assert np.array_equal(liealg.lv_hodge(p)[3], (-p[2] if flip else p[2]))

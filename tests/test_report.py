@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,30 @@ def test_individual_suites_pass(name):
     result = report.run_suite(name)
     assert result.passed, [c for c in result.checks if not c.passed]
     assert result.runtime >= 0.0
+
+
+@pytest.mark.parametrize("scale", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_scale_free_checks_pass_at_every_scale(scale):
+    # the Kato floor and the gamma1 attainment are measured in the instanton's
+    # units (residuals times scale^6), so their absolute tolerances hold at any scale
+    cfg = report.GapConfig(scale=scale)
+    for name in ("kato", "bracket-sharpness"):
+        result = report.run_suite(name, cfg)
+        assert result.passed, (scale, [c for c in result.checks if not c.passed])
+
+
+def test_covariance_suite_traced_peak():
+    # the suite tabulates its three cos modes, 1.5 MiB at n = 65536; route (b) and
+    # the cotangent Laplacian are built in place to pay for them. Measured 6.50 MiB;
+    # either one out of place reads 7.00, as did the per-sample cosines
+    report.run_suite("covariance")
+    tracemalloc.start()
+    try:
+        report.run_suite("covariance")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.75 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 # (suite, check, tolerance) of every check of ``run_all(GapConfig())``, in order
