@@ -109,12 +109,16 @@ def curvature_closed_at(p, x):
     return s[..., None, None, None] * CURV_COMPONENTS
 
 
-def curvature_norm_sq(p, x):
-    """Pointwise |F|^2 = 96 scale^4 / (scale^2 + |x - center|^2)^4."""
-    x = np.asarray(x, dtype=float)
-    d = x - p.center_array
-    u = p.scale ** 2 + np.einsum('...m,...m->...', d, d)
+def norm_law(p, s):
+    """The norm law |F|^2 = 96 scale^4 / (scale^2 + s)^4 at s = |x - center|^2."""
+    u = p.scale ** 2 + s
     return 96.0 * p.scale ** 4 / np.square(np.square(u))
+
+
+def curvature_norm_sq(p, x):
+    """Pointwise |F|^2 at x, the norm law of |x - center|^2."""
+    d = np.asarray(x, dtype=float) - p.center_array
+    return norm_law(p, np.einsum('...m,...m->...', d, d))
 
 
 def curvature_norm_sq_laplacian(p, x):

@@ -2,11 +2,11 @@
 
 ``integrate_r4`` is the one integrator. Its radii are composite
 Gauss-Legendre panels on [0, R_max] with geometrically graded panel edges.
-On each sphere it applies a ``SphereRule``: the tensor-product rule on S^3
-(Gauss-Legendre in the two polar angles, uniform in the azimuth), or
-``RAY``, one node that is exact for integrands radial about the origin.
-A caller may grade the rule by radius: the off-center energy integrals take
-on each sphere the lowest order that resolves the integrand there.
+On each sphere it applies a ``SphereRule``: the product rule on S^3 of
+order n, exact for polynomials of degree 2n - 1, or ``RAY``, one node that
+is exact for integrands radial about the origin. A caller may grade the
+rule by radius: the off-center energy integrals take on each sphere the
+lowest order that resolves the integrand there.
 Beyond R_max the integrand is taken to decay like r^-8, the curvature
 density's decay, so the tail is one more radius at R_max and every
 integral includes it. Sums run in a fixed order, so results are
@@ -62,22 +62,26 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Tensor quadrature on the unit S^3; weights sum to 2 pi^2."""
+    """Product quadrature on the unit S^3; weights sum to 2 pi^2.
+
+    Order n: Gauss-Chebyshev of the second kind in cos psi (nodes
+    k pi / (n + 1), weights pi / (n + 1) sin^2 psi), Gauss-Legendre in
+    cos theta and 2n uniform azimuths; 2n^3 points, exact to degree 2n - 1.
+    """
 
     points: np.ndarray
     weights: np.ndarray
 
     @classmethod
     def make(cls, n=24):
-        # the polar angles psi and theta share the Gauss-Legendre nodes
-        xs, ws = leggauss(n)
-        psi = 0.5 * (xs + 1.0) * np.pi
-        wpsi = 0.5 * np.pi * ws * np.sin(psi) ** 2
-        wtheta = 0.5 * np.pi * ws * np.sin(psi)
+        psi = np.arange(1, n + 1) * np.pi / (n + 1)
+        cp, sp = np.cos(psi), np.sin(psi)
+        wpsi = np.pi / (n + 1) * sp ** 2
+        ct, wtheta = leggauss(n)
+        st = np.sqrt(1.0 - ct ** 2)
         m = 2 * n
         phi = np.arange(m) * 2.0 * np.pi / m
         wphi = np.full(m, 2.0 * np.pi / m)
-        cp, sp = ct, st = np.cos(psi), np.sin(psi)
         # coordinate-major storage: points is the (N, 4) transpose of a
         # contiguous (4, N) array, so per-coordinate arithmetic runs over
         # contiguous memory instead of rows of four
@@ -94,51 +98,48 @@ class SphereRule:
 #: the origin of the integral
 RAY = SphereRule(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([TWO_PI_SQ]))
 
-#: points per integrand call: every radius of RAY in one call, one sphere
-#: of the 27 648-point rule per call
+#: values per integrand call: every radius of RAY in one call, one sphere
+#: of the order-24 rule (27 648 points), up to 256 spheres of the order-4 one
 _MAX_POINTS = 32768
+
+#: the angular orders of the graded energy integrals
+_ORDERS = (4, 6, 8, 12, 16, 20, 24)
 
 #: order n resolves a sphere when (2 * 24)^3 rho^-2n <= 1e-16
 _LOG_RATIO = float(np.log(48.0 ** 3 * 1e16))
 
 
-def integrate_r4(f, grid, rule, origin=(0.0, 0.0, 0.0, 0.0), coarser=None):
-    """Integral of f over R^4 with radius measured from ``origin``.
+def integrate_r4(f, grid, rule, coarser=None):
+    """Integral over R^4, in polar coordinates r omega, of f.
 
-    f must accept a (B, N, 4) array of points, B radii times the N points
-    of one sphere rule, and return (B, N) values. The points go through one
-    buffer reused for every block of radii, so f must not keep it. The
-    integrand is taken to decay like r^-8 beyond ``grid.rmax``, so the tail
-    int_rmax^inf r^3 (rmax/r)^8 dr = rmax^4/4 is one more radius at rmax.
+    f(r, omega) takes B radii as a (B, 1) array and the N unit points of
+    one sphere rule as an (N, 4) array, and returns the (B, N) values at the
+    points r omega. An integrand about a point c evaluates there at
+    c + r[..., None] * omega. The integrand is taken to decay like r^-8
+    beyond ``grid.rmax``, so the tail int_rmax^inf r^3 (rmax/r)^8 dr =
+    rmax^4/4 is one more radius at rmax.
 
     Every sphere uses ``rule`` unless ``coarser`` is given: it maps the
     radii (the grid nodes, then the tail radius) to one entry per radius,
     the rule for that sphere or None for ``rule``.
     """
-    origin = np.asarray(origin, dtype=float)
     radii = np.append(grid.nodes, grid.rmax)
     mass = np.append(grid.weights * grid.nodes ** 3, grid.rmax ** 4 / 4.0)
     rules = [rule] * len(radii) if coarser is None else [
         rule if c is None else c for c in coarser(radii)]
-    # blocks of consecutive radii on one rule, at most _MAX_POINTS points each
+    # blocks of consecutive radii on one rule, at most _MAX_POINTS values each
     edges = [0] + [i for i in range(1, len(radii)) if rules[i] is not rules[i - 1]] + [len(radii)]
-    blocks = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        step = max(1, _MAX_POINTS // len(rules[a].weights))
-        blocks += [(s, min(s + step, b), rules[a]) for s in range(a, b, step)]
-    buf = np.empty(4 * max((b - a) * len(rl.weights) for a, b, rl in blocks))
     total = 0.0
-    for a, b, rl in blocks:
-        r = radii[a:b]
-        # coordinate-major, like rl.points
-        x = np.moveaxis(buf[:4 * (b - a) * len(rl.weights)].reshape(4, b - a, -1), 0, -1)
-        np.multiply(r[:, None, None], rl.points, out=x)
-        x += origin
-        vals = np.asarray(f(x), dtype=float)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            raise ValueError(f"non-finite integrand sample at r = {r[np.any(bad, axis=-1)][0]}")
-        total += float(np.dot(mass[a:b], vals @ rl.weights))
+    for a, b in zip(edges[:-1], edges[1:]):
+        rl = rules[a]
+        step = max(1, _MAX_POINTS // len(rl.weights))
+        for s in range(a, b, step):
+            r = radii[s:min(s + step, b), None]
+            vals = np.asarray(f(r, rl.points), dtype=float)
+            bad = ~np.isfinite(vals)
+            if np.any(bad):
+                raise ValueError(f"non-finite integrand sample at r = {r[bad.any(-1)][0, 0]}")
+            total += float(np.dot(mass[s:s + len(r)], vals @ rl.weights))
     return total
 
 
@@ -150,31 +151,33 @@ def ym_energy(p, grid=None, about=None):
     evaluated from the curvature matrices. With ``about`` the integral is
     taken about that point by sphere rules with the norm law as integrand,
     exercising conformal invariance nontrivially when ``about`` is not the
-    instanton center.
+    instanton center. There |x - center|^2 is s = r^2 + d^2 - 2 r (omega . e),
+    e = center - about, d = |e|: its rounding is small against scale^2 + s.
 
     The angular order is graded by radius. On the sphere of radius r the
-    integrand is (1 - q t)^-4 in t = cos(angle to center - about), with
-    q = 2 r d / (scale^2 + r^2 + d^2) < 1 and d = |center - about|. Its
-    harmonic coefficients decay like k^3 rho^-k, rho = (1 + sqrt(1 - q^2))/q,
-    and order n is exact to degree 2n - 1: each sphere takes the least n in
-    (8, 16, 24) with (2 * 24)^3 rho^-2n <= 1e-16, else 24.
+    integrand is (1 - q t)^-4 in t = cos(angle to e), with
+    q = 2 r d / (scale^2 + r^2 + d^2) < 1. Its harmonic coefficients decay
+    like k^3 rho^-k, rho = (1 + sqrt(1 - q^2))/q, and order n is exact to
+    degree 2n - 1: each sphere takes the least n in ``_ORDERS`` with
+    (2 * 24)^3 rho^-2n <= 1e-16, else 24. The rules are built per call.
     """
     grid = grid or RadialGrid.make()
     if about is None:
-        return integrate_r4(lambda x: liealg.lv_norm_sq(instanton.curvature_closed_at(p, x)),
-                            grid, RAY, p.center_array)
-    d = float(np.linalg.norm(p.center_array - np.asarray(about, dtype=float)))
-    coarser = {n: SphereRule.make(n) for n in (8, 16)}
+        return integrate_r4(lambda r, w: liealg.lv_norm_sq(instanton.curvature_closed_at(
+            p, p.center_array + r[..., None] * w)), grid, RAY)
+    e = p.center_array - np.asarray(about, dtype=float)
+    d2 = float(e @ e)
+    rules = {n: SphereRule.make(n) for n in _ORDERS}
 
     def graded(radii):
-        q = 2.0 * radii * d / (p.scale ** 2 + radii ** 2 + d ** 2)
+        q = 2.0 * radii * np.sqrt(d2) / (p.scale ** 2 + radii ** 2 + d2)
         with np.errstate(divide='ignore'):
             log_rho = np.log((1.0 + np.sqrt(1.0 - q ** 2)) / q)
-        return [next((coarser[n] for n in coarser if 2 * n * lr >= _LOG_RATIO), None)
+        return [next((rules[n] for n in rules if 2 * n * lr >= _LOG_RATIO), None)
                 for lr in log_rho]
 
-    return integrate_r4(lambda x: instanton.curvature_norm_sq(p, x), grid,
-                        SphereRule.make(24), about, graded)
+    return integrate_r4(lambda r, w: instanton.norm_law(p, r * r + d2 - 2.0 * r * (w @ e)),
+                        grid, rules[24], graded)
 
 
 def l2_sd_norms(p, grid=None):
@@ -182,14 +185,15 @@ def l2_sd_norms(p, grid=None):
     the squares sum to the energy on the same grid."""
     grid = grid or RadialGrid.make()
 
-    def plus_sq(x):
-        return liealg.lv_norm_sq(liealg.lv_self_dual(instanton.curvature_closed_at(p, x)))
+    def plus_sq(r, w):
+        return liealg.lv_norm_sq(liealg.lv_self_dual(
+            instanton.curvature_closed_at(p, p.center_array + r[..., None] * w)))
 
-    def minus_sq(x):
-        f = instanton.curvature_closed_at(p, x)
+    def minus_sq(r, w):
+        f = instanton.curvature_closed_at(p, p.center_array + r[..., None] * w)
         return liealg.lv_norm_sq(f - liealg.lv_self_dual(f))
 
-    plus, minus = (integrate_r4(part, grid, RAY, p.center_array) for part in (plus_sq, minus_sq))
+    plus, minus = (integrate_r4(part, grid, RAY) for part in (plus_sq, minus_sq))
     return float(np.sqrt(plus)), float(np.sqrt(minus))
 
 

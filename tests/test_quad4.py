@@ -1,5 +1,7 @@
 """Quadrature: radial/angular rules, energy, characteristic number."""
 
+from math import gamma
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ E16 = quad4.EPI2_16
 
 
 def _radial(g):
-    """The integrand x -> g(|x|)."""
-    return lambda x: g(np.linalg.norm(x, axis=-1))
+    """The integrand x -> g(|x|), at the assembled points x = r omega."""
+    return lambda r, w: g(np.linalg.norm(r[..., None] * w, axis=-1))
 
 
 def test_radial_oracle_integrals():
@@ -48,12 +50,23 @@ def test_radial_grid_weights_reach_rmax():
 
 
 def test_sphere_rule_moments():
-    rule = quad4.SphereRule.make(12)
-    assert abs(rule.weights.sum() - 2 * np.pi ** 2) < 1e-12
-    for k in range(4):
-        m2 = float(np.sum(rule.weights * rule.points[:, k] ** 2))
-        assert abs(m2 - np.pi ** 2 / 2.0) < 1e-10
-    assert np.max(np.abs(np.linalg.norm(rule.points, axis=1) - 1.0)) < 1e-14
+    # on S^3 an even monomial of degree 2k is one of degree 2k + 2 times
+    # |x|^2 = 1, so exactness at the top even degree 2n - 2 covers all below;
+    # x^(2a) integrates to 2 prod Gamma(a_i + 1/2) / Gamma(|a| + 2)
+    for n in quad4._ORDERS:
+        rule = quad4.SphereRule.make(n)
+        assert abs(rule.weights.sum() - 2 * np.pi ** 2) < 1e-14, n
+        assert np.max(np.abs(np.linalg.norm(rule.points, axis=1) - 1.0)) < 1e-14
+        powers = rule.points.T[:, None, :] ** (2 * np.arange(n))[:, None]
+        g = np.array([gamma(k + 0.5) for k in range(n)])
+        for a0 in range(n):
+            for a1 in range(n - a0):
+                a2 = np.arange(n - a0 - a1)
+                a3 = n - 1 - a0 - a1 - a2
+                values = ((powers[2, a2] * powers[3, a3])
+                          @ (rule.weights * powers[0, a0] * powers[1, a1]))
+                exact = 2 * g[a0] * g[a1] * g[a2] * g[a3] / gamma(n + 1)
+                assert np.max(np.abs(values / exact - 1.0)) < 1e-13, (n, a0, a1)
 
 
 def test_energy_standard_and_grid_refinement():
@@ -83,7 +96,7 @@ def test_energy_radial_vs_angular_consistency():
     p = instanton.InstantonParams(0.7, (0.4, 0, -0.2, 0))
     grid = quad4.RadialGrid.make(panels=20, order=20)
     e_rad = quad4.ym_energy(p, grid)
-    e_ang = quad4.ym_energy(p, grid, about=p.center)  # d = 0: order 8 on every sphere
+    e_ang = quad4.ym_energy(p, grid, about=p.center)  # d = 0: order 4 on every sphere
     assert abs(e_rad - e_ang) / E16 < 1e-10
 
 
@@ -96,32 +109,57 @@ def test_graded_angular_order_matches_uniform_rule(scale, center):
     # the oracle: the order-24 rule on every sphere, on the same radii
     p = instanton.InstantonParams(scale, center)
     grid = quad4.RadialGrid.make(panels=20, order=20)
-    uniform = quad4.integrate_r4(lambda x: instanton.curvature_norm_sq(p, x), grid,
-                                 quad4.SphereRule.make(24), (0.0, 0.0, 0.0, 0.0))
+    uniform = quad4.integrate_r4(lambda r, w: instanton.curvature_norm_sq(p, r[..., None] * w),
+                                 grid, quad4.SphereRule.make(24))
     graded = quad4.ym_energy(p, grid, about=(0.0, 0.0, 0.0, 0.0))
-    assert abs(graded - uniform) / uniform < 1e-9
+    assert abs(graded - uniform) / uniform < 1e-12
+
+
+def _off_center_integrand(monkeypatch, p, about):
+    """The integrand that ym_energy(p, about=about) hands to integrate_r4."""
+    seen = []
+    monkeypatch.setattr(quad4, "integrate_r4", lambda f, *args: seen.append(f) or 0.0)
+    quad4.ym_energy(p, about=about)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("scale, center", [
+    (1.0, (0.6, 0, 0, 0)), (0.5, (0.3, 0.3, 0.3, 0.3)), (0.25, (1.0, -0.5, 0.3, 0.2)),
+])
+def test_law_of_cosines_integrand_matches_norm_law(monkeypatch, scale, center):
+    p = instanton.InstantonParams(scale, center)
+    about = np.array([0.1, 0.0, -0.2, 0.05])
+    f = _off_center_integrand(monkeypatch, p, about)
+    w = quad4.SphereRule.make(24).points
+    d = np.linalg.norm(p.center_array - about)
+    # spheres through, inside and outside the center, and far out
+    r = np.array([[0.5 * d], [d], [d + 0.3 * scale], [3.0], [400.0]])
+    assembled = instanton.curvature_norm_sq(p, about + r[..., None] * w)
+    assert np.max(np.abs(f(r, w) / assembled - 1.0)) < 1e-13
 
 
 def test_energy_shift_integrals_stay_graded(monkeypatch):
     # the uniform order-24 rule gives each 577 x 27 648 = 15.95 M points
     seen = []
-    curvature_norm_sq = instanton.curvature_norm_sq
+    integrate_r4, ym_energy = quad4.integrate_r4, quad4.ym_energy
 
-    def counted(p, x):
-        seen[-1] += np.prod(np.shape(x)[:-1])
-        return curvature_norm_sq(p, x)
-
-    ym_energy = quad4.ym_energy
+    def counted(f, grid, rule, *args):
+        def values(r, w):
+            out = f(r, w)
+            seen[-1] += out.size
+            return out
+        return integrate_r4(f if rule is quad4.RAY else values, grid, rule, *args)
 
     def recorded(*args, **kwargs):
         seen.append(0)
         return ym_energy(*args, **kwargs)
 
-    monkeypatch.setattr(instanton, "curvature_norm_sq", counted)
+    monkeypatch.setattr(quad4, "integrate_r4", counted)
     monkeypatch.setattr(quad4, "ym_energy", recorded)
     assert report.run_suite("energy").passed
-    shifts = [n for n in seen if n]      # the RAY integrals call no curvature_norm_sq
-    assert len(shifts) == 2 and max(shifts) <= 6_000_000
+    shifts = [n for n in seen if n]      # values of the off-center integrands only
+    assert len(shifts) == 2 and max(shifts) <= 5_000_000
 
 
 def test_tail_estimate_vs_extended_grid():
