@@ -26,9 +26,15 @@ print("halving h shrinks the gap ~4x:",
 
 print("\nBianchi cyclic-sum residual:", instanton.bianchi_residual_at(p, x, h=1e-3))
 
+
+def covariant_derivative(z):
+    return instanton.covariant_derivative_of(lambda y: instanton.curvature_closed_at(p, y),
+                                             lambda y: instanton.connection_at(p, y), z, h=1e-4)
+
+
 print("\nKato: |nabla F|^2 vs (3/2)|d|F||^2 (the family saturates it):")
 for pt in (np.array([0.5, 0, 0, 0]), x, np.array([-1.2, 0.4, 0.1, -0.3])):
-    nab = instanton.covariant_derivative_at(p, pt)
+    nab = covariant_derivative(pt)
     lhs = instanton.cov_norm_sq(nab)
     rhs = 1.5 * float(instanton.curvature_norm_grad_sq(p, pt))
     print(f"  x = {pt}:  {lhs:.9f} vs {rhs:.9f}  (residual {lhs-rhs:+.2e})")
@@ -37,8 +43,7 @@ print("\nBochner identity at the origin:")
 print("  (1/2) Lap |F|^2 =", 0.5 * float(instanton.curvature_norm_sq_laplacian(p, np.zeros(4))))
 f0 = instanton.curvature_closed_at(p, np.zeros(4))
 print("  <F,[F,F]>      =", float(liealg.lv_inner(f0, liealg.comm2form(f0, f0))))
-print("  |nabla F|^2    =", instanton.cov_norm_sq(
-    instanton.covariant_derivative_at(p, np.zeros(4))))
+print("  |nabla F|^2    =", instanton.cov_norm_sq(covariant_derivative(np.zeros(4))))
 print("  residual       =", instanton.bochner_residual_at(p, np.zeros(4)))
 
 print("\ngeneral family member (scale 0.5, shifted center):")

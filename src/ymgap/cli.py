@@ -11,9 +11,7 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
-from . import instanton, quad4, report
+from . import report
 
 _COMMAND_SUITES = {
     'constants': ('gamma-constants',),
@@ -72,10 +70,6 @@ def build_parser():
     common = _common_flags(suppress=True)
     sub = parser.add_subparsers(dest='command', required=True)
     subs = {name: sub.add_parser(name, parents=[common]) for name in _COMMAND_SUITES}
-    subs['energy'].add_argument('--convergence-table', default=None, metavar='PATH',
-                                help='also write an energy-vs-panels CSV table')
-    subs['kato'].add_argument('--samples-csv', default=None, metavar='PATH',
-                              help='also dump per-point samples as CSV')
     subs['thresholds'].add_argument('--kappa', type=float, default=1.0,
                                     help='|kappa| of the bundle')
     subs['flow-check'].add_argument('--energy', type=float, default=None,
@@ -91,22 +85,11 @@ def _config_from(args):
                                if hasattr(args, f.name)})
 
 
-def _write_side_files(args, cfg):
-    if getattr(args, 'convergence_table', None):
-        rows = quad4.energy_convergence_table(
-            cfg.instanton_params(), [8, 12, 16, 24, cfg.panels], rmax=cfg.rmax)
-        quad4.write_table_csv(args.convergence_table, rows)
-    if getattr(args, 'samples_csv', None):
-        pts = np.random.default_rng(cfg.seed).standard_normal((64, 4))
-        instanton.dump_samples_csv(args.samples_csv, cfg.instanton_params(), pts)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from(args)
         suites = [report.run_suite(name, cfg) for name in _COMMAND_SUITES[args.command]]
-        _write_side_files(args, cfg)
         text = report.render(report.report_document(cfg, suites, args.command), args.format)
         if args.out:
             with open(args.out, 'w') as fh:

@@ -37,7 +37,6 @@ tolerance matters); convergence-order checks should pass
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,11 +200,6 @@ def covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=True):
     return out
 
 
-def covariant_derivative_at(p, x, h=1e-4, richardson=True):
-    return covariant_derivative_of(lambda z: curvature_closed_at(p, z),
-                                   lambda z: connection_at(p, z), x, h, richardson)
-
-
 def cov_norm_sq(nabla):
     """|nabla F|^2 = sum_k |nabla_k F|^2 (combined inner product): (..., 4, 6, n, n) -> (...)."""
     return np.sum(liealg.lv_norm_sq(nabla), axis=-1)
@@ -253,18 +247,3 @@ def bianchi_residual_of(curv_fn, conn_fn, x, h):
 def bianchi_residual_at(p, x, h=1e-3):
     return bianchi_residual_of(lambda z: curvature_closed_at(p, z),
                                lambda z: connection_at(p, z), x, h)
-
-
-def dump_samples_csv(path, p, points):
-    """Write per-point samples (x, |F|^2, |nabla F|^2, |d|F||^2, Kato residual)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    columns = np.column_stack([points,
-                               curvature_norm_sq(p, points),
-                               cov_norm_sq(covariant_derivative_at(p, points)),
-                               curvature_norm_grad_sq(p, points),
-                               kato_residual_at(p, points)])
-    with open(path, 'w', newline='') as fh:
-        writer = csv.writer(fh)
-        writer.writerow(['x1', 'x2', 'x3', 'x4', 'F_norm_sq', 'covderiv_norm_sq',
-                         'grad_norm_F_sq', 'kato_residual'])
-        writer.writerows(columns.tolist())

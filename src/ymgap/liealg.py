@@ -206,10 +206,9 @@ def lv_self_dual(p):
     return sp
 
 
-def lv_from_sd_coeffs(coeffs, basis=None):
+def lv_from_sd_coeffs(coeffs):
     """Assemble sum_a e_a (x) coeffs[a] from (..., 3, n, n) coefficients."""
-    e = forms4.sd_basis() if basis is None else np.asarray(basis, dtype=float)
-    return np.einsum('ac,...aij->...cij', e, np.asarray(coeffs, dtype=float))
+    return np.einsum('ac,...aij->...cij', forms4.sd_basis(), np.asarray(coeffs, dtype=float))
 
 
 _BRACKET_SIGN = forms4.CIRC_SIGN[:, :, None, None]

@@ -15,7 +15,6 @@ reproducible run to run.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,12 +217,3 @@ def energy_convergence_table(p, panel_counts, rmax=1000.0):
                      'rel_err_16pi2': (e - EPI2_16) / EPI2_16})
         prev = e
     return rows
-
-
-def write_table_csv(path, rows):
-    if not rows:
-        raise ValueError("no rows to write")
-    with open(path, 'w', newline='') as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)

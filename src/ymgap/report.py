@@ -240,44 +240,48 @@ def _sample_points(rng, count, radius=2.5, min_radius=0.0):
     return x * r[:, None]
 
 
+# The pointwise suites work in the instanton's units: they sample at
+# center + scale * y, step by h * scale and multiply each residual by scale
+# to the power it scales with, so their tolerances hold for every member.
+
 def _suite_kato(cfg):
     rng = np.random.default_rng(cfg.seed)
     params = cfg.instanton_params()
-    pts = _sample_points(rng, 1000, radius=3.0)
-    # |nabla F+|^2 scales like scale^-6: step and residual in the instanton's units
+    pts = params.center_array + cfg.scale * _sample_points(rng, 1000, radius=3.0)
     worst = np.min(instanton.kato_residual_at(params, pts, h=1e-4 * cfg.scale))
     return ([_check("kato-floor-1000pts", -worst * cfg.scale ** 6, 1e-8)]
             + _order2_checks("kato-order2", instanton.kato_residual_at, params, pts[:3])), {}
 
 
 def _order2_checks(name, residual_at, params, pts):
-    """One check per point that the residual decays at least quadratically
-    from h = 2e-3 to 1e-3; the floor absorbs points where the h^2 error
-    coefficient happens to cross zero."""
-    r1 = np.abs(residual_at(params, pts, h=2e-3, richardson=False))
-    r2 = np.abs(residual_at(params, pts, h=1e-3, richardson=False))
+    """One check per point that the residual (~ scale^-6) decays at least
+    quadratically from h = 2e-3 to 1e-3 scale; the floor absorbs points
+    where the h^2 error coefficient happens to cross zero."""
+    scale = params.scale
+    r1 = np.abs(residual_at(params, pts, h=2e-3 * scale, richardson=False)) * scale ** 6
+    r2 = np.abs(residual_at(params, pts, h=1e-3 * scale, richardson=False)) * scale ** 6
     return [_check(name, gap, 0.0) for gap in r2 - (r1 / 3.0 + 1e-8)]
 
 
 def _suite_bochner(cfg):
     rng = np.random.default_rng(cfg.seed + 1)
     params = cfg.instanton_params()
-    pts = _sample_points(rng, 10, radius=2.0, min_radius=0.2)
+    pts = params.center_array + cfg.scale * _sample_points(rng, 10, radius=2.0, min_radius=0.2)
+    h = 1e-3 * cfg.scale
     checks = _order2_checks("bochner-order2", instanton.bochner_residual_at, params, pts)
     origin = np.zeros(4)
     lap_term = 0.5 * instanton.curvature_norm_sq_laplacian(instanton.STANDARD, origin)
     cubic = liealg.cubic_form(instanton.curvature_closed_at(instanton.STANDARD, origin))
     checks.append(_check("laplacian-term-at-0", abs(lap_term + 1536.0) / 1536.0, 1e-5))
     checks.append(_check("bracket-term-at-0", abs(cubic - 1536.0) / 1536.0, 1e-5))
-    checks.append(_check("bochner-residual-default",
-                         abs(instanton.bochner_residual_at(params, pts[0], h=1e-3, richardson=True)),
-                         1e-6))
+    residual = instanton.bochner_residual_at(params, pts[0], h=h, richardson=True)
+    checks.append(_check("bochner-residual-default", abs(residual) * cfg.scale ** 6, 1e-6))
     # the curvature and its Bianchi identity from the connection by differences
-    fd = instanton.curvature_fd_at(params, pts, h=1e-3, richardson=True)
-    checks.append(_check("curvature-fd",
-                         np.max(np.abs(fd - instanton.curvature_closed_at(params, pts))), 1e-10))
-    checks.append(_check("bianchi", np.max(instanton.bianchi_residual_at(params, pts, h=1e-3)),
-                         1e-4))
+    fd = instanton.curvature_fd_at(params, pts, h=h, richardson=True)
+    fd_error = np.max(np.abs(fd - instanton.curvature_closed_at(params, pts)))
+    checks.append(_check("curvature-fd", fd_error * cfg.scale ** 2, 1e-10))
+    bianchi = np.max(instanton.bianchi_residual_at(params, pts, h=h))
+    checks.append(_check("bianchi", bianchi * cfg.scale ** 3, 1e-4))
     return checks, {}
 
 
@@ -296,12 +300,12 @@ def _suite_bracket_sharpness(cfg):
     worst = min(0.0, np.min(liealg.bracket_bound_check(q, liealg.GAMMA0_SU2)))
     checks.append(_check("bound-nonneg-random", -worst, 1e-10))
     params = cfg.instanton_params()
-    pts = _sample_points(rng, 50, radius=2.0)
+    pts = params.center_array + cfg.scale * _sample_points(rng, 50, radius=2.0)
     fp = liealg.lv_self_dual(instanton.curvature_closed_at(params, pts))
     cubic = liealg.cubic_form(fp)
     norms = liealg.lv_norm(fp)
     attain = np.max(np.abs(cubic - liealg.GAMMA1_SU2 * norms ** 3)) * cfg.scale ** 6
-    checks.append(_check("pointwise-gamma1-attainment", attain, 1e-10))   # |F+|^3 ~ scale^-6
+    checks.append(_check("pointwise-gamma1-attainment", attain, 1e-10))
     return checks, {}
 
 
@@ -361,7 +365,9 @@ def _suite_energy(cfg):
     for scale, center in ((1.0, (0.6, 0.0, 0.0, 0.0)), (0.5, (0.3, 0.3, 0.3, 0.3))):
         e = quad4.ym_energy(instanton.InstantonParams(scale, center), grid, about=np.zeros(4))
         checks.append(_check(f"energy-shift-{scale}", abs(e - quad4.EPI2_16) / quad4.EPI2_16, 1e-6))
-    return checks, {}
+    table = quad4.energy_convergence_table(cfg.instanton_params(),
+                                           sorted({8, 12, 16, 24, cfg.panels}), rmax=cfg.rmax)
+    return checks, {'energy_convergence': table}
 
 
 def _suite_chern_weil(cfg):

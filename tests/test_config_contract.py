@@ -16,7 +16,7 @@ import pytest
 from ymgap import cli, report
 
 # flags that shape the output, not the configuration
-OUTPUT_DESTS = {'help', 'command', 'format', 'out', 'convergence_table', 'samples_csv'}
+OUTPUT_DESTS = {'help', 'command', 'format', 'out'}
 # configuration fields only one subcommand sets
 SUBCOMMAND_FIELDS = {'kappa': 'thresholds', 'energy': 'flow-check'}
 COMMANDS = ('gap', 'thresholds', 'flow-check')

@@ -23,6 +23,12 @@ def conjugated(fn, g):
     return wrapped
 
 
+def covariant_derivative(p, x, h=1e-4):
+    """nabla F of the family member p by the generic finite-difference evaluator."""
+    return instanton.covariant_derivative_of(lambda z: instanton.curvature_closed_at(p, z),
+                                             lambda z: instanton.connection_at(p, z), x, h)
+
+
 def test_connection_at_origin_and_unit_point():
     th = instanton.connection_at(STD, np.zeros(4))
     assert np.max(np.abs(th)) == 0.0
@@ -94,21 +100,21 @@ def test_fd_step_validation():
     with pytest.raises(ValueError):
         instanton.curvature_fd_at(STD, np.zeros(4), h=0.0)
     with pytest.raises(ValueError):
-        instanton.covariant_derivative_at(STD, np.zeros(4), h=-1.0)
+        covariant_derivative(STD, np.zeros(4), h=-1.0)
 
 
 def test_covariant_derivative_vanishes_at_center():
-    nab = instanton.covariant_derivative_at(STD, np.zeros(4), h=1e-4)
+    nab = covariant_derivative(STD, np.zeros(4), h=1e-4)
     assert instanton.cov_norm_sq(nab) < 1e-5
     p = instanton.InstantonParams(0.5, (1.0, 0.0, -2.0, 0.3))
-    nab = instanton.covariant_derivative_at(p, p.center_array, h=1e-4)
+    nab = covariant_derivative(p, p.center_array, h=1e-4)
     assert instanton.cov_norm_sq(nab) < 1e-4
 
 
 def test_covariant_derivative_analytic_profile():
     # |nabla F|^2 = 2304 r^2 / (1+r^2)^6 for the standard member
     for x in (np.array([0.5, 0, 0, 0]), np.array([0.3, -0.1, 0.7, 0.2])):
-        nab = instanton.covariant_derivative_at(STD, x, h=1e-4)
+        nab = covariant_derivative(STD, x, h=1e-4)
         r2 = float(x @ x)
         expected = 2304.0 * r2 / (1.0 + r2) ** 6
         assert abs(instanton.cov_norm_sq(nab) - expected) < 1e-8
@@ -204,7 +210,7 @@ def test_gauge_conjugation_invariance():
     for x in (np.array([0.4, 0.3, -0.2, 0.7]), np.array([1.4, 0, 0.2, 0])):
         f_conj = curv(x)
         assert abs(liealg.lv_norm_sq(f_conj) - instanton.curvature_norm_sq(STD, x)) < 1e-10
-        nab_ref = instanton.covariant_derivative_at(STD, x, h=1e-4)
+        nab_ref = covariant_derivative(STD, x, h=1e-4)
         nab_conj = instanton.covariant_derivative_of(curv, conn, x, h=1e-4)
         assert abs(instanton.cov_norm_sq(nab_conj) - instanton.cov_norm_sq(nab_ref)) < 1e-10
         fd_conj = instanton.curvature_fd_of(conn, x, h=1e-4)
@@ -216,17 +222,6 @@ def test_params_validation():
         instanton.InstantonParams(scale=0.0)
     with pytest.raises(ValueError):
         instanton.InstantonParams(center=(1.0, 2.0))
-
-
-def test_dump_samples_csv(tmp_path):
-    path = tmp_path / "samples.csv"
-    pts = np.array([[0.0, 0, 0, 0], [0.5, 0, 0, 0], [0.3, -0.1, 0.7, 0.2]])
-    instanton.dump_samples_csv(path, STD, pts)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0].split(",")[:4] == ["x1", "x2", "x3", "x4"]
-    assert len(rows) == 4
-    first = [float(v) for v in rows[1].split(",")]
-    assert abs(first[4] - 96.0) < 1e-12
 
 
 # -- batched evaluation: points (..., 4) give results with leading shape (...) --
@@ -269,24 +264,10 @@ def test_fd_layer_batched_matches_pointwise(p, shape):
 
 def test_fd_layer_shapes():
     pts = np.zeros((2, 3, 4))
-    assert instanton.covariant_derivative_at(STD, pts).shape == (2, 3, 4, 6, 4, 4)
+    assert covariant_derivative(STD, pts).shape == (2, 3, 4, 6, 4, 4)
     assert instanton.curvature_fd_at(STD, pts, h=1e-4).shape == (2, 3, 6, 4, 4)
     for value in (instanton.kato_residual_at(STD, pts), instanton.bochner_residual_at(STD, pts),
                   instanton.bianchi_residual_at(STD, pts),
-                  instanton.cov_norm_sq(instanton.covariant_derivative_at(STD, pts))):
+                  instanton.cov_norm_sq(covariant_derivative(STD, pts))):
         assert np.shape(value) == (2, 3)
     assert np.shape(instanton.kato_residual_at(STD, np.zeros(4))) == ()
-
-
-def test_dump_samples_csv_matches_pointwise(tmp_path):
-    path = tmp_path / "samples.csv"
-    pts = np.random.default_rng(37).standard_normal((5, 4))
-    instanton.dump_samples_csv(path, OFF_STANDARD, pts)
-    rows = np.array([[float(v) for v in line.split(",")]
-                     for line in path.read_text().strip().split("\n")[1:]])
-    assert rows.shape == (5, 8)
-    assert np.array_equal(rows[:, :4], pts)
-    kato = [instanton.kato_residual_at(OFF_STANDARD, x) for x in pts]
-    cov = [instanton.cov_norm_sq(instanton.covariant_derivative_at(OFF_STANDARD, x)) for x in pts]
-    assert np.max(np.abs(rows[:, 7] - kato)) < 1e-9
-    assert np.max(np.abs(rows[:, 5] - cov) / np.maximum(1.0, np.abs(cov))) < 1e-12

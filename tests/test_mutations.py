@@ -246,6 +246,18 @@ def test_mutation_is_caught(monkeypatch, mutate, suites, expected, cfg):
     assert expected <= _failed(suites, cfg)
 
 
+# the pointwise suites sample in the configured instanton's units, so a
+# member far from the origin must show every defect the standard one shows
+FAR_MEMBER = report.GapConfig(scale=2.0, center=(30.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("mutate, suites, expected", [
+    pytest.param(*row.values[:3], id=row.id) for row in MUTATIONS
+    if {"kato", "bochner", "bracket-sharpness"} & set(row.values[1])])
+def test_pointwise_mutation_is_caught_far_from_origin(monkeypatch, mutate, suites, expected):
+    test_mutation_is_caught(monkeypatch, mutate, suites, expected, FAR_MEMBER)
+
+
 def test_equality_identity_reported_off_equality(monkeypatch):
     """The pointwise identity is a property of the instanton, not of the L2
     verdict: with the norms off equality the gap suite still reports it."""

@@ -192,12 +192,8 @@ def test_chern_weil_kappa():
     assert abs(quad4.chern_weil_kappa(0.0, 4.0 * np.pi) - 1.0) < 1e-15
 
 
-def test_convergence_table(tmp_path):
+def test_convergence_table():
     rows = quad4.energy_convergence_table(instanton.STANDARD, [8, 16, 24])
     assert len(rows) == 3
     assert rows[1]['delta_prev'] is not None
     assert abs(rows[-1]['rel_err_16pi2']) < 1e-8
-    path = tmp_path / "table.csv"
-    quad4.write_table_csv(path, rows)
-    header = path.read_text().splitlines()[0]
-    assert header == "panels,energy,delta_prev,rel_err_16pi2"

@@ -92,10 +92,10 @@ def test_individual_suites_pass(name):
 
 @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0, 2.0, 4.0])
 def test_scale_free_checks_pass_at_every_scale(scale):
-    # the Kato floor and the gamma1 attainment are measured in the instanton's
-    # units (residuals times scale^6), so their absolute tolerances hold at any scale
+    # the pointwise suites are measured in the instanton's units, so their
+    # absolute tolerances hold at any scale
     cfg = report.GapConfig(scale=scale)
-    for name in ("kato", "bracket-sharpness"):
+    for name in ("kato", "bochner", "bracket-sharpness"):
         result = report.run_suite(name, cfg)
         assert result.passed, (scale, [c for c in result.checks if not c.passed])
 
@@ -274,6 +274,20 @@ def test_cli_flow_check_verdicts(flags, admissible, capsys):
     assert json.loads(capsys.readouterr().out)["flow"]["admissible"] is admissible
 
 
+@pytest.mark.parametrize("flags, cfg", [
+    ([], report.GapConfig()),
+    (["--lambda", "0.5", "--center=1,0,0,0", "--grid-panels", "10"],
+     report.GapConfig(scale=0.5, center=(1.0, 0.0, 0.0, 0.0), panels=10))])
+def test_cli_energy_reports_convergence_table(flags, cfg, capsys):
+    assert cli.main(["--format", "json", *flags, "energy"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == cfg.to_dict()
+    rows = doc["energy_convergence"]
+    assert [row["panels"] for row in rows] == sorted({8, 12, 16, 24, cfg.panels})
+    row = next(row for row in rows if row["panels"] == cfg.panels)
+    assert row["energy"] == quad4.ym_energy(cfg.instanton_params(), cfg.grid())
+
+
 def test_cli_eigen_and_center_flags(capsys):
     code = cli.main(["--lambda", "0.5", "--center", "0.1,0,0,0",
                      "--format", "json", "eigen"])
@@ -320,8 +334,6 @@ def test_cli_non_finite_input_is_config_error(argv, capsys):
     ["--rmax", "1e30", "energy"],            # 24 panels no longer resolve the profile
     ["thresholds", "--kappa", "1e308"],      # the thresholds overflow
     ["--out", "{missing}/report.json", "eigen"],
-    ["energy", "--grid-panels", "8", "--convergence-table", "{missing}/table.csv"],
-    ["kato", "--samples-csv", "{missing}/samples.csv"],
 ])
 def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
     argv = [arg.format(missing=tmp_path / "no-such-dir") for arg in argv]   # unwritable paths
@@ -403,9 +415,8 @@ README_EXPECTED = {
     'all': {},
     'gap': {'format': 'json'},
     'constants': {'seed': 3},
-    'energy': {'scale': 0.5, 'center': (1.0, 0.0, 0.0, 0.0),
-               'convergence_table': 'table.csv'},
-    'kato': {'samples_csv': 'pts.csv'},
+    'energy': {'scale': 0.5, 'center': (1.0, 0.0, 0.0, 0.0)},
+    'kato': {},
     'thresholds': {'group': 'so3'},
     'flow-check': {'energy': 157.0},
 }
@@ -458,7 +469,7 @@ def _public_functions():
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     """Every README command line exits 0, and together they call every
     public function and method of the package but those in NOT_REACHED."""
-    monkeypatch.chdir(tmp_path)            # the energy and kato lines write side files
+    monkeypatch.chdir(tmp_path)            # the report is the only output: no line writes a file
     called = set()
 
     def record(frame, event, arg):
@@ -473,7 +484,7 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         sys.setprofile(previous)
     assert not failed, failed
     capsys.readouterr()
-    assert {p.name for p in tmp_path.iterdir()} == {'table.csv', 'pts.csv'}
+    assert not any(tmp_path.iterdir())
     unreached = {name for name, code in _public_functions().items() if code not in called}
     assert unreached == set(NOT_REACHED), "not called: " + ", ".join(sorted(unreached))
 
