@@ -26,7 +26,7 @@ for s in (0.25, 0.5, 1.0, 2.0, 4.0):
     e = quad4.ym_energy(instanton.InstantonParams(s), grid)
     print(f"  scale {s:4}: rel err {(e-E16)/E16:+.2e}")
 
-print("\ncenter shifts (angular quadrature about the origin, order graded by radius):")
+print("\ncenter shifts (about the origin, zonal rule about the offset axis):")
 small = quad4.RadialGrid.make(panels=20, order=20)
 for scale, center in ((1.0, (0.6, 0, 0, 0)), (0.5, (0.5, 0.2, 0.0, 0.0))):
     e = quad4.ym_energy(instanton.InstantonParams(scale, center), small, about=(0, 0, 0, 0))

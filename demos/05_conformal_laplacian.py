@@ -44,7 +44,10 @@ for phi_val in (12.0, -7.0):
           f"  (same sign: {np.sign(lam_base) == np.sign(lam_hat)})")
 
 print("\nYamabe quotient (minimized by the round metric and its conformal orbit):")
-print("  u = 1:            ", conformal.yamabe_quotient(1.0))
-print("  dilation factor:  ", conformal.yamabe_quotient(conformal.dilation_factor(1.5)))
-print("  u = 1+0.5cos(rho):", conformal.yamabe_quotient(lambda r: 1 + 0.5 * np.cos(r)),
+round_prob = conformal.round_problem(conformal.ROUND_SCALAR_CURVATURE, 20000)
+print("  u = 1:            ", conformal.yamabe_quotient(1.0, round_prob))
+print("  dilation factor:  ",
+      conformal.yamabe_quotient(conformal.dilation_factor(1.5), round_prob))
+print("  u = 1+0.5cos(rho):",
+      conformal.yamabe_quotient(lambda r: 1 + 0.5 * np.cos(r), round_prob),
       " (strictly above)")

@@ -254,17 +254,15 @@ def covariance_check(u, field):
     return float(np.max(np.abs(route_b)))
 
 
-def yamabe_quotient(u, prob=None):
+def yamabe_quotient(u, prob):
     """int(6|du|^2 + 12 u^2) dV / (int u^4 dV)^(1/2) on the unit round S^4.
 
     ``prob`` is the round problem with Phi = 12 that u lives on, built once by
-    callers of many factors; default ``round_problem(ROUND_SCALAR_CURVATURE, 20000)``.
+    callers of many factors.
 
     Equals 8 sqrt(6) pi at constants (and along the conformal-factor
     family of round metrics); larger for everything else, up to O(h^2).
     """
-    if prob is None:
-        prob = round_problem(ROUND_SCALAR_CURVATURE, 20000)
     vals = as_values(u, prob.rho)
     if np.any(vals <= 0):
         raise ValueError("conformal factor must be positive")

@@ -2,11 +2,11 @@
 
 ``integrate_r4`` is the one integrator. Its radii are composite
 Gauss-Legendre panels on [0, R_max] with geometrically graded panel edges.
-On each sphere it applies a ``SphereRule``: the product rule on S^3 of
-order n, exact for polynomials of degree 2n - 1, or ``RAY``, one node that
-is exact for integrands radial about the origin. A caller may grade the
-rule by radius: the off-center energy integrals take on each sphere the
-lowest order that resolves the integrand there.
+On each sphere it applies one ``SphereRule``: ``RAY``, one node that is
+exact for integrands radial about the origin, or a zonal rule, n nodes that
+are exact for polynomials of degree 2n - 1 in the cosine of the angle to
+one axis. The off-center energy integrals take the zonal rule about the
+offset of the center.
 Beyond R_max the integrand is taken to decay like r^-8, the curvature
 density's decay, so the tail is one more radius at R_max and every
 integral includes it. Sums run in a fixed order, so results are
@@ -61,84 +61,64 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Product quadrature on the unit S^3; weights sum to 2 pi^2.
-
-    Order n: Gauss-Chebyshev of the second kind in cos psi (nodes
-    k pi / (n + 1), weights pi / (n + 1) sin^2 psi), Gauss-Legendre in
-    cos theta and 2n uniform azimuths; 2n^3 points, exact to degree 2n - 1.
-    """
+    """Quadrature on the unit S^3: unit points and weights that sum to 2 pi^2."""
 
     points: np.ndarray
     weights: np.ndarray
 
     @classmethod
-    def make(cls, n=24):
+    def zonal(cls, axis, n):
+        """n nodes cos psi_k e + sin psi_k e', psi_k = k pi / (n + 1), about
+        the unit axis e (e' is a unit vector orthogonal to it), with weights
+        4 pi * pi / (n + 1) sin^2 psi_k. Since the integral over S^3 of
+        g(omega . e) is 4 pi int_0^pi g(cos psi) sin^2 psi dpsi, this is
+        Gauss-Chebyshev of the second kind in cos psi: exact for every
+        polynomial in omega . e of degree 2n - 1.
+        """
+        if not 1 <= n <= _MAX_POINTS:
+            raise ValueError(f"a zonal rule has 1 to {_MAX_POINTS} nodes; got {n}")
+        e = np.asarray(axis, dtype=float)
+        perp = np.eye(4)[np.argmin(np.abs(e))]
+        perp -= (perp @ e) * e
+        perp /= np.linalg.norm(perp)
         psi = np.arange(1, n + 1) * np.pi / (n + 1)
-        cp, sp = np.cos(psi), np.sin(psi)
-        wpsi = np.pi / (n + 1) * sp ** 2
-        ct, wtheta = leggauss(n)
-        st = np.sqrt(1.0 - ct ** 2)
-        m = 2 * n
-        phi = np.arange(m) * 2.0 * np.pi / m
-        wphi = np.full(m, 2.0 * np.pi / m)
-        # coordinate-major storage: points is the (N, 4) transpose of a
-        # contiguous (4, N) array, so per-coordinate arithmetic runs over
-        # contiguous memory instead of rows of four
-        pts = np.empty((4, n, n, m))
-        pts[0] = cp[:, None, None]
-        pts[1] = (sp[:, None] * ct[None, :])[..., None]
-        pts[2] = sp[:, None, None] * st[None, :, None] * np.cos(phi)
-        pts[3] = sp[:, None, None] * st[None, :, None] * np.sin(phi)
-        w = wpsi[:, None, None] * wtheta[None, :, None] * wphi
-        return cls(pts.reshape(4, -1).T, w.reshape(-1))
+        return cls(np.outer(np.cos(psi), e) + np.outer(np.sin(psi), perp),
+                   4.0 * np.pi ** 2 / (n + 1) * np.sin(psi) ** 2)
 
 
 #: one node carrying the whole of S^3: exact for integrands radial about
 #: the origin of the integral
 RAY = SphereRule(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([TWO_PI_SQ]))
 
-#: values per integrand call: every radius of RAY in one call, one sphere
-#: of the order-24 rule (27 648 points), up to 256 spheres of the order-4 one
+#: values per integrand call, and the most nodes of a zonal rule
 _MAX_POINTS = 32768
 
-#: the angular orders of the graded energy integrals
-_ORDERS = (4, 6, 8, 12, 16, 20, 24)
-
-#: order n resolves a sphere when (2 * 24)^3 rho^-2n <= 1e-16
-_LOG_RATIO = float(np.log(48.0 ** 3 * 1e16))
+#: a zonal rule of order n resolves a sphere when (2n)^3 rho^-2n <= 1e-16
+_LOG_TOL = float(np.log(1e16))
 
 
-def integrate_r4(f, grid, rule, coarser=None):
+def integrate_r4(f, grid, rule):
     """Integral over R^4, in polar coordinates r omega, of f.
 
     f(r, omega) takes B radii as a (B, 1) array and the N unit points of
-    one sphere rule as an (N, 4) array, and returns the (B, N) values at the
+    ``rule`` as an (N, 4) array, and returns the (B, N) values at the
     points r omega. An integrand about a point c evaluates there at
     c + r[..., None] * omega. The integrand is taken to decay like r^-8
     beyond ``grid.rmax``, so the tail int_rmax^inf r^3 (rmax/r)^8 dr =
-    rmax^4/4 is one more radius at rmax.
-
-    Every sphere uses ``rule`` unless ``coarser`` is given: it maps the
-    radii (the grid nodes, then the tail radius) to one entry per radius,
-    the rule for that sphere or None for ``rule``.
+    rmax^4/4 is one more radius at rmax. Each call of f takes at most
+    ``_MAX_POINTS`` values, or one sphere.
     """
     radii = np.append(grid.nodes, grid.rmax)
     mass = np.append(grid.weights * grid.nodes ** 3, grid.rmax ** 4 / 4.0)
-    rules = [rule] * len(radii) if coarser is None else [
-        rule if c is None else c for c in coarser(radii)]
-    # blocks of consecutive radii on one rule, at most _MAX_POINTS values each
-    edges = [0] + [i for i in range(1, len(radii)) if rules[i] is not rules[i - 1]] + [len(radii)]
+    step = max(1, _MAX_POINTS // len(rule.weights))
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        rl = rules[a]
-        step = max(1, _MAX_POINTS // len(rl.weights))
-        for s in range(a, b, step):
-            r = radii[s:min(s + step, b), None]
-            vals = np.asarray(f(r, rl.points), dtype=float)
-            bad = ~np.isfinite(vals)
-            if np.any(bad):
-                raise ValueError(f"non-finite integrand sample at r = {r[bad.any(-1)][0, 0]}")
-            total += float(np.dot(mass[s:s + len(r)], vals @ rl.weights))
+    for s in range(0, len(radii), step):
+        r = radii[s:s + step, None]
+        vals = np.asarray(f(r, rule.points), dtype=float)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise ValueError(f"non-finite integrand sample at r = {r[bad.any(-1)][0, 0]}")
+        total += float(np.dot(mass[s:s + len(r)], vals @ rule.weights))
     return total
 
 
@@ -148,17 +128,20 @@ def ym_energy(p, grid=None, about=None):
     Default path: the ``RAY`` rule about the instanton center, where the
     norm of every curvature part is radial for this family, with |F|^2
     evaluated from the curvature matrices. With ``about`` the integral is
-    taken about that point by sphere rules with the norm law as integrand,
+    taken about that point by a zonal rule with the norm law as integrand,
     exercising conformal invariance nontrivially when ``about`` is not the
     instanton center. There |x - center|^2 is s = r^2 + d^2 - 2 r (omega . e),
     e = center - about, d = |e|: its rounding is small against scale^2 + s.
 
-    The angular order is graded by radius. On the sphere of radius r the
-    integrand is (1 - q t)^-4 in t = cos(angle to e), with
-    q = 2 r d / (scale^2 + r^2 + d^2) < 1. Its harmonic coefficients decay
-    like k^3 rho^-k, rho = (1 + sqrt(1 - q^2))/q, and order n is exact to
-    degree 2n - 1: each sphere takes the least n in ``_ORDERS`` with
-    (2 * 24)^3 rho^-2n <= 1e-16, else 24. The rules are built per call.
+    The integrand is zonal about e: on the sphere of radius r it is
+    (1 - q t)^-4 in t = cos(angle to e), with
+    q = 2 r d / (scale^2 + r^2 + d^2) < 1. Its zonal harmonic coefficients
+    decay like k^3 rho^-k, rho = (1 + sqrt(1 - q^2))/q, and the zonal rule
+    of order n is exact to degree 2n - 1. One rule serves every sphere: rho
+    is least at r^2 = scale^2 + d^2, where log rho = asinh(scale / d), and n
+    is the least order with (2n)^3 rho^-2n <= 1e-16 there. At d = 0 the
+    integrand is constant on every sphere and n = 1. An order above
+    ``_MAX_POINTS`` (d / scale beyond about 935) raises ``ValueError``.
     """
     grid = grid or RadialGrid.make()
     if about is None:
@@ -166,17 +149,12 @@ def ym_energy(p, grid=None, about=None):
             p, p.center_array + r[..., None] * w)), grid, RAY)
     e = p.center_array - np.asarray(about, dtype=float)
     d2 = float(e @ e)
-    rules = {n: SphereRule.make(n) for n in _ORDERS}
-
-    def graded(radii):
-        q = 2.0 * radii * np.sqrt(d2) / (p.scale ** 2 + radii ** 2 + d2)
-        with np.errstate(divide='ignore'):
-            log_rho = np.log((1.0 + np.sqrt(1.0 - q ** 2)) / q)
-        return [next((rules[n] for n in rules if 2 * n * lr >= _LOG_RATIO), None)
-                for lr in log_rho]
-
+    d = np.sqrt(d2)
+    axis, log_rho = (e / d, np.arcsinh(p.scale / d)) if d else (np.eye(4)[0], np.inf)
+    n = next((n for n in range(1, _MAX_POINTS + 1)
+              if 2 * n * log_rho >= 3 * np.log(2 * n) + _LOG_TOL), _MAX_POINTS + 1)
     return integrate_r4(lambda r, w: instanton.norm_law(p, r * r + d2 - 2.0 * r * (w @ e)),
-                        grid, rules[24], graded)
+                        grid, SphereRule.zonal(axis, n))
 
 
 def l2_sd_norms(p, grid=None):

@@ -233,7 +233,7 @@ def _check(name, residual, tolerance):
     return Check(name, bool(residual <= tolerance), residual, float(tolerance))
 
 
-def _sample_points(rng, count, radius=2.5, min_radius=0.0):
+def _sample_points(rng, count, radius, min_radius=0.0):
     x = rng.standard_normal((count, 4))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     r = min_radius + (radius - min_radius) * rng.random(count)
@@ -355,13 +355,14 @@ def _suite_gamma_constants(cfg):
 def _suite_energy(cfg):
     grid = cfg.grid()
     checks = []
-    e_std = quad4.ym_energy(instanton.STANDARD, grid)
-    checks.append(_check("energy-standard", abs(e_std - quad4.EPI2_16) / quad4.EPI2_16, 1e-8))
-    energies = [quad4.ym_energy(instanton.InstantonParams(s), grid)
-                for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    spread = (max(energies) - min(energies)) / quad4.EPI2_16
+    # the scale-1.0 member is the standard instanton
+    energies = {s: quad4.ym_energy(instanton.InstantonParams(s), grid)
+                for s in (0.25, 0.5, 1.0, 2.0, 4.0)}
+    checks.append(_check("energy-standard",
+                         abs(energies[1.0] - quad4.EPI2_16) / quad4.EPI2_16, 1e-8))
+    spread = (max(energies.values()) - min(energies.values())) / quad4.EPI2_16
     checks.append(_check("energy-dilation-invariance", spread, 1e-6))
-    # one center on the sphere rule's polar axis, one off every axis
+    # one center on a coordinate axis, one off every axis
     for scale, center in ((1.0, (0.6, 0.0, 0.0, 0.0)), (0.5, (0.3, 0.3, 0.3, 0.3))):
         e = quad4.ym_energy(instanton.InstantonParams(scale, center), grid, about=np.zeros(4))
         checks.append(_check(f"energy-shift-{scale}", abs(e - quad4.EPI2_16) / quad4.EPI2_16, 1e-6))

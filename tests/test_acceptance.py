@@ -169,7 +169,8 @@ def test_criterion_11_covariance():
 
 
 def test_criterion_12_yamabe_quotient():
-    at_one = conformal.yamabe_quotient(1.0)
+    prob = conformal.round_problem(conformal.ROUND_SCALAR_CURVATURE, 20000)
+    at_one = conformal.yamabe_quotient(1.0, prob)
     err = abs(at_one - conformal.YAMABE_S4)
     rng = np.random.default_rng(6)
     rho, _ = conformal.cell_grid(20000)
@@ -178,7 +179,7 @@ def test_criterion_12_yamabe_quotient():
         amps = rng.uniform(-1, 1, 3)
         amps *= rng.uniform(0.05, 0.4) / np.sum(np.abs(amps))
         u = 1.0 + sum(a * np.cos((k + 1) * rho) for k, a in enumerate(amps))
-        min_q = min(min_q, conformal.yamabe_quotient(u))
+        min_q = min(min_q, conformal.yamabe_quotient(u, prob))
     ok = err < 1e-8 and min_q >= conformal.YAMABE_S4 - 1e-6
     _verdict(12, "Yamabe quotient", ok,
              f"constant-u err {err:.2e}, family min-excess {min_q-conformal.YAMABE_S4:.2e}")

@@ -12,6 +12,11 @@ from ymgap import conformal, liealg
 Y = conformal.YAMABE_S4
 
 
+def _round_problem():
+    """The round problem with Phi = 12 that the Yamabe quotients live on."""
+    return conformal.round_problem(conformal.ROUND_SCALAR_CURVATURE, 20000)
+
+
 def test_round_constants():
     assert conformal.ROUND_SCALAR_CURVATURE == 12.0
     assert abs(conformal.ROUND_VOLUME - 8 * np.pi ** 2 / 3) < 1e-14
@@ -239,21 +244,24 @@ def test_transform_problem_validation():
 
 
 def test_yamabe_quotient_round_and_scaling():
-    assert abs(conformal.yamabe_quotient(1.0) - Y) < 1e-8
-    assert abs(conformal.yamabe_quotient(3.0) - Y) < 1e-8
-    val = conformal.yamabe_quotient(lambda r: 1 + 0.5 * np.cos(r))
+    prob = _round_problem()
+    assert abs(conformal.yamabe_quotient(1.0, prob) - Y) < 1e-8
+    assert abs(conformal.yamabe_quotient(3.0, prob) - Y) < 1e-8
+    val = conformal.yamabe_quotient(lambda r: 1 + 0.5 * np.cos(r), prob)
     assert val > Y
     with pytest.raises(ValueError):
-        conformal.yamabe_quotient(lambda r: np.cos(r))
+        conformal.yamabe_quotient(lambda r: np.cos(r), prob)
 
 
 def test_yamabe_quotient_dilation_family():
+    prob = _round_problem()
     for lam in (1.5, 2.0):
-        val = conformal.yamabe_quotient(conformal.dilation_factor(lam))
+        val = conformal.yamabe_quotient(conformal.dilation_factor(lam), prob)
         assert abs(val - Y) < 1e-6
 
 
 def test_yamabe_quotient_random_family_floor():
+    prob = _round_problem()
     rng = np.random.default_rng(11)
     rho, _ = conformal.cell_grid(20000)
     min_q = np.inf
@@ -261,7 +269,7 @@ def test_yamabe_quotient_random_family_floor():
         amps = rng.uniform(-1, 1, 3)
         amps *= rng.uniform(0.05, 0.4) / np.sum(np.abs(amps))
         u = 1.0 + sum(a * np.cos((k + 1) * rho) for k, a in enumerate(amps))
-        min_q = min(min_q, conformal.yamabe_quotient(u))
+        min_q = min(min_q, conformal.yamabe_quotient(u, prob))
     assert min_q >= Y - 1e-6
 
 

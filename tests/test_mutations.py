@@ -66,19 +66,18 @@ def _regridded(change):
     def mutate(monkeypatch):
         integrate_r4 = quad4.integrate_r4
         monkeypatch.setattr(quad4, "integrate_r4",
-                            lambda f, grid, rule, coarser=None:
-                            integrate_r4(f, change(grid), rule, coarser))
+                            lambda f, grid, rule: integrate_r4(f, change(grid), rule))
     return mutate
 
 
 def _scaled_sphere_weights(monkeypatch):
-    make = quad4.SphereRule.make
+    zonal = quad4.SphereRule.zonal
 
-    def scaled(n=24):
-        rule = make(n)
+    def scaled(axis, n):
+        rule = zonal(axis, n)
         return dataclasses.replace(rule, weights=(1 + 1e-5) * rule.weights)
 
-    monkeypatch.setattr(quad4.SphereRule, "make", scaled)
+    monkeypatch.setattr(quad4.SphereRule, "zonal", scaled)
 
 
 def _scaled_sd_norms(monkeypatch):

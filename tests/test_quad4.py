@@ -4,6 +4,7 @@ from math import gamma
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from ymgap import instanton, liealg, quad4, report
 
@@ -49,12 +50,51 @@ def test_radial_grid_weights_reach_rmax():
         quad4.RadialGrid.make(panels=1)
 
 
+def _product_rule(n):
+    """The independent full-S^3 oracle: the product rule of order n.
+
+    Gauss-Chebyshev of the second kind in cos psi (nodes k pi / (n + 1),
+    weights pi / (n + 1) sin^2 psi), Gauss-Legendre in cos theta and 2n
+    uniform azimuths; 2n^3 points, exact to degree 2n - 1.
+    """
+    psi = np.arange(1, n + 1) * np.pi / (n + 1)
+    cp, sp = np.cos(psi), np.sin(psi)
+    wpsi = np.pi / (n + 1) * sp ** 2
+    ct, wtheta = leggauss(n)
+    st = np.sqrt(1.0 - ct ** 2)
+    m = 2 * n
+    phi = np.arange(m) * 2.0 * np.pi / m
+    pts = np.empty((4, n, n, m))
+    pts[0] = cp[:, None, None]
+    pts[1] = (sp[:, None] * ct[None, :])[..., None]
+    pts[2] = sp[:, None, None] * st[None, :, None] * np.cos(phi)
+    pts[3] = sp[:, None, None] * st[None, :, None] * np.sin(phi)
+    w = wpsi[:, None, None] * wtheta[None, :, None] * np.full(m, 2.0 * np.pi / m)
+    return quad4.SphereRule(pts.reshape(4, -1).T, w.reshape(-1))
+
+
 def test_sphere_rule_moments():
+    # the integral of (omega . e)^(2k) over S^3 is 2 Gamma(k + 1/2) Gamma(1/2)^3 / Gamma(k + 2)
+    for axis in (np.eye(4)[0], np.full(4, 0.5),
+                 np.random.default_rng(0).standard_normal(4)):
+        axis = axis / np.linalg.norm(axis)
+        for n in (1, 2, 5, 19, 32, 64):
+            rule = quad4.SphereRule.zonal(axis, n)
+            assert rule.points.shape == (n, 4)
+            assert abs(rule.weights.sum() - 2 * np.pi ** 2) < 1e-13, n
+            assert np.max(np.abs(np.linalg.norm(rule.points, axis=1) - 1.0)) < 1e-14
+            t = rule.points @ axis
+            for k in range(n):
+                exact = 2 * gamma(k + 0.5) * gamma(0.5) ** 3 / gamma(k + 2)
+                assert abs(rule.weights @ t ** (2 * k) / exact - 1.0) < 1e-13, (n, k)
+
+
+def test_product_rule_moments():
     # on S^3 an even monomial of degree 2k is one of degree 2k + 2 times
     # |x|^2 = 1, so exactness at the top even degree 2n - 2 covers all below;
     # x^(2a) integrates to 2 prod Gamma(a_i + 1/2) / Gamma(|a| + 2)
-    for n in quad4._ORDERS:
-        rule = quad4.SphereRule.make(n)
+    for n in (4, 6, 8, 12, 16, 20, 24):
+        rule = _product_rule(n)
         assert abs(rule.weights.sum() - 2 * np.pi ** 2) < 1e-14, n
         assert np.max(np.abs(np.linalg.norm(rule.points, axis=1) - 1.0)) < 1e-14
         powers = rule.points.T[:, None, :] ** (2 * np.arange(n))[:, None]
@@ -67,6 +107,14 @@ def test_sphere_rule_moments():
                           @ (rule.weights * powers[0, a0] * powers[1, a1]))
                 exact = 2 * g[a0] * g[a1] * g[a2] * g[a3] / gamma(n + 1)
                 assert np.max(np.abs(values / exact - 1.0)) < 1e-13, (n, a0, a1)
+
+
+def test_zonal_rule_refuses_more_than_max_points():
+    with pytest.raises(ValueError):
+        quad4.SphereRule.zonal(np.eye(4)[0], quad4._MAX_POINTS + 1)
+    # d / scale = 1000 needs more nodes than one integrand call takes
+    with pytest.raises(ValueError):
+        quad4.ym_energy(instanton.InstantonParams(1e-3, (1.0, 0, 0, 0)), about=np.zeros(4))
 
 
 def test_energy_standard_and_grid_refinement():
@@ -96,23 +144,30 @@ def test_energy_radial_vs_angular_consistency():
     p = instanton.InstantonParams(0.7, (0.4, 0, -0.2, 0))
     grid = quad4.RadialGrid.make(panels=20, order=20)
     e_rad = quad4.ym_energy(p, grid)
-    e_ang = quad4.ym_energy(p, grid, about=p.center)  # d = 0: order 4 on every sphere
+    e_ang = quad4.ym_energy(p, grid, about=p.center)  # d = 0: one node on every sphere
     assert abs(e_rad - e_ang) / E16 < 1e-10
+
+
+# d / scale = 4.7: the order-24 product rule misses 16 pi^2 here by 1.3e-3
+FAR_PAIR = (0.25, (1.0, -0.5, 0.3, 0.2))
 
 
 @pytest.mark.parametrize("scale, center", [
     (1.0, (0.6, 0, 0, 0)), (0.5, (0.6, 0, 0, 0)), (0.5, (0.3, 0.3, 0.3, 0.3)),
     (1.0, (0.3, 0.3, 0.3, 0.3)), (4.0, (2.0, 0, 1.0, 0)), (0.25, (0.1, 0, 0, 0)),
-    (0.25, (1.0, -0.5, 0.3, 0.2)), (2.0, (0, 1.2, -1.2, 0.8)),
+    FAR_PAIR, (2.0, (0, 1.2, -1.2, 0.8)),
 ])
 def test_graded_angular_order_matches_uniform_rule(scale, center):
-    # the oracle: the order-24 rule on every sphere, on the same radii
+    # the zonal rule against 16 pi^2 and, where it converges, against the
+    # oracle: the order-24 product rule on every sphere, on the same radii
     p = instanton.InstantonParams(scale, center)
     grid = quad4.RadialGrid.make(panels=20, order=20)
-    uniform = quad4.integrate_r4(lambda r, w: instanton.curvature_norm_sq(p, r[..., None] * w),
-                                 grid, quad4.SphereRule.make(24))
-    graded = quad4.ym_energy(p, grid, about=(0.0, 0.0, 0.0, 0.0))
-    assert abs(graded - uniform) / uniform < 1e-12
+    zonal = quad4.ym_energy(p, grid, about=(0.0, 0.0, 0.0, 0.0))
+    assert abs(zonal - E16) / E16 < 1e-12
+    if (scale, center) != FAR_PAIR:
+        product = quad4.integrate_r4(
+            lambda r, w: instanton.curvature_norm_sq(p, r[..., None] * w), grid, _product_rule(24))
+        assert abs(zonal - product) / product < 1e-12
 
 
 def _off_center_integrand(monkeypatch, p, about):
@@ -131,7 +186,7 @@ def test_law_of_cosines_integrand_matches_norm_law(monkeypatch, scale, center):
     p = instanton.InstantonParams(scale, center)
     about = np.array([0.1, 0.0, -0.2, 0.05])
     f = _off_center_integrand(monkeypatch, p, about)
-    w = quad4.SphereRule.make(24).points
+    w = _product_rule(24).points
     d = np.linalg.norm(p.center_array - about)
     # spheres through, inside and outside the center, and far out
     r = np.array([[0.5 * d], [d], [d + 0.3 * scale], [3.0], [400.0]])
@@ -140,16 +195,16 @@ def test_law_of_cosines_integrand_matches_norm_law(monkeypatch, scale, center):
 
 
 def test_energy_shift_integrals_stay_graded(monkeypatch):
-    # the uniform order-24 rule gives each 577 x 27 648 = 15.95 M points
+    # the order-24 product rule gives each 577 x 27 648 = 15.95 M points
     seen = []
     integrate_r4, ym_energy = quad4.integrate_r4, quad4.ym_energy
 
-    def counted(f, grid, rule, *args):
+    def counted(f, grid, rule):
         def values(r, w):
             out = f(r, w)
             seen[-1] += out.size
             return out
-        return integrate_r4(f if rule is quad4.RAY else values, grid, rule, *args)
+        return integrate_r4(f if rule is quad4.RAY else values, grid, rule)
 
     def recorded(*args, **kwargs):
         seen.append(0)
@@ -159,7 +214,7 @@ def test_energy_shift_integrals_stay_graded(monkeypatch):
     monkeypatch.setattr(quad4, "ym_energy", recorded)
     assert report.run_suite("energy").passed
     shifts = [n for n in seen if n]      # values of the off-center integrands only
-    assert len(shifts) == 2 and max(shifts) <= 5_000_000
+    assert len(shifts) == 2 and max(shifts) <= 50_000
 
 
 def test_tail_estimate_vs_extended_grid():
