@@ -52,7 +52,6 @@ def _common_flags(suppress):
     flag('--center', (0.0, 0.0, 0.0, 0.0), type=_parse_center,
          help='instanton center x1,x2,x3,x4; a negative first value needs the '
               '--center=-1,0,0,0 form')
-    flag('--grid-panels', 24, dest='panels', type=int)
     flag('--rmax', 1000.0, type=float)
     flag('--seed', 0, type=int)
     flag('--tol', 1e-6, type=float)

@@ -72,8 +72,8 @@ class InstantonParams:
     center: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 1e-20 <= self.scale <= 1e20:        # beyond, the suites' arithmetic overflows
+            raise ValueError(f"scale must be in [1e-20, 1e20]; got {self.scale!r}")
         c = np.asarray(self.center, dtype=float)
         if c.shape != (4,):
             raise ValueError("center must be a point in R^4")

@@ -24,9 +24,8 @@ from . import instanton, liealg
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
 EPI2_16 = 16.0 * np.pi ** 2
-#: largest rmax: on 24 panels every energy check keeps >= 100x headroom up
-#: to about 2e23; from about 1e30 the panels no longer resolve the profile
-RMAX_LIMIT = 1e20
+#: largest rmax: beyond it the norm law's (scale^2 + s)^4 overflows at the tail
+RMAX_LIMIT = 1e38
 
 
 @dataclass(frozen=True)
@@ -44,19 +43,28 @@ class RadialGrid:
             raise ValueError("nodes must be strictly increasing")
 
     @classmethod
-    def make(cls, rmax=1000.0, panels=24, order=24):
+    def make(cls, rmax=1000.0, scale=1.0, panels=None, order=24):
         """Geometrically graded panels accumulate near the origin where the
         instanton profile varies; accuracy is spectral per panel. The first
-        panel is [0, 0.25]."""
-        if panels < 2 or order < 2:
-            raise ValueError("need at least two panels (one ends at 0.25) and order >= 2")
+        panel is [0, 0.25 min(1, scale)], in the units of an instanton of
+        that scale; ``panels`` defaults to ``panel_count(rmax, scale)``."""
         if not 0.25 < rmax <= RMAX_LIMIT:
-            raise ValueError(f"rmax must exceed 0.25, where the first panel ends, and be at "
-                             f"most {RMAX_LIMIT:g}; got {rmax!r}")
-        edges = np.concatenate([[0.0], np.geomspace(0.25, rmax, panels)])
+            raise ValueError(f"rmax must exceed 0.25 and be at most {RMAX_LIMIT:g}, beyond which "
+                             f"the norm law overflows; got {rmax!r}")
+        panels = panel_count(rmax, scale) if panels is None else panels
+        if panels < 2 or order < 2:
+            raise ValueError("need at least two panels and order >= 2")
+        edges = np.concatenate([[0.0], np.geomspace(0.25 * min(1.0, scale), rmax, panels)])
         a, h = edges[:-1, None], np.diff(edges)[:, None]
         xs, ws = leggauss(order)
         return cls((0.5 * (xs + 1.0) * h + a).ravel(), (0.5 * h * ws).ravel(), float(rmax))
+
+
+def panel_count(rmax, scale=1.0):
+    """The grid rule: the least panel count whose edge ratio
+    (rmax / a)^(1 / (panels - 1)), a = 0.25 min(1, scale) the first edge, is
+    at most 4000^(1/23), the ratio of 24 panels on [0.25, 1000]."""
+    return 1 + int(np.ceil(23.0 * (np.log(rmax / (0.25 * min(1.0, scale))) / np.log(4000.0))))
 
 
 @dataclass(frozen=True)
@@ -140,19 +148,23 @@ def ym_energy(p, grid=None, about=None):
     of order n is exact to degree 2n - 1. One rule serves every sphere: rho
     is least at r^2 = scale^2 + d^2, where log rho = asinh(scale / d), and n
     is the least order with (2n)^3 rho^-2n <= 1e-16 there. At d = 0 the
-    integrand is constant on every sphere and n = 1. An order above
-    ``_MAX_POINTS`` (d / scale beyond about 935) raises ``ValueError``.
+    integrand is constant on every sphere and n = 1. The radial panels are
+    graded from ``about``, so they resolve the bump of width scale at radius
+    d only up to d = 10 scale (n = 280; within 1e-9 on the grid for that
+    scale); a farther center raises ``ValueError``.
     """
-    grid = grid or RadialGrid.make()
+    grid = grid or RadialGrid.make(scale=p.scale)
     if about is None:
         return integrate_r4(lambda r, w: liealg.lv_norm_sq(instanton.curvature_closed_at(
             p, p.center_array + r[..., None] * w)), grid, RAY)
     e = p.center_array - np.asarray(about, dtype=float)
     d2 = float(e @ e)
     d = np.sqrt(d2)
+    if d > 10.0 * p.scale:
+        raise ValueError(f"the center is {d / p.scale:g} scales from about; the grid resolves 10")
     axis, log_rho = (e / d, np.arcsinh(p.scale / d)) if d else (np.eye(4)[0], np.inf)
-    n = next((n for n in range(1, _MAX_POINTS + 1)
-              if 2 * n * log_rho >= 3 * np.log(2 * n) + _LOG_TOL), _MAX_POINTS + 1)
+    n = next(n for n in range(1, _MAX_POINTS + 1)
+             if 2 * n * log_rho >= 3 * np.log(2 * n) + _LOG_TOL)
     return integrate_r4(lambda r, w: instanton.norm_law(p, r * r + d2 - 2.0 * r * (w @ e)),
                         grid, SphereRule.zonal(axis, n))
 
@@ -160,7 +172,7 @@ def ym_energy(p, grid=None, about=None):
 def l2_sd_norms(p, grid=None):
     """(‖F+‖_L2, ‖F-‖_L2) by the ``RAY`` rule about the instanton center;
     the squares sum to the energy on the same grid."""
-    grid = grid or RadialGrid.make()
+    grid = grid or RadialGrid.make(scale=p.scale)
 
     def plus_sq(r, w):
         return liealg.lv_norm_sq(liealg.lv_self_dual(
@@ -185,11 +197,12 @@ def chern_weil_kappa(plus, minus):
 
 
 def energy_convergence_table(p, panel_counts, rmax=1000.0):
-    """Energy vs panel count, for grid-refinement audits."""
+    """Energy vs panel count on grids for the scale of ``p``, for
+    grid-refinement audits."""
     rows = []
     prev = None
     for panels in panel_counts:
-        e = ym_energy(p, RadialGrid.make(rmax=rmax, panels=panels))
+        e = ym_energy(p, RadialGrid.make(rmax=rmax, scale=p.scale, panels=panels))
         rows.append({'panels': panels, 'energy': e,
                      'delta_prev': None if prev is None else e - prev,
                      'rel_err_16pi2': (e - EPI2_16) / EPI2_16})

@@ -36,8 +36,7 @@ class GapConfig:
     group: str = "su2"                      # su2 | so3; only thresholds reads it
     scale: float = 1.0
     center: tuple = (0.0, 0.0, 0.0, 0.0)
-    panels: int = 24
-    rmax: float = 1000.0
+    rmax: float = 1000.0                    # the grid's panels follow from rmax and scale
     seed: int = 0
     tol: float = 1e-6                       # relative equality-verdict tolerance
     kappa: float = 1.0                      # |kappa| of the bundle, for thresholds
@@ -60,12 +59,19 @@ class GapConfig:
             self.grid()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        self.thresholds()
+        if self.energy is not None:
+            flow_admissible(self.energy)
 
     def instanton_params(self):
         return instanton.InstantonParams(self.scale, tuple(self.center))
 
     def grid(self):
-        return quad4.RadialGrid.make(rmax=self.rmax, panels=self.panels)
+        return quad4.RadialGrid.make(rmax=self.rmax, scale=self.scale)
+
+    def thresholds(self):
+        gamma1 = {"su2": liealg.GAMMA1_SU2, "so3": liealg.GAMMA1_SO3}[self.group]
+        return corollary_thresholds(self.kappa, conformal.YAMABE_S4, gamma1)
 
     def to_dict(self):
         d = asdict(self)
@@ -366,8 +372,8 @@ def _suite_energy(cfg):
     for scale, center in ((1.0, (0.6, 0.0, 0.0, 0.0)), (0.5, (0.3, 0.3, 0.3, 0.3))):
         e = quad4.ym_energy(instanton.InstantonParams(scale, center), grid, about=np.zeros(4))
         checks.append(_check(f"energy-shift-{scale}", abs(e - quad4.EPI2_16) / quad4.EPI2_16, 1e-6))
-    table = quad4.energy_convergence_table(cfg.instanton_params(),
-                                           sorted({8, 12, 16, 24, cfg.panels}), rmax=cfg.rmax)
+    counts = sorted({8, 12, 16, 24, quad4.panel_count(cfg.rmax, cfg.scale)})
+    table = quad4.energy_convergence_table(cfg.instanton_params(), counts, rmax=cfg.rmax)
     return checks, {'energy_convergence': table}
 
 
@@ -447,8 +453,7 @@ def _suite_gap(cfg):
 
 
 def _suite_thresholds(cfg):
-    gamma1 = {"su2": liealg.GAMMA1_SU2, "so3": liealg.GAMMA1_SO3}[cfg.group]
-    thr = corollary_thresholds(cfg.kappa, conformal.YAMABE_S4, gamma1)
+    thr = cfg.thresholds()
     # the values the paper prints, 48 pi^2 (su2) and 80 pi^2 (so3) at |kappa| = 1
     printed = 16.0 * np.pi ** 2 * cfg.kappa + {'su2': 32.0, 'so3': 64.0}[cfg.group] * np.pi ** 2
     checks = [_check("general-vs-weak", max(0.0, thr.weak_universal - thr.general), 1e-9),

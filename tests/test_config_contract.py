@@ -26,7 +26,6 @@ INVALID = {
     'group': ['--group=e8', '--group=SU2'],
     'scale': ['--lambda=0', '--lambda=-1', '--lambda=nan', '--lambda=inf'],
     'center': ['--center=0,nan,0,0', '--center=-inf,0,0,0'],
-    'panels': ['--grid-panels=1', '--grid-panels=-3'],
     'rmax': ['--rmax=0.25', '--rmax=-1', '--rmax=nan', '--rmax=inf'],
     'seed': ['--seed=-1'],
     'tol': ['--tol=0', '--tol=-1e-6', '--tol=nan', '--tol=inf'],
@@ -52,7 +51,6 @@ def _valid_flags(rng):
         'group': [f"--group={rng.choice(['su2', 'so3'])}"],
         'scale': [f"--lambda={_log_uniform(rng, 1e-3, 1e3)!r}"],
         'center': [f"--center={center}"],
-        'panels': [f"--grid-panels={rng.integers(2, 41)}"],
         'rmax': [f"--rmax={_log_uniform(rng, 0.3, 1e4)!r}"],
         'seed': [f"--seed={rng.integers(0, 2 ** 31)}"],
         'tol': [f"--tol={_log_uniform(rng, 1e-12, 1.0)!r}"],

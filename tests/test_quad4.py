@@ -112,9 +112,16 @@ def test_product_rule_moments():
 def test_zonal_rule_refuses_more_than_max_points():
     with pytest.raises(ValueError):
         quad4.SphereRule.zonal(np.eye(4)[0], quad4._MAX_POINTS + 1)
-    # d / scale = 1000 needs more nodes than one integrand call takes
-    with pytest.raises(ValueError):
-        quad4.ym_energy(instanton.InstantonParams(1e-3, (1.0, 0, 0, 0)), about=np.zeros(4))
+
+
+def test_far_center_is_refused():
+    # the radial panels graded from `about` resolve a center up to 10 scales
+    # away: 4.2e-10 here, and at most 9e-10 for scales 1e-3 to 10
+    e = quad4.ym_energy(instanton.InstantonParams(0.1, (1.0, 0, 0, 0)), about=np.zeros(4))
+    assert abs(e - E16) / E16 < 1e-9
+    for scale in (0.099, 1e-3):
+        with pytest.raises(ValueError, match="scales from about"):
+            quad4.ym_energy(instanton.InstantonParams(scale, (1.0, 0, 0, 0)), about=np.zeros(4))
 
 
 def test_energy_standard_and_grid_refinement():

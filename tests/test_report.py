@@ -276,16 +276,30 @@ def test_cli_flow_check_verdicts(flags, admissible, capsys):
 
 @pytest.mark.parametrize("flags, cfg", [
     ([], report.GapConfig()),
-    (["--lambda", "0.5", "--center=1,0,0,0", "--grid-panels", "10"],
-     report.GapConfig(scale=0.5, center=(1.0, 0.0, 0.0, 0.0), panels=10))])
+    (["--lambda", "0.5", "--center=1,0,0,0", "--rmax", "1e4"],
+     report.GapConfig(scale=0.5, center=(1.0, 0.0, 0.0, 0.0), rmax=1e4))])
 def test_cli_energy_reports_convergence_table(flags, cfg, capsys):
     assert cli.main(["--format", "json", *flags, "energy"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"] == cfg.to_dict()
     rows = doc["energy_convergence"]
-    assert [row["panels"] for row in rows] == sorted({8, 12, 16, 24, cfg.panels})
-    row = next(row for row in rows if row["panels"] == cfg.panels)
+    panels = quad4.panel_count(cfg.rmax, cfg.scale)
+    assert [row["panels"] for row in rows] == sorted({8, 12, 16, 24, panels})
+    row = next(row for row in rows if row["panels"] == panels)
     assert row["energy"] == quad4.ym_energy(cfg.instanton_params(), cfg.grid())
+
+
+def test_grid_rule_resolves_every_scale_and_rmax():
+    # the default is the 24-panel grid, node for node
+    rule, fixed = report.GapConfig().grid(), quad4.RadialGrid.make(panels=24)
+    assert np.array_equal(rule.nodes, fixed.nodes) and np.array_equal(rule.weights, fixed.weights)
+    # the first panel ends at 0.25 scale and the panels grow with rmax, so
+    # narrow members and long grids keep the grid checks
+    for scale, rmax in ((0.02, 1000.0), (0.005, 1e38), (20.0, 1e20)):
+        cfg = report.GapConfig(scale=scale, rmax=rmax)
+        for name in ("energy", "chern-weil", "gap", "flow-check"):
+            result = report.run_suite(name, cfg)
+            assert result.passed, (scale, rmax, [c for c in result.checks if not c.passed])
 
 
 def test_cli_eigen_and_center_flags(capsys):
@@ -325,13 +339,14 @@ def test_cli_non_finite_input_is_config_error(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["--lambda", "-1", "gap"],
     ["--lambda", "0", "gap"],
-    ["--grid-panels", "0", "energy"],
+    ["--lambda", "1e-30", "gap"],            # the suites' arithmetic would overflow
+    ["thresholds", "--kappa", "-1"],
     ["--rmax", "0.1", "energy"],
     ["--tol", "-1", "gap"],
     ["--tol", "0", "gap"],
-    ["--grid-panels", "1", "energy"],
+    ["flow-check", "--energy", "-1"],
     ["--rmax", "1e80", "gap"],               # the tail mass rmax^4/4 would overflow
-    ["--rmax", "1e30", "energy"],            # 24 panels no longer resolve the profile
+    ["--rmax", "1e39", "energy"],            # the norm law's (scale^2 + s)^4 would overflow
     ["thresholds", "--kappa", "1e308"],      # the thresholds overflow
     ["--out", "{missing}/report.json", "eigen"],
 ])
@@ -344,9 +359,10 @@ def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("kwargs", [{"scale": -1.0}, {"panels": 0}, {"rmax": 0.1},
+@pytest.mark.parametrize("kwargs", [{"scale": -1.0}, {"rmax": 1e39}, {"rmax": 0.1},
                                     {"tol": 0.0}, {"tol": -1e-6},
-                                    {"center": (1.0, 2.0)}, {"panels": 1}])
+                                    {"center": (1.0, 2.0)}, {"kappa": -1.0},
+                                    {"energy": -1.0}, {"kappa": 1e307}])
 def test_gap_config_rejects_what_lower_layers_reject(kwargs):
     with pytest.raises(report.ConfigError):
         report.GapConfig(**kwargs)
