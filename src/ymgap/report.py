@@ -36,14 +36,13 @@ class GapConfig:
     group: str = "su2"                      # su2 | so3; only thresholds reads it
     scale: float = 1.0
     center: tuple = (0.0, 0.0, 0.0, 0.0)
-    rmax: float = 1000.0                    # the grid's panels follow from rmax and scale
     seed: int = 0
     tol: float = 1e-6                       # relative equality-verdict tolerance
     kappa: float = 1.0                      # |kappa| of the bundle, for thresholds
     energy: float | None = None             # flow-check energy; None: the instanton's
 
     def __post_init__(self):
-        for name in ("scale", "center", "rmax", "tol", "kappa", "energy"):
+        for name in ("scale", "center", "tol", "kappa", "energy"):
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -53,10 +52,9 @@ class GapConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
-        # the instanton, the grid, the thresholds and the flow predicate check the rest
+        # the instanton, the thresholds and the flow predicate check the rest
         try:
             self.instanton_params()
-            self.grid()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self.thresholds()
@@ -65,9 +63,6 @@ class GapConfig:
 
     def instanton_params(self):
         return instanton.InstantonParams(self.scale, tuple(self.center))
-
-    def grid(self):
-        return quad4.RadialGrid.make(rmax=self.rmax, scale=self.scale)
 
     def thresholds(self):
         gamma1 = {"su2": liealg.GAMMA1_SU2, "so3": liealg.GAMMA1_SO3}[self.group]
@@ -143,7 +138,7 @@ def gap_report(cfg):
     pointwise identity behind the equality case, a property of the
     instanton whatever the L2 verdict."""
     params = cfg.instanton_params()
-    f_plus, _ = quad4.l2_sd_norms(params, cfg.grid())
+    f_plus, _ = quad4.l2_sd_norms(params)
     rep = gap_inequality(f_plus, liealg.GAMMA1_SU2, tol=cfg.tol)
     rep.equality_residual = _equality_identity_residual(params, rep.gamma1)
     return rep
@@ -359,7 +354,8 @@ def _suite_gamma_constants(cfg):
 
 
 def _suite_energy(cfg):
-    grid = cfg.grid()
+    # fixed members on the standard grid; only energy_convergence reads cfg
+    grid = quad4.RadialGrid.make()
     checks = []
     # the scale-1.0 member is the standard instanton
     energies = {s: quad4.ym_energy(instanton.InstantonParams(s), grid)
@@ -372,15 +368,13 @@ def _suite_energy(cfg):
     for scale, center in ((1.0, (0.6, 0.0, 0.0, 0.0)), (0.5, (0.3, 0.3, 0.3, 0.3))):
         e = quad4.ym_energy(instanton.InstantonParams(scale, center), grid, about=np.zeros(4))
         checks.append(_check(f"energy-shift-{scale}", abs(e - quad4.EPI2_16) / quad4.EPI2_16, 1e-6))
-    counts = sorted({8, 12, 16, 24, quad4.panel_count(cfg.rmax, cfg.scale)})
-    table = quad4.energy_convergence_table(cfg.instanton_params(), counts, rmax=cfg.rmax)
+    counts = sorted({8, 12, 16, 24, quad4.panel_count(cfg.scale)})
+    table = quad4.energy_convergence_table(cfg.instanton_params(), counts)
     return checks, {'energy_convergence': table}
 
 
 def _suite_chern_weil(cfg):
-    grid = cfg.grid()
-    params = cfg.instanton_params()
-    plus, minus = quad4.l2_sd_norms(params, grid)
+    plus, minus = quad4.l2_sd_norms(cfg.instanton_params())
     checks = [
         _check("kappa-bpst", abs(quad4.chern_weil_kappa(plus, minus) + 1.0), 1e-8),
         _check("asd-part-vanishes", minus, 1e-10),
@@ -465,7 +459,7 @@ def _suite_thresholds(cfg):
 def _suite_flow_check(cfg):
     # the instanton is a non-flat Yang-Mills connection, so it cannot flow to
     # flat: the gate must reject its measured energy
-    instanton_energy = quad4.ym_energy(cfg.instanton_params(), cfg.grid())
+    instanton_energy = quad4.ym_energy(cfg.instanton_params())
     checks = [_check("gate-rejects-instanton",
                      1.0 if flow_admissible(instanton_energy) else 0.0, 0.5)]
     energy, source = ((instanton_energy, 'computed') if cfg.energy is None

@@ -101,6 +101,8 @@ def test_fd_step_validation():
         instanton.curvature_fd_at(STD, np.zeros(4), h=0.0)
     with pytest.raises(ValueError):
         covariant_derivative(STD, np.zeros(4), h=-1.0)
+    with pytest.raises(ValueError):
+        instanton.bianchi_residual_at(STD, np.zeros(4), h=0.0)
 
 
 def test_covariant_derivative_vanishes_at_center():
@@ -135,6 +137,11 @@ def test_kato_floor_and_equality():
     assert worst >= -1e-8
     # this family saturates the inequality: residuals are FD noise only
     assert max(abs(instanton.kato_residual_at(STD, x)) for x in pts[:50]) < 1e-7
+    # in the units of a narrow member 2000 scales from the origin, where a
+    # difference over x +- h e_k is not 2h in floating point
+    p = instanton.InstantonParams(0.005, (10.0, 0.0, 0.0, 0.0))
+    far = instanton.kato_residual_at(p, p.center_array + p.scale * pts, h=1e-4 * p.scale)
+    assert np.min(far) * p.scale ** 6 >= -1e-8
 
 
 def test_kato_gradient_side_matches_fd():

@@ -70,6 +70,12 @@ def _regridded(change):
     return mutate
 
 
+def _tenth_grid(keep_tail):
+    """The grid scaled to a tenth of its length, its tail kept or dropped."""
+    return lambda g: quad4.RadialGrid(g.nodes / 10, g.weights / 10,
+                                      g.rmax / 10 if keep_tail else 0.0)
+
+
 def _scaled_sphere_weights(monkeypatch):
     zonal = quad4.SphereRule.zonal
 
@@ -176,11 +182,11 @@ MUTATIONS = [
          _regridded(lambda g: dataclasses.replace(g, weights=g.weights / g.nodes)),
          ["energy", "chern-weil"],
          {"energy-standard", "energy-dilation-invariance", "kappa-bpst"}),
-    # rmax = 0 gives the tail node zero mass; the tail is 3e-12 of the energy
-    # at the default rmax, so the row runs at rmax = 100, where it is 3e-8
-    _row("tail-dropped", _regridded(lambda g: dataclasses.replace(g, rmax=0.0)),
-         ["energy", "chern-weil"], {"energy-standard", "kappa-bpst"},
-         report.GapConfig(rmax=100.0)),
+    # every grid at a tenth of its length, with the tail node at rmax = 0 of
+    # zero mass: the tail is 3e-8 of the energy there (3e-12 on the standard
+    # grid); test_tail_dropped_control keeps the tail and fails nothing
+    _row("tail-dropped", _regridded(_tenth_grid(keep_tail=False)),
+         ["energy", "chern-weil"], {"energy-standard", "kappa-bpst"}),
     # relative 1e-5 against the shift checks' tolerance 1e-6
     _row("sphere-weights-x1.00001", _scaled_sphere_weights, ["energy"],
          {"energy-shift-1.0", "energy-shift-0.5"}),
@@ -243,6 +249,11 @@ def test_mutation_is_caught(monkeypatch, mutate, suites, expected, cfg):
     assert not _failed(suites, cfg)
     mutate(monkeypatch)
     assert expected <= _failed(suites, cfg)
+
+
+def test_tail_dropped_control(monkeypatch):
+    _regridded(_tenth_grid(keep_tail=True))(monkeypatch)
+    assert not _failed(["energy", "chern-weil"])
 
 
 # the pointwise suites sample in the configured instanton's units, so a

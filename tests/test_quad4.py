@@ -43,9 +43,13 @@ def test_radial_grid_validation_and_tail():
 
 def test_radial_grid_weights_reach_rmax():
     for panels in (2, 3, 24):
-        grid = quad4.RadialGrid.make(rmax=1000.0, panels=panels)
+        grid = quad4.RadialGrid.make(panels=panels)
         assert abs(grid.weights.sum() - 1000.0) < 1e-9
         assert grid.nodes[-1] > 900.0
+    # a wide member's grid reaches 1000 of its scales
+    grid = quad4.RadialGrid.make(scale=10.0)
+    assert grid.rmax == 1e4 and abs(grid.weights.sum() - 1e4) < 1e-8
+    assert grid.nodes[-1] > 9000.0
     with pytest.raises(ValueError):
         quad4.RadialGrid.make(panels=1)
 
@@ -225,12 +229,13 @@ def test_energy_shift_integrals_stay_graded(monkeypatch):
 
 
 def test_tail_estimate_vs_extended_grid():
-    short = quad4.RadialGrid.make(rmax=50.0, panels=20)
-    long = quad4.RadialGrid.make(rmax=5000.0, panels=32)
-    # 2 pi^2 int_rmax^inf 96 r^3 (1+r^2)^-4 dr in closed form
-    s = 1.0 + short.rmax ** 2
+    # the standard grid ends at 50 scales of a scale-20 member; its own grid at 1000
+    p = instanton.InstantonParams(20.0)
+    short, long = quad4.RadialGrid.make(), quad4.RadialGrid.make(scale=p.scale)
+    # 2 pi^2 int_rmax^inf 96 r^3 (1+r^2)^-4 dr in closed form, in units of the scale
+    s = 1.0 + (short.rmax / p.scale) ** 2
     true_tail = 2 * np.pi ** 2 * 96.0 * (1.0 / (4.0 * s ** 2) - 1.0 / (6.0 * s ** 3))
-    error = quad4.ym_energy(instanton.STANDARD, short) - quad4.ym_energy(instanton.STANDARD, long)
+    error = quad4.ym_energy(p, short) - quad4.ym_energy(p, long)
     assert abs(error) / true_tail < 2e-3
 
 
@@ -238,17 +243,22 @@ def test_l2_sd_norms():
     plus, minus = quad4.l2_sd_norms(instanton.STANDARD)
     assert abs(plus - 4 * np.pi) < 1e-7
     assert minus < 1e-10
-    p = instanton.InstantonParams(0.5, (1.0, 0, 0, 0))
-    # at rmax = 100 the tail is 3e-8 of the energy: both sides must include it
-    for grid in (quad4.RadialGrid.make(), quad4.RadialGrid.make(rmax=100.0)):
+    grid = quad4.RadialGrid.make()
+    # the standard grid's tail is 3e-8 of a scale-10 member's energy: both
+    # sides must include it
+    for p in (instanton.InstantonParams(0.5, (1.0, 0, 0, 0)),
+              instanton.InstantonParams(10.0, (1.0, 0, 0, 0))):
         plus, minus = quad4.l2_sd_norms(p, grid)
         energy = quad4.ym_energy(p, grid)
         assert abs(plus ** 2 + minus ** 2 - energy) < 1e-10
 
 
 def test_chern_weil_kappa():
-    for grid in (None, quad4.RadialGrid.make(rmax=100.0)):
-        for p in (instanton.STANDARD, instanton.InstantonParams(2.0, (0.5, 0, 0, 0))):
+    # each member on its own grid and on the standard grid, where the tail is
+    # 3e-8 of the scale-10 member's energy
+    for grid in (None, quad4.RadialGrid.make()):
+        for p in (instanton.STANDARD, instanton.InstantonParams(2.0, (0.5, 0, 0, 0)),
+                  instanton.InstantonParams(10.0, (0.5, 0, 0, 0))):
             assert abs(quad4.chern_weil_kappa(*quad4.l2_sd_norms(p, grid)) + 1.0) < 1e-8
     # the orientation-bound sign: swapping the two parts negates kappa
     assert abs(quad4.chern_weil_kappa(0.0, 4.0 * np.pi) - 1.0) < 1e-15

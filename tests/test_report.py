@@ -1,7 +1,9 @@
 """Gap reports, thresholds, flow predicate, suites, CLI."""
 
+import dataclasses
 import inspect
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -257,16 +259,6 @@ def test_cli_flow_check_json(capsys):
     assert doc["flow"]["energy_source"] == "configured"
 
 
-@pytest.mark.parametrize("flags", [["--rmax", "20"], ["--lambda", "4", "--rmax", "20"]])
-def test_cli_flow_gate_rejects_instanton_on_short_grid(flags, capsys):
-    # the short grid lands the instanton's energy just below 16 pi^2
-    assert cli.main(["--format", "json", *flags, "flow-check"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["flow"]["energy"] < 16 * PI2
-    failed = [c["name"] for s in doc["suites"] for c in s["checks"] if not c["passed"]]
-    assert failed == ["gate-rejects-instanton"]
-
-
 @pytest.mark.parametrize("flags, admissible", [
     ([], False), (["--energy", "157.0"], True), (["--energy", repr(16 * PI2)], False)])
 def test_cli_flow_check_verdicts(flags, admissible, capsys):
@@ -276,30 +268,32 @@ def test_cli_flow_check_verdicts(flags, admissible, capsys):
 
 @pytest.mark.parametrize("flags, cfg", [
     ([], report.GapConfig()),
-    (["--lambda", "0.5", "--center=1,0,0,0", "--rmax", "1e4"],
-     report.GapConfig(scale=0.5, center=(1.0, 0.0, 0.0, 0.0), rmax=1e4))])
+    (["--lambda", "0.5", "--center=1,0,0,0"],
+     report.GapConfig(scale=0.5, center=(1.0, 0.0, 0.0, 0.0)))])
 def test_cli_energy_reports_convergence_table(flags, cfg, capsys):
     assert cli.main(["--format", "json", *flags, "energy"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"] == cfg.to_dict()
     rows = doc["energy_convergence"]
-    panels = quad4.panel_count(cfg.rmax, cfg.scale)
+    panels = quad4.panel_count(cfg.scale)
     assert [row["panels"] for row in rows] == sorted({8, 12, 16, 24, panels})
     row = next(row for row in rows if row["panels"] == panels)
-    assert row["energy"] == quad4.ym_energy(cfg.instanton_params(), cfg.grid())
+    assert row["energy"] == quad4.ym_energy(cfg.instanton_params())
 
 
 def test_grid_rule_resolves_every_scale_and_rmax():
-    # the default is the 24-panel grid, node for node
-    rule, fixed = report.GapConfig().grid(), quad4.RadialGrid.make(panels=24)
+    # the default is the 24-panel grid on [0, 1000], node for node
+    rule, fixed = quad4.RadialGrid.make(), quad4.RadialGrid.make(panels=24)
     assert np.array_equal(rule.nodes, fixed.nodes) and np.array_equal(rule.weights, fixed.weights)
-    # the first panel ends at 0.25 scale and the panels grow with rmax, so
-    # narrow members and long grids keep the grid checks
-    for scale, rmax in ((0.02, 1000.0), (0.005, 1e38), (20.0, 1e20)):
-        cfg = report.GapConfig(scale=scale, rmax=rmax)
+    assert rule.rmax == 1000.0
+    # the first panel ends at 0.25 min(1, scale) and rmax is 1000 max(1, scale),
+    # so narrow and wide members keep the grid checks at every scale
+    for scale in (1e-20, 0.005, 0.02, 50.0, 200.0, 1e20):
+        cfg = report.GapConfig(scale=scale)
+        assert quad4.RadialGrid.make(scale=scale).rmax == 1000.0 * max(1.0, scale)
         for name in ("energy", "chern-weil", "gap", "flow-check"):
             result = report.run_suite(name, cfg)
-            assert result.passed, (scale, rmax, [c for c in result.checks if not c.passed])
+            assert result.passed, (scale, [c for c in result.checks if not c.passed])
 
 
 def test_cli_eigen_and_center_flags(capsys):
@@ -326,7 +320,7 @@ def test_cli_bad_config_exit_codes(capsys):
     ["thresholds", "--kappa", "inf"],
     ["--tol", "nan", "gap"],
     ["--lambda", "nan", "gap"],
-    ["--rmax", "inf", "energy"],
+    ["--center=0,0,inf,0", "energy"],
 ])
 def test_cli_non_finite_input_is_config_error(argv, capsys):
     assert cli.main(["--format", "json"] + argv) == 2
@@ -341,12 +335,12 @@ def test_cli_non_finite_input_is_config_error(argv, capsys):
     ["--lambda", "0", "gap"],
     ["--lambda", "1e-30", "gap"],            # the suites' arithmetic would overflow
     ["thresholds", "--kappa", "-1"],
-    ["--rmax", "0.1", "energy"],
+    ["--lambda", "1e21", "energy"],          # the cap 1e20 bounds the grid's rmax by 1e23
     ["--tol", "-1", "gap"],
     ["--tol", "0", "gap"],
     ["flow-check", "--energy", "-1"],
-    ["--rmax", "1e80", "gap"],               # the tail mass rmax^4/4 would overflow
-    ["--rmax", "1e39", "energy"],            # the norm law's (scale^2 + s)^4 would overflow
+    ["--seed", "-1", "gap"],
+    ["--group", "e8", "thresholds"],
     ["thresholds", "--kappa", "1e308"],      # the thresholds overflow
     ["--out", "{missing}/report.json", "eigen"],
 ])
@@ -359,7 +353,7 @@ def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("kwargs", [{"scale": -1.0}, {"rmax": 1e39}, {"rmax": 0.1},
+@pytest.mark.parametrize("kwargs", [{"scale": -1.0}, {"scale": 1e21}, {"scale": 1e-21},
                                     {"tol": 0.0}, {"tol": -1e-6},
                                     {"center": (1.0, 2.0)}, {"kappa": -1.0},
                                     {"energy": -1.0}, {"kappa": 1e307}])
@@ -368,7 +362,7 @@ def test_gap_config_rejects_what_lower_layers_reject(kwargs):
         report.GapConfig(**kwargs)
 
 
-@pytest.mark.parametrize("field", ["scale", "rmax", "tol", "kappa"])
+@pytest.mark.parametrize("field", ["scale", "tol", "kappa"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_gap_config_rejects_non_finite(field, value):
     with pytest.raises(report.ConfigError, match=field):
@@ -394,9 +388,12 @@ def test_render_json_is_strict():
         report.render(doc, "json")
 
 
-def test_cli_check_failure_exit_code(capsys):
-    # a short grid under a tight equality tolerance flips the gap verdict
-    code = cli.main(["--rmax", "20", "--tol", "1e-9", "--format", "json", "gap"])
+def test_cli_check_failure_exit_code(monkeypatch, capsys):
+    # ||F+|| off by a relative 1e-5, against the equality tolerance 1e-6, flips the gap verdict
+    l2_sd_norms = quad4.l2_sd_norms
+    monkeypatch.setattr(quad4, "l2_sd_norms",
+                        lambda p: tuple((1 + 1e-5) * n for n in l2_sd_norms(p)))
+    code = cli.main(["--format", "json", "gap"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["gap_report"]["verdict"] != "equality"
@@ -438,8 +435,12 @@ README_EXPECTED = {
 }
 
 
+def _readme_text():
+    return (Path(__file__).resolve().parent.parent / 'README.md').read_text()
+
+
 def _readme_command_lines():
-    text = (Path(__file__).resolve().parent.parent / 'README.md').read_text()
+    text = _readme_text()
     block = text.split('## Command line', 1)[1].split('```sh', 1)[1].split('```', 1)[0]
     return [shlex.split(line, comments=True) for line in block.splitlines()
             if line.strip().startswith('ymgap ')]
@@ -454,6 +455,21 @@ def test_readme_command_lines_parse():
         assert args.command == argv[1]
         for key, value in README_EXPECTED[args.command].items():
             assert getattr(args, key) == value, (argv, key)
+
+
+_NUMBER_WORDS = {'five': 5, 'six': 6, 'seven': 7, 'eight': 8, 'nine': 9, 'ten': 10}
+
+
+def test_readme_common_flags_are_the_parser():
+    """The README's "Common flags:" sentence names exactly the shared flags,
+    and its field count is that of GapConfig."""
+    text = ' '.join(_readme_text().split())
+    sentence = text.split('Common flags: ', 1)[1].split('. ', 1)[0]
+    named = {token.split()[0] for token in re.findall(r'`([^`]+)`', sentence)}
+    common = cli._common_flags(suppress=False)
+    assert named == {option for action in common._actions for option in action.option_strings}
+    count = re.search(r'the (\w+) fields of `ymgap\.report\.GapConfig`', text).group(1)
+    assert _NUMBER_WORDS[count] == len(dataclasses.fields(report.GapConfig))
 
 
 # public functions of ymgap that the README command lines need not call, with the reason
