@@ -8,7 +8,6 @@ checks pass, 1 on a check failure, 2 on a configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import report
@@ -47,13 +46,11 @@ def _common_flags(suppress):
     def flag(name, default, **kwargs):
         common.add_argument(name, default=argparse.SUPPRESS if suppress else default, **kwargs)
 
-    flag('--group', 'su2', metavar='{su2,so3}', help='structure group of the thresholds')
     flag('--lambda', 1.0, dest='scale', type=float, help='instanton scale')
     flag('--center', (0.0, 0.0, 0.0, 0.0), type=_parse_center,
          help='instanton center x1,x2,x3,x4; a negative first value needs the '
               '--center=-1,0,0,0 form')
     flag('--seed', 0, type=int)
-    flag('--tol', 1e-6, type=float)
     flag('--format', 'text', choices=('json', 'csv', 'text'))
     flag('--out', None, help='write the report to a file')
     return common
@@ -67,26 +64,15 @@ def build_parser():
         parents=[_common_flags(suppress=False)])
     common = _common_flags(suppress=True)
     sub = parser.add_subparsers(dest='command', required=True)
-    subs = {name: sub.add_parser(name, parents=[common]) for name in _COMMAND_SUITES}
-    subs['thresholds'].add_argument('--kappa', type=float, default=1.0,
-                                    help='|kappa| of the bundle')
-    subs['flow-check'].add_argument('--energy', type=float, default=None,
-                                    help='energy to test; defaults to the configured '
-                                         'instanton energy')
+    for name in _COMMAND_SUITES:
+        sub.add_parser(name, parents=[common])
     return parser
-
-
-def _config_from(args):
-    """Fields whose flag this subcommand lacks (--kappa, --energy) keep their defaults."""
-    return report.GapConfig(**{f.name: getattr(args, f.name)
-                               for f in dataclasses.fields(report.GapConfig)
-                               if hasattr(args, f.name)})
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
+        cfg = report.GapConfig(args.scale, args.center, args.seed)
         suites = [report.run_suite(name, cfg) for name in _COMMAND_SUITES[args.command]]
         text = report.render(report.report_document(cfg, suites, args.command), args.format)
         if args.out:

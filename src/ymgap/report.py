@@ -33,40 +33,25 @@ class ConfigError(ValueError):
 class GapConfig:
     """The values the command line sets, and nothing else."""
 
-    group: str = "su2"                      # su2 | so3; only thresholds reads it
     scale: float = 1.0
     center: tuple = (0.0, 0.0, 0.0, 0.0)
     seed: int = 0
-    tol: float = 1e-6                       # relative equality-verdict tolerance
-    kappa: float = 1.0                      # |kappa| of the bundle, for thresholds
-    energy: float | None = None             # flow-check energy; None: the instanton's
 
     def __post_init__(self):
-        for name in ("scale", "center", "tol", "kappa", "energy"):
+        for name in ("scale", "center"):
             value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
+            if not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.group not in ("su2", "so3"):
-            raise ConfigError(f"group must be 'su2' or 'so3', got {self.group!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
-        # the instanton, the thresholds and the flow predicate check the rest
+        # the instanton checks the rest
         try:
             self.instanton_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.thresholds()
-        if self.energy is not None:
-            flow_admissible(self.energy)
 
     def instanton_params(self):
         return instanton.InstantonParams(self.scale, tuple(self.center))
-
-    def thresholds(self):
-        gamma1 = {"su2": liealg.GAMMA1_SU2, "so3": liealg.GAMMA1_SO3}[self.group]
-        return corollary_thresholds(self.kappa, conformal.YAMABE_S4, gamma1)
 
     def to_dict(self):
         d = asdict(self)
@@ -133,13 +118,12 @@ def gap_inequality(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0,
 def gap_report(cfg):
     """The gap inequality for the configured instanton on the round S^4.
 
-    The instanton is su(2)-valued, so gamma1 is the su(2) constant whatever
-    ``cfg.group`` says. The report also carries the residual of the
-    pointwise identity behind the equality case, a property of the
-    instanton whatever the L2 verdict."""
+    The instanton is su(2)-valued, so gamma1 is the su(2) constant. The
+    report also carries the residual of the pointwise identity behind the
+    equality case, a property of the instanton whatever the L2 verdict."""
     params = cfg.instanton_params()
     f_plus, _ = quad4.l2_sd_norms(params)
-    rep = gap_inequality(f_plus, liealg.GAMMA1_SU2, tol=cfg.tol)
+    rep = gap_inequality(f_plus, liealg.GAMMA1_SU2)
     rep.equality_residual = _equality_identity_residual(params, rep.gamma1)
     return rep
 
@@ -438,34 +422,34 @@ def _suite_gap(cfg):
     rep = gap_report(cfg)
     checks = [
         _check("verdict-equality", 0.0 if rep.verdict == "equality" else 1.0, 0.5),
-        _check("slack-relative", abs(rep.slack) / rep.yamabe, cfg.tol),
+        _check("slack-relative", abs(rep.slack) / rep.yamabe, 1e-6),
         _check("equality-identity", rep.equality_residual, 1e-8),
     ]
-    flat = gap_inequality(0.0, rep.gamma1, tol=cfg.tol)
+    flat = gap_inequality(0.0, rep.gamma1)
     checks.append(_check("flat-is-case-1", 0.0 if flat.verdict == "case-1" else 1.0, 0.5))
     return checks, {'gap_report': rep.to_dict()}
 
 
 def _suite_thresholds(cfg):
-    thr = cfg.thresholds()
-    # the values the paper prints, 48 pi^2 (su2) and 80 pi^2 (so3) at |kappa| = 1
-    printed = 16.0 * np.pi ** 2 * cfg.kappa + {'su2': 32.0, 'so3': 64.0}[cfg.group] * np.pi ** 2
-    checks = [_check("general-vs-weak", max(0.0, thr.weak_universal - thr.general), 1e-9),
-              _check("specialized-value", abs(thr.general - printed), 1e-9)]
-    return checks, {'thresholds': {'general': thr.general, 'weak_universal': thr.weak_universal,
-                                   'kappa_abs': cfg.kappa}}
+    # both groups at |kappa| = 1, the family's charge (kappa-bpst), against the
+    # values the paper prints; each check's residual is the worse group's
+    printed = {'su2': 48.0 * np.pi ** 2, 'so3': 80.0 * np.pi ** 2}
+    thr = {'su2': corollary_thresholds(1.0, conformal.YAMABE_S4, liealg.GAMMA1_SU2),
+           'so3': corollary_thresholds(1.0, conformal.YAMABE_S4, liealg.GAMMA1_SO3)}
+    checks = [_check("general-vs-weak",
+                     max(0.0, *(t.weak_universal - t.general for t in thr.values())), 1e-9),
+              _check("specialized-value",
+                     max(abs(thr[g].general - printed[g]) for g in thr), 1e-9)]
+    return checks, {'thresholds': {g: asdict(t) for g, t in thr.items()}}
 
 
 def _suite_flow_check(cfg):
     # the instanton is a non-flat Yang-Mills connection, so it cannot flow to
     # flat: the gate must reject its measured energy
-    instanton_energy = quad4.ym_energy(cfg.instanton_params())
-    checks = [_check("gate-rejects-instanton",
-                     1.0 if flow_admissible(instanton_energy) else 0.0, 0.5)]
-    energy, source = ((instanton_energy, 'computed') if cfg.energy is None
-                      else (cfg.energy, 'configured'))
-    return checks, {'flow': {'energy': energy, 'energy_source': source,
-                             'threshold': quad4.EPI2_16, 'admissible': flow_admissible(energy),
+    energy = quad4.ym_energy(cfg.instanton_params())
+    admissible = flow_admissible(energy)
+    checks = [_check("gate-rejects-instanton", 1.0 if admissible else 0.0, 0.5)]
+    return checks, {'flow': {'energy': energy, 'threshold': quad4.EPI2_16, 'admissible': admissible,
                              'note': 'admissible energies flow globally and converge; '
                                      'on the round four-sphere the limit is flat '
                                      '(dynamics reported, not simulated)'}}

@@ -199,6 +199,9 @@ MUTATIONS = [
     _row("gamma1-su2-x1.000001", _set(liealg, "GAMMA1_SU2", (1 + 1e-6) * liealg.GAMMA1_SU2),
          ["thresholds", "eigenvalue"],
          {"general-vs-weak", "specialized-value", "lambda1-borderline"}),
+    # so(3)'s general threshold moves by 2e-6 * 64 pi^2 against 1e-9
+    _row("gamma1-so3-x1.000001", _set(liealg, "GAMMA1_SO3", (1 + 1e-6) * liealg.GAMMA1_SO3),
+         ["thresholds"], {"specialized-value"}),
     # the instanton's energy, 16 pi^2 to 1e-12, falls below the raised gate
     _row("flow-threshold-x1.000001", _set(quad4, "EPI2_16", (1 + 1e-6) * quad4.EPI2_16),
          ["flow-check"], {"gate-rejects-instanton"}),

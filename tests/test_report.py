@@ -44,7 +44,7 @@ def test_gap_report_rhs_closure_and_provenance():
 
 def test_gap_config_validation():
     with pytest.raises(report.ConfigError):
-        report.GapConfig(group="e8")
+        report.GapConfig(seed=-1)
     for kwargs in ({"w_plus_l2": -1.0}, {"yamabe": 0.0}, {"tol": 0.0}):
         with pytest.raises(report.ConfigError):
             report.gap_inequality(4 * np.pi, liealg.GAMMA1_SU2, **kwargs)
@@ -66,6 +66,8 @@ def test_corollary_thresholds():
         report.corollary_thresholds(-1.0, 1.0, 1.0)
     with pytest.raises(report.ConfigError):
         report.corollary_thresholds(1.0, -1.0, 1.0)
+    with pytest.raises(report.ConfigError):              # the thresholds overflow
+        report.corollary_thresholds(1e308, conformal.YAMABE_S4, liealg.GAMMA1_SU2)
 
 
 def test_flow_admissible():
@@ -74,8 +76,9 @@ def test_flow_admissible():
     assert report.flow_admissible(15.9 * PI2) is True
     computed = quad4.ym_energy(report.GapConfig().instanton_params())
     assert report.flow_admissible(computed) is False
-    with pytest.raises(report.ConfigError):
-        report.flow_admissible(-1.0)
+    for energy in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(report.ConfigError):
+            report.flow_admissible(energy)
 
 
 def test_run_suite_unknown_id():
@@ -186,8 +189,8 @@ SECTION_KEYS = {
     'constants': {'su2', 'so3'},
     'gap_report': {'yamabe', 'gamma1', 'f_plus_l2', 'w_plus_l2', 'rhs', 'slack', 'verdict',
                    'equality_residual'},
-    'thresholds': {'general', 'weak_universal', 'kappa_abs'},
-    'flow': {'energy', 'energy_source', 'threshold', 'admissible', 'note'},
+    'thresholds': {'su2', 'so3'},
+    'flow': {'energy', 'threshold', 'admissible', 'note'},
 }
 
 
@@ -226,17 +229,14 @@ def test_render_formats():
         report.render(doc, "yaml")
 
 
-def test_cli_gap_json(tmp_path, capsys):
+def test_cli_gap_json(tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(["--format", "json", "--out", str(out), "gap"])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["command"] == "gap"
     assert doc["gap_report"]["verdict"] == "equality"
-    # the instanton is su(2)-valued whatever --group says, so so3 is equality too
-    assert cli.main(["--group", "so3", "--format", "json", "gap"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["gap_report"]["verdict"] == "equality"
+    # the instanton is su(2)-valued, so the gap takes the su(2) constant
     assert doc["gap_report"]["gamma1"] == liealg.GAMMA1_SU2
 
 
@@ -244,26 +244,21 @@ def test_cli_thresholds_and_flow(capsys):
     assert cli.main(["--format", "text", "thresholds"]) == 0
     text = capsys.readouterr().out
     assert "thresholds" in text
-    assert cli.main(["--group", "so3", "--format", "json", "thresholds"]) == 0
+    # both groups on every run, at |kappa| = 1
+    assert cli.main(["--format", "json", "thresholds"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert abs(doc["thresholds"]["general"] - 80 * PI2) < 1e-9
-    assert cli.main(["flow-check", "--energy", str(16 * PI2)]) == 0
+    assert abs(doc["thresholds"]["su2"]["general"] - 48 * PI2) < 1e-9
+    assert abs(doc["thresholds"]["so3"]["general"] - 80 * PI2) < 1e-9
+    assert cli.main(["flow-check"]) == 0
     doc_text = capsys.readouterr().out
     assert "admissible" in doc_text
 
 
 def test_cli_flow_check_json(capsys):
-    assert cli.main(["--format", "json", "flow-check", "--energy", "1.0"]) == 0
+    assert cli.main(["--format", "json", "flow-check"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["flow"]["admissible"] is True
-    assert doc["flow"]["energy_source"] == "configured"
-
-
-@pytest.mark.parametrize("flags, admissible", [
-    ([], False), (["--energy", "157.0"], True), (["--energy", repr(16 * PI2)], False)])
-def test_cli_flow_check_verdicts(flags, admissible, capsys):
-    assert cli.main(["--format", "json", "flow-check", *flags]) == 0
-    assert json.loads(capsys.readouterr().out)["flow"]["admissible"] is admissible
+    assert doc["flow"]["admissible"] is False
+    assert doc["flow"]["energy"] == quad4.ym_energy(report.GapConfig().instanton_params())
 
 
 @pytest.mark.parametrize("flags, cfg", [
@@ -313,12 +308,19 @@ def test_cli_bad_config_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    # the what-if inputs are library arguments, not flags
+    for argv in (["--tol", "1e-4", "gap"], ["--group", "so3", "thresholds"],
+                 ["thresholds", "--kappa", "2"], ["flow-check", "--energy", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
+# positional ids: a deleted case is replaced in place, so the other ids stay put
 @pytest.mark.parametrize("argv", [
-    ["flow-check", "--energy", "nan"],
-    ["thresholds", "--kappa", "inf"],
-    ["--tol", "nan", "gap"],
+    ["--lambda", "inf", "gap"],
+    ["--center=nan,0,0,0", "thresholds"],
+    ["--lambda=-inf", "flow-check"],
     ["--lambda", "nan", "gap"],
     ["--center=0,0,inf,0", "energy"],
 ])
@@ -334,14 +336,14 @@ def test_cli_non_finite_input_is_config_error(argv, capsys):
     ["--lambda", "-1", "gap"],
     ["--lambda", "0", "gap"],
     ["--lambda", "1e-30", "gap"],            # the suites' arithmetic would overflow
-    ["thresholds", "--kappa", "-1"],
+    ["--lambda", "1e-21", "thresholds"],     # every command builds the instanton
     ["--lambda", "1e21", "energy"],          # the cap 1e20 bounds the grid's rmax by 1e23
-    ["--tol", "-1", "gap"],
-    ["--tol", "0", "gap"],
-    ["flow-check", "--energy", "-1"],
+    ["--lambda=-1e-3", "flow-check"],
+    ["--lambda", "1e30", "gap"],
+    ["--seed", "-5", "flow-check"],
     ["--seed", "-1", "gap"],
-    ["--group", "e8", "thresholds"],
-    ["thresholds", "--kappa", "1e308"],      # the thresholds overflow
+    ["--out", "{missing}/report.json", "thresholds"],
+    ["--lambda", "2e20", "flow-check"],
     ["--out", "{missing}/report.json", "eigen"],
 ])
 def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
@@ -354,22 +356,22 @@ def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kwargs", [{"scale": -1.0}, {"scale": 1e21}, {"scale": 1e-21},
-                                    {"tol": 0.0}, {"tol": -1e-6},
-                                    {"center": (1.0, 2.0)}, {"kappa": -1.0},
-                                    {"energy": -1.0}, {"kappa": 1e307}])
+                                    {"scale": 0.0}, {"scale": 2e20},
+                                    {"center": (1.0, 2.0)}, {"center": (0.0,) * 5},
+                                    {"center": ()}, {"center": ((0.0, 0.0), (0.0, 0.0))}])
 def test_gap_config_rejects_what_lower_layers_reject(kwargs):
     with pytest.raises(report.ConfigError):
         report.GapConfig(**kwargs)
 
 
-@pytest.mark.parametrize("field", ["scale", "tol", "kappa"])
+@pytest.mark.parametrize("field", ["scale", "center"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_gap_config_rejects_non_finite(field, value):
     with pytest.raises(report.ConfigError, match=field):
         report.GapConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["f_plus_l2", "w_plus_l2", "yamabe"])
+@pytest.mark.parametrize("field", ["f_plus_l2", "w_plus_l2", "yamabe", "tol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_gap_inequality_rejects_non_finite(field, value):
     inputs = {"f_plus_l2": 4 * np.pi, "gamma1": liealg.GAMMA1_SU2, field: value}
@@ -430,8 +432,8 @@ README_EXPECTED = {
     'constants': {'seed': 3},
     'energy': {'scale': 0.5, 'center': (1.0, 0.0, 0.0, 0.0)},
     'kato': {},
-    'thresholds': {'group': 'so3'},
-    'flow-check': {'energy': 157.0},
+    'thresholds': {},
+    'flow-check': {},
 }
 
 
@@ -457,7 +459,7 @@ def test_readme_command_lines_parse():
             assert getattr(args, key) == value, (argv, key)
 
 
-_NUMBER_WORDS = {'five': 5, 'six': 6, 'seven': 7, 'eight': 8, 'nine': 9, 'ten': 10}
+_NUMBER_WORDS = {'three': 3, 'five': 5, 'six': 6, 'seven': 7, 'eight': 8, 'nine': 9, 'ten': 10}
 
 
 def test_readme_common_flags_are_the_parser():
@@ -526,8 +528,8 @@ def test_cli_common_flags_either_side_of_subcommand():
     before = parser.parse_args(['--seed', '5', '--format', 'json', 'constants'])
     after = parser.parse_args(['constants', '--seed', '5', '--format', 'json'])
     assert vars(before) == vars(after)
-    assert before.seed == 5 and before.format == 'json' and before.group == 'su2'
-    assert parser.parse_args(['--group', 'so3', 'thresholds', '--kappa', '2']).group == 'so3'
+    assert before.seed == 5 and before.format == 'json' and before.scale == 1.0
+    assert parser.parse_args(['--lambda', '2', 'thresholds']).scale == 2.0
     assert parser.parse_args(['--seed', '5', 'gap', '--seed', '7']).seed == 7
 
 
