@@ -366,13 +366,19 @@ def _suite_chern_weil(cfg):
     return checks, {}
 
 
+def _richardson(value_at, n):
+    """(4 v(2n) - v(n)) / 3: the limit of v(n) = a + b h^2 + O(h^4), h = pi / n."""
+    return (4.0 * value_at(2 * n) - value_at(n)) / 3.0
+
+
 def _suite_eigenvalue(cfg):
     checks = []
     lam, vec = conformal.lambda1(conformal.round_problem(12.0, n=2000))
     checks.append(_check("lambda1-const-12", abs(lam - 12.0), 1e-8))
     checks.append(_check("eigenfunction-positive", max(0.0, -float(np.min(vec))), 1e-8))
-    prob = conformal.round_problem(12.0, n=16000)
-    checks.append(_check("rayleigh-cos-36", abs(conformal.rayleigh(prob, np.cos) - 36.0), 1e-6))
+    rayleigh = _richardson(lambda n: conformal.rayleigh(conformal.round_problem(12.0, n), np.cos),
+                           2000)
+    checks.append(_check("rayleigh-cos-36", abs(rayleigh - 36.0), 1e-6))
     borderline = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=2000)
     lam0, _ = conformal.lambda1(borderline)
     checks.append(_check("lambda1-borderline", abs(lam0), 1e-6))
@@ -387,33 +393,37 @@ def _suite_eigenvalue(cfg):
 def _suite_covariance(cfg):
     rng = np.random.default_rng(cfg.seed + 5)
     # nonzero |W+| and |F+| (sqrt 6 is the instanton's |F+|): route (b) scales both
-    field = conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
-                             liealg.GAMMA1_SU2, n=65536)
-    modes = np.cos(np.arange(1, 4)[:, None] * field.rho)
+    fields = [conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
+                               liealg.GAMMA1_SU2, n=n) for n in (1024, 3072)]
+    modes = [np.cos(np.arange(1, 4)[:, None] * f.rho) for f in fields]
     worst = 0.0
     for _ in range(20):
         amps = rng.uniform(-1.0, 1.0, 3)
         amps *= 0.3 / max(np.sum(np.abs(amps)), 1e-9)
-        u = 1.0 + sum(a * mode for a, mode in zip(amps, modes))
-        worst = max(worst, conformal.covariance_check(u, field))
-    return [_check("covariance-20-random", worst, 1e-6)], {}
+        # an O(h^2) gap shrinks 9-fold from n to 3n cells; a zero fine gap reads 1:
+        # two routes that agree to the bit are not independent discretizations
+        coarse, fine = (conformal.covariance_check(1.0 + amps @ m, f) for f, m in zip(fields, modes))
+        worst = max(worst, abs(coarse / (9.0 * fine) - 1.0) if fine > 0 else 1.0)
+    return [_check("covariance-20-random", worst, 0.05)], {}
 
 
 def _suite_yamabe(cfg):
     rng = np.random.default_rng(cfg.seed + 6)
-    prob = conformal.round_problem(conformal.ROUND_SCALAR_CURVATURE, 20000)
+    probs = {n: conformal.round_problem(conformal.ROUND_SCALAR_CURVATURE, n) for n in (2000, 4000)}
+    # constants are exact on any grid; the rest is extrapolated from n and 2n
     checks = [_check("quotient-at-round",
-                     abs(conformal.yamabe_quotient(1.0, prob) - conformal.YAMABE_S4), 1e-8)]
-    modes = np.cos(np.arange(1, 4)[:, None] * prob.rho)
+                     abs(conformal.yamabe_quotient(1.0, probs[2000]) - conformal.YAMABE_S4), 1e-8)]
+    modes = {n: np.cos(np.arange(1, 4)[:, None] * prob.rho) for n, prob in probs.items()}
     min_q = np.inf
     for _ in range(50):
         amps = rng.uniform(-1.0, 1.0, 3)
         amps *= rng.uniform(0.05, 0.4) / np.sum(np.abs(amps))
-        u = 1.0 + sum(a * mode for a, mode in zip(amps, modes))
-        min_q = min(min_q, conformal.yamabe_quotient(u, prob))
+        q = _richardson(lambda n: conformal.yamabe_quotient(1.0 + amps @ modes[n], probs[n]), 2000)
+        min_q = min(min_q, q)
     checks.append(_check("quotient-family-floor", conformal.YAMABE_S4 - min_q, 1e-6))
-    dilated = max(abs(conformal.yamabe_quotient(conformal.dilation_factor(lam), prob)
-                      - conformal.YAMABE_S4) for lam in (0.5, 2.0))
+    dilated = max(abs(_richardson(lambda n: conformal.yamabe_quotient(
+        conformal.dilation_factor(lam), probs[n]), 2000) - conformal.YAMABE_S4)
+        for lam in (0.5, 2.0))
     checks.append(_check("quotient-dilation-family", dilated, 1e-5))
     return checks, {}
 

@@ -154,6 +154,8 @@ def test_criterion_10_eigenvalues():
 
 
 def test_criterion_11_covariance():
+    # one fine grid against an absolute threshold: the route the covariance suite's
+    # two-grid order check replaced, kept here as its independent oracle
     rng = np.random.default_rng(5)
     # nonzero |W+| and |F+|, as in the covariance suite, so route (b)'s u^-2 terms count
     field = conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),

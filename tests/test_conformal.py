@@ -213,7 +213,8 @@ def test_phi_of_scalar_constituents_match_arrays():
 
 def test_covariance_random_family():
     # the second field, as in the covariance suite, has nonzero |W+| and |F+|,
-    # so route (b)'s u^-2 scaling of them is seen
+    # so route (b)'s u^-2 scaling of them is seen. One fine grid against an absolute
+    # threshold is the route the suite's two-grid order check replaced
     for w_plus, f_plus in ((0.0, 0.0), (lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0))):
         rng = np.random.default_rng(7)
         field = conformal.phi_of(12.0, w_plus, f_plus, liealg.GAMMA1_SU2, n=65536)

@@ -30,13 +30,13 @@ def _scaled(owner, name, factor):
     return _set(owner, name, lambda *args: factor * fn(*args))
 
 
-def _scaled_constituent(name):
+def _scaled_constituent(name, factor=1.01):
     def mutate(monkeypatch):
         phi_of = conformal.phi_of
 
         def scaled(*args, **kwargs):
             field = phi_of(*args, **kwargs)
-            return dataclasses.replace(field, **{name: 1.01 * getattr(field, name)})
+            return dataclasses.replace(field, **{name: factor * getattr(field, name)})
 
         monkeypatch.setattr(conformal, "phi_of", scaled)
     return mutate
@@ -168,6 +168,10 @@ MUTATIONS = [
     _row("f-plus-norm-x1.01", _scaled_constituent("f_plus_norm"), ["covariance"],
          {"covariance-20-random"}),
     _row("weyl-norm-x1.01", _scaled_constituent("weyl_norm"), ["covariance"],
+         {"covariance-20-random"}),
+    # the coarse-to-fine gap ratio leaves 9 by 12% against 5%; on one 65 536-cell
+    # grid the gap itself reads 9.9e-7, under the 1e-6 that grid was held to
+    _row("f-plus-norm-x1.00000003", _scaled_constituent("f_plus_norm", 1 + 3e-8), ["covariance"],
          {"covariance-20-random"}),
     _row("route-b-u-cubed", _route_b_u_cubed, ["covariance"], {"covariance-20-random"}),
     _row("cell-volumes-x2", _scaled(conformal, "cell_volumes", 2.0),

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import random
 import re
 import shlex
 import subprocess
@@ -106,9 +107,8 @@ def test_scale_free_checks_pass_at_every_scale(scale):
 
 
 def test_covariance_suite_traced_peak():
-    # the suite tabulates its three cos modes, 1.5 MiB at n = 65536; route (b) and
-    # the cotangent Laplacian are built in place to pay for them. Measured 6.50 MiB;
-    # either one out of place reads 7.00, as did the per-sample cosines
+    # two fields of 1024 and 3072 cells, their cos-mode tables and covariance_check's
+    # temporaries. Measured 0.37 MiB
     report.run_suite("covariance")
     tracemalloc.start()
     try:
@@ -116,7 +116,40 @@ def test_covariance_suite_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.75 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+    assert peak <= 0.5 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
+def test_richardson_removes_the_h2_term():
+    # v(n) = a + b h^2 with h = pi / n, as a grid quantity with an O(h^2) error
+    a, b = 36.0, -7.25
+    value = report._richardson(lambda n: a + b * (np.pi / n) ** 2, 2000)
+    assert abs(value - a) <= 4 * np.finfo(float).eps * a
+
+
+def test_extrapolated_radial_checks_read_roundoff():
+    checks = {c.name: c.residual for name in ("eigenvalue", "yamabe-quotient")
+              for c in report.run_suite(name).checks}
+    assert checks["rayleigh-cos-36"] <= 1e-10
+    assert checks["quotient-dilation-family"] <= 1e-10
+
+
+# seeds as the benchmark draws them for its passes, up to 2^31
+PASS_SEEDS = [random.Random(f"{run}:{index}").randrange(2 ** 31)
+              for run in range(2) for index in range(10)]
+
+
+@pytest.mark.parametrize("name", ["eigenvalue", "covariance", "yamabe-quotient"])
+def test_radial_suites_pass_for_benchmark_seeds(name):
+    for seed in PASS_SEEDS:
+        result = report.run_suite(name, report.GapConfig(seed=seed))
+        assert result.passed, (seed, [c for c in result.checks if not c.passed])
+
+
+def test_covariance_order_check_with_a_zero_fine_gap(monkeypatch):
+    # routes that agree to the bit on the fine grid read 1, with no division by zero
+    monkeypatch.setattr(conformal, "covariance_check", lambda u, field: 0.0)
+    (check,) = report.run_suite("covariance").checks
+    assert check.residual == 1.0 and not check.passed
 
 
 # (suite, check, tolerance) of every check of ``run_all(GapConfig())``, in order
@@ -164,7 +197,7 @@ PINNED_TOLERANCES = [
     ('eigenvalue', 'rayleigh-cos-36', 1e-06),
     ('eigenvalue', 'lambda1-borderline', 1e-06),
     ('eigenvalue', 'lambda1-borderline-conformal', 1e-06),
-    ('covariance', 'covariance-20-random', 1e-06),
+    ('covariance', 'covariance-20-random', 0.05),
     ('yamabe-quotient', 'quotient-at-round', 1e-08),
     ('yamabe-quotient', 'quotient-family-floor', 1e-06),
     ('yamabe-quotient', 'quotient-dilation-family', 1e-05),
