@@ -21,13 +21,13 @@ print("radial rule sanity: 2pi^2 int r^3 (1+r^2)^-4 dr =",
 print("\nstandard instanton energy:", quad4.ym_energy(instanton.STANDARD, grid),
       " vs 16 pi^2 =", E16)
 
-print("\ndilation invariance (radial fast path):")
+print("\ndilation invariance (about the center, one node on every sphere):")
 for s in (0.25, 0.5, 1.0, 2.0, 4.0):
     e = quad4.ym_energy(instanton.InstantonParams(s), grid)
     print(f"  scale {s:4}: rel err {(e-E16)/E16:+.2e}")
 
 print("\ncenter shifts (about the origin, zonal rule about the offset axis):")
-small = quad4.RadialGrid.make(panels=20, order=20)
+small = quad4.RadialGrid.make(panels=20)
 for scale, center in ((1.0, (0.6, 0, 0, 0)), (0.5, (0.5, 0.2, 0.0, 0.0))):
     e = quad4.ym_energy(instanton.InstantonParams(scale, center), small, about=(0, 0, 0, 0))
     print(f"  scale {scale}, center {center}: rel err {(e-E16)/E16:+.2e}")

@@ -34,38 +34,19 @@ def _parse_center(text):
     return tuple(parts)
 
 
-def _common_flags(suppress):
-    """Parent parser with the flags every subcommand shares.
-
-    The top-level copy carries the defaults; the subcommand copy suppresses
-    them, so a flag given before the subcommand is not overwritten by a
-    default when the subcommand is parsed.
-    """
-    common = argparse.ArgumentParser(add_help=False)
-
-    def flag(name, default, **kwargs):
-        common.add_argument(name, default=argparse.SUPPRESS if suppress else default, **kwargs)
-
-    flag('--lambda', 1.0, dest='scale', type=float, help='instanton scale')
-    flag('--center', (0.0, 0.0, 0.0, 0.0), type=_parse_center,
-         help='instanton center x1,x2,x3,x4; a negative first value needs the '
-              '--center=-1,0,0,0 form')
-    flag('--seed', 0, type=int)
-    flag('--format', 'text', choices=('json', 'csv', 'text'))
-    flag('--out', None, help='write the report to a file')
-    return common
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog='ymgap',
         description='verification suites for the sharp energy gap of '
-                    'Yang-Mills connections on the four-sphere',
-        parents=[_common_flags(suppress=False)])
-    common = _common_flags(suppress=True)
-    sub = parser.add_subparsers(dest='command', required=True)
-    for name in _COMMAND_SUITES:
-        sub.add_parser(name, parents=[common])
+                    'Yang-Mills connections on the four-sphere')
+    parser.add_argument('command', choices=_COMMAND_SUITES, help='the suites to run')
+    parser.add_argument('--lambda', default=1.0, dest='scale', type=float, help='instanton scale')
+    parser.add_argument('--center', default=(0.0, 0.0, 0.0, 0.0), type=_parse_center,
+                        help='instanton center x1,x2,x3,x4; a negative first value needs the '
+                             '--center=-1,0,0,0 form')
+    parser.add_argument('--seed', default=0, type=int)
+    parser.add_argument('--format', default='text', choices=('json', 'csv', 'text'))
+    parser.add_argument('--out', help='write the report to a file')
     return parser
 
 

@@ -5,8 +5,9 @@ Gauss-Legendre panels on [0, R_max] with geometrically graded panel edges.
 On each sphere it applies one ``SphereRule``: ``RAY``, one node that is
 exact for integrands radial about the origin, or a zonal rule, n nodes that
 are exact for polynomials of degree 2n - 1 in the cosine of the angle to
-one axis. The off-center energy integrals take the zonal rule about the
-offset of the center.
+one axis. The energy integrals take the zonal rule about the offset of the
+center, one node at zero offset; the L2 norms of the curvature parts take
+``RAY``.
 Beyond R_max the integrand is taken to decay like r^-8, the curvature
 density's decay, so the tail is one more radius at R_max and every
 integral includes it. Sums run in a fixed order, so results are
@@ -41,20 +42,20 @@ class RadialGrid:
             raise ValueError("nodes must be strictly increasing")
 
     @classmethod
-    def make(cls, scale=1.0, panels=None, order=24):
-        """Geometrically graded panels accumulate near the origin where the
-        instanton profile varies; accuracy is spectral per panel. In the
-        units of an instanton of that scale the first panel is
+    def make(cls, scale=1.0, panels=None):
+        """Geometrically graded panels of 24 nodes accumulate near the origin
+        where the instanton profile varies; accuracy is spectral per panel.
+        In the units of an instanton of that scale the first panel is
         [0, 0.25 min(1, scale)] and rmax is 1000 max(1, scale), where the
         r^-8 tail model misses by 3.9 (scale / rmax)^6 <= 3.9e-18;
         ``panels`` defaults to ``panel_count(scale)``."""
         panels = panel_count(scale) if panels is None else panels
-        if panels < 2 or order < 2:
-            raise ValueError("need at least two panels and order >= 2")
+        if panels < 2:
+            raise ValueError("need at least two panels")
         rmax = 1000.0 * max(1.0, scale)
         edges = np.concatenate([[0.0], np.geomspace(0.25 * min(1.0, scale), rmax, panels)])
         a, h = edges[:-1, None], np.diff(edges)[:, None]
-        xs, ws = leggauss(order)
+        xs, ws = leggauss(24)
         return cls((0.5 * (xs + 1.0) * h + a).ravel(), (0.5 * h * ws).ravel(), float(rmax))
 
 
@@ -131,12 +132,10 @@ def integrate_r4(f, grid, rule):
 def ym_energy(p, grid=None, about=None):
     """Total energy int |F|^2 over R^4; 16 pi^2 for every family member.
 
-    Default path: the ``RAY`` rule about the instanton center, where the
-    norm of every curvature part is radial for this family, with |F|^2
-    evaluated from the curvature matrices. With ``about`` the integral is
-    taken about that point by a zonal rule with the norm law as integrand,
-    exercising conformal invariance nontrivially when ``about`` is not the
-    instanton center. There |x - center|^2 is s = r^2 + d^2 - 2 r (omega . e),
+    The integral is taken about ``about``, by default the instanton center,
+    by a zonal rule with the norm law as integrand, exercising conformal
+    invariance nontrivially when ``about`` is not the instanton center.
+    There |x - center|^2 is s = r^2 + d^2 - 2 r (omega . e),
     e = center - about, d = |e|: its rounding is small against scale^2 + s.
 
     The integrand is zonal about e: on the sphere of radius r it is
@@ -152,10 +151,7 @@ def ym_energy(p, grid=None, about=None):
     scale); a farther center raises ``ValueError``.
     """
     grid = grid or RadialGrid.make(scale=p.scale)
-    if about is None:
-        return integrate_r4(lambda r, w: liealg.lv_norm_sq(instanton.curvature_closed_at(
-            p, p.center_array + r[..., None] * w)), grid, RAY)
-    e = p.center_array - np.asarray(about, dtype=float)
+    e = p.center_array - np.asarray(p.center if about is None else about, dtype=float)
     d2 = float(e @ e)
     d = np.sqrt(d2)
     if d > 10.0 * p.scale:

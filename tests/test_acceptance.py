@@ -47,7 +47,7 @@ def test_criterion_03_energy():
     rel = abs(e_std - E16) / E16
     energies = [quad4.ym_energy(instanton.InstantonParams(s), grid)
                 for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    small_grid = quad4.RadialGrid.make(panels=20, order=20)
+    small_grid = quad4.RadialGrid.make(panels=20)
     for scale, center in ((1.0, (0.6, 0, 0, 0)), (0.5, (0.5, 0.2, 0, 0))):
         energies.append(quad4.ym_energy(instanton.InstantonParams(scale, center),
                                         small_grid, about=(0, 0, 0, 0)))

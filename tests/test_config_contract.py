@@ -7,7 +7,6 @@ field is a configuration error (exit 2, a message, no traceback).
 ``GapConfig`` holds exactly the values the command line sets.
 """
 
-import argparse
 import dataclasses
 import json
 
@@ -30,9 +29,7 @@ INVALID = {
 
 
 def _config_dests():
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for p in (parser, *sub.choices.values()) for a in p._actions} - OUTPUT_DESTS
+    return {a.dest for a in cli.build_parser()._actions} - OUTPUT_DESTS
 
 
 def _log_uniform(rng, lo, hi):

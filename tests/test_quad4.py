@@ -144,7 +144,7 @@ def test_energy_dilation_invariance():
 
 
 def test_energy_center_shift_angular_path():
-    grid = quad4.RadialGrid.make(panels=20, order=20)
+    grid = quad4.RadialGrid.make(panels=20)
     for scale, center in ((1.0, (0.6, 0, 0, 0)), (0.5, (0.3, 0.3, 0, 0.2))):
         p = instanton.InstantonParams(scale, center)
         e = quad4.ym_energy(p, grid, about=(0, 0, 0, 0))
@@ -153,9 +153,9 @@ def test_energy_center_shift_angular_path():
 
 def test_energy_radial_vs_angular_consistency():
     p = instanton.InstantonParams(0.7, (0.4, 0, -0.2, 0))
-    grid = quad4.RadialGrid.make(panels=20, order=20)
-    e_rad = quad4.ym_energy(p, grid)
-    e_ang = quad4.ym_energy(p, grid, about=p.center)  # d = 0: one node on every sphere
+    grid = quad4.RadialGrid.make(panels=20)
+    e_rad = quad4.ym_energy(p, grid)    # about the center, d = 0: one node on every sphere
+    e_ang = quad4.ym_energy(p, grid, about=(0, 0, 0, 0))
     assert abs(e_rad - e_ang) / E16 < 1e-10
 
 
@@ -172,7 +172,7 @@ def test_graded_angular_order_matches_uniform_rule(scale, center):
     # the zonal rule against 16 pi^2 and, where it converges, against the
     # oracle: the order-24 product rule on every sphere, on the same radii
     p = instanton.InstantonParams(scale, center)
-    grid = quad4.RadialGrid.make(panels=20, order=20)
+    grid = quad4.RadialGrid.make(panels=20)
     zonal = quad4.ym_energy(p, grid, about=(0.0, 0.0, 0.0, 0.0))
     assert abs(zonal - E16) / E16 < 1e-12
     if (scale, center) != FAR_PAIR:
@@ -215,7 +215,7 @@ def test_energy_shift_integrals_stay_graded(monkeypatch):
             out = f(r, w)
             seen[-1] += out.size
             return out
-        return integrate_r4(f if rule is quad4.RAY else values, grid, rule)
+        return integrate_r4(values if len(rule.weights) > 1 else f, grid, rule)
 
     def recorded(*args, **kwargs):
         seen.append(0)

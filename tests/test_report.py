@@ -349,13 +349,12 @@ def test_cli_bad_config_exit_codes(capsys):
         assert exc.value.code == 2, argv
 
 
-# positional ids: a deleted case is replaced in place, so the other ids stay put
 @pytest.mark.parametrize("argv", [
-    ["--lambda", "inf", "gap"],
-    ["--center=nan,0,0,0", "thresholds"],
-    ["--lambda=-inf", "flow-check"],
-    ["--lambda", "nan", "gap"],
-    ["--center=0,0,inf,0", "energy"],
+    pytest.param(["--lambda", "inf", "gap"], id="lambda-inf"),
+    pytest.param(["--center=nan,0,0,0", "thresholds"], id="center-nan"),
+    pytest.param(["--lambda=-inf", "flow-check"], id="lambda-minus-inf"),
+    pytest.param(["--lambda", "nan", "gap"], id="lambda-nan"),
+    pytest.param(["--center=0,0,inf,0", "energy"], id="center-inf"),
 ])
 def test_cli_non_finite_input_is_config_error(argv, capsys):
     assert cli.main(["--format", "json"] + argv) == 2
@@ -366,18 +365,21 @@ def test_cli_non_finite_input_is_config_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--lambda", "-1", "gap"],
-    ["--lambda", "0", "gap"],
-    ["--lambda", "1e-30", "gap"],            # the suites' arithmetic would overflow
-    ["--lambda", "1e-21", "thresholds"],     # every command builds the instanton
-    ["--lambda", "1e21", "energy"],          # the cap 1e20 bounds the grid's rmax by 1e23
-    ["--lambda=-1e-3", "flow-check"],
-    ["--lambda", "1e30", "gap"],
-    ["--seed", "-5", "flow-check"],
-    ["--seed", "-1", "gap"],
-    ["--out", "{missing}/report.json", "thresholds"],
-    ["--lambda", "2e20", "flow-check"],
-    ["--out", "{missing}/report.json", "eigen"],
+    pytest.param(["--lambda", "-1", "gap"], id="lambda-minus-1"),
+    pytest.param(["--lambda", "0", "gap"], id="lambda-0"),
+    # the suites' arithmetic would overflow
+    pytest.param(["--lambda", "1e-30", "gap"], id="lambda-1e-30"),
+    # every command builds the instanton
+    pytest.param(["--lambda", "1e-21", "thresholds"], id="lambda-1e-21"),
+    # the cap 1e20 bounds the grid's rmax by 1e23
+    pytest.param(["--lambda", "1e21", "energy"], id="lambda-1e21"),
+    pytest.param(["--lambda=-1e-3", "flow-check"], id="lambda-minus-1e-3"),
+    pytest.param(["--lambda", "1e30", "gap"], id="lambda-1e30"),
+    pytest.param(["--seed", "-5", "flow-check"], id="seed-minus-5"),
+    pytest.param(["--seed", "-1", "gap"], id="seed-minus-1"),
+    pytest.param(["--out", "{missing}/report.json", "thresholds"], id="out-unwritable-thresholds"),
+    pytest.param(["--lambda", "2e20", "flow-check"], id="lambda-2e20"),
+    pytest.param(["--out", "{missing}/report.json", "eigen"], id="out-unwritable-eigen"),
 ])
 def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
     argv = [arg.format(missing=tmp_path / "no-such-dir") for arg in argv]   # unwritable paths
@@ -388,10 +390,17 @@ def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("kwargs", [{"scale": -1.0}, {"scale": 1e21}, {"scale": 1e-21},
-                                    {"scale": 0.0}, {"scale": 2e20},
-                                    {"center": (1.0, 2.0)}, {"center": (0.0,) * 5},
-                                    {"center": ()}, {"center": ((0.0, 0.0), (0.0, 0.0))}])
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"scale": -1.0}, id="scale-minus-1"),
+    pytest.param({"scale": 1e21}, id="scale-1e21"),
+    pytest.param({"scale": 1e-21}, id="scale-1e-21"),
+    pytest.param({"scale": 0.0}, id="scale-0"),
+    pytest.param({"scale": 2e20}, id="scale-2e20"),
+    pytest.param({"center": (1.0, 2.0)}, id="center-2-values"),
+    pytest.param({"center": (0.0,) * 5}, id="center-5-values"),
+    pytest.param({"center": ()}, id="center-empty"),
+    pytest.param({"center": ((0.0, 0.0), (0.0, 0.0))}, id="center-nested-2x2"),
+])
 def test_gap_config_rejects_what_lower_layers_reject(kwargs):
     with pytest.raises(report.ConfigError):
         report.GapConfig(**kwargs)
@@ -501,8 +510,8 @@ def test_readme_common_flags_are_the_parser():
     text = ' '.join(_readme_text().split())
     sentence = text.split('Common flags: ', 1)[1].split('. ', 1)[0]
     named = {token.split()[0] for token in re.findall(r'`([^`]+)`', sentence)}
-    common = cli._common_flags(suppress=False)
-    assert named == {option for action in common._actions for option in action.option_strings}
+    flags = {option for action in cli.build_parser()._actions for option in action.option_strings}
+    assert named == flags - {'-h', '--help'}
     count = re.search(r'the (\w+) fields of `ymgap\.report\.GapConfig`', text).group(1)
     assert _NUMBER_WORDS[count] == len(dataclasses.fields(report.GapConfig))
 
@@ -564,6 +573,19 @@ def test_cli_common_flags_either_side_of_subcommand():
     assert before.seed == 5 and before.format == 'json' and before.scale == 1.0
     assert parser.parse_args(['--lambda', '2', 'thresholds']).scale == 2.0
     assert parser.parse_args(['--seed', '5', 'gap', '--seed', '7']).seed == 7
+    mixed = parser.parse_args(['--lambda', '2', 'gap', '--seed', '3'])
+    assert (mixed.scale, mixed.command, mixed.seed) == (2.0, 'gap', 3)
+
+
+@pytest.mark.parametrize("argv", [pytest.param(['--help'], id="help"),
+                                  pytest.param(['gap', '--help'], id="gap-help")])
+def test_cli_help_names_every_command_and_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    flags = [option for action in cli.build_parser()._actions for option in action.option_strings]
+    assert all(word in out for word in (*cli._COMMAND_SUITES, *flags))
 
 
 def test_cli_negative_center_needs_equals_form():
