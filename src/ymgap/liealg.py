@@ -246,20 +246,22 @@ def bracket_bound_check(p, gamma0):
 # -- sharp-constant optimizers ----------------------------------------------
 
 _TOL = 1e-7         # stop when |P grad f| < _TOL * max(1, |f|)
-_MAX_ITER = 800     # gradient evaluations per restart
+_MAX_ITER = 800     # per restart: its start plus the steps it accepted
 _TIE = 1e-12        # relative distance from the best value that counts as a tie
+_STEPS = np.array([2.0, 1.0, 0.5, 0.25, 0.125])     # trial steps per loop, x the last accepted
 
 
 @dataclass
 class GammaEstimate:
     """Result of a seeded projected-gradient search.
 
-    ``value`` is a certified local maximum when ``converged`` (projected
-    gradient norm below tolerance on the constraint sphere(s)); otherwise
-    it is the best value reached. ``restart`` is the earliest restart whose
-    value is within a relative _TIE = 1e-12 of the best one, and ``argmax``,
-    ``grad_norm`` and ``iterations`` are that restart's: an (A, B) pair for
-    gamma0 and a unit-norm Lie-valued 2-form for gamma1.
+    When ``converged``, ``value`` is a stationary point of f to tolerance
+    (projected gradient norm below it on the constraint sphere(s)), not a
+    certified maximum; otherwise it is the best value reached. Either way
+    it is a lower bound on the supremum. ``restart`` is the earliest
+    restart whose value is within a relative _TIE = 1e-12 of the best one,
+    and ``argmax``, ``grad_norm`` and ``iterations`` are that restart's: an
+    (A, B) pair for gamma0 and a unit-norm Lie-valued 2-form for gamma1.
     """
 
     value: float
@@ -275,11 +277,15 @@ def _sphere_ascent(objective, starts):
 
     ``starts`` is (R, B, n): one row per restart, each a point on B spheres
     in R^n (normalized here). ``objective(z)`` returns f (R',) and its
-    gradient (R', B, n) for any (R', B, n) stack. Each restart keeps its
-    own step along the projected gradient: a renormalized trial step is
-    accepted if it raises f (step x1.5, at most 1) and halved otherwise. A
+    gradient (R', B, n) for any (R', B, n) stack. Each loop makes one
+    objective call on the renormalized trial points of every active
+    restart along its projected gradient, at the steps _STEPS times its
+    last accepted step, capped at 1. A restart moves to its trial with the
+    largest f if f rises, or if f ties to the last bit and the projected
+    gradient shrinks (near convergence a step raises f by less than its
+    last bit), and keeps the step it used; otherwise its step is halved. A
     restart stops when |P grad f| < _TOL max(1, |f|) (converged), when its
-    step falls to 1e-16, or after _MAX_ITER gradient evaluations. Returns a
+    step falls to 1e-16, or after _MAX_ITER accepted steps. Returns a
     GammaEstimate of f for the earliest restart within a relative _TIE of
     the best value, with its point as ``argmax``.
     """
@@ -303,14 +309,18 @@ def _sphere_ascent(objective, starts):
         active = np.flatnonzero(~converged & (step > 1e-16) & (iterations < _MAX_ITER))
         if not active.size:
             break
-        trial = unit(z[active] + step[active, None, None] * pg[active])
+        steps = np.minimum(step[active, None] * _STEPS, 1.0)
+        trial = unit(z[active, None] + steps[..., None, None] * pg[active, None])
+        trial = trial.reshape((-1,) + z.shape[1:])
         tval, tgrad = objective(trial)
-        up = tval > val[active]
+        pick = np.arange(active.size) * _STEPS.size + np.argmax(tval.reshape(steps.shape), axis=1)
+        trial, tval, tstep = trial[pick], tval[pick], steps.ravel()[pick]
+        tpg, tgn = tangent(tgrad[pick], trial)
+        up = (tval > val[active]) | ((tval == val[active]) & (tgn < gn[active]))
         acc = active[up]
-        z[acc], val[acc] = trial[up], tval[up]
-        pg[acc], gn[acc] = tangent(tgrad[up], trial[up])
+        z[acc], val[acc], pg[acc], gn[acc] = trial[up], tval[up], tpg[up], tgn[up]
         iterations[acc] += 1
-        step[acc] = np.minimum(1.5 * step[acc], 1.0)
+        step[acc] = tstep[up]
         step[active[~up]] *= 0.5
     r = int(np.flatnonzero(val >= val.max() - _TIE * abs(val.max()))[0])
     return GammaEstimate(float(val[r]), z[r], float(gn[r]), int(iterations[r]), r,

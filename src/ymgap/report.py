@@ -331,9 +331,11 @@ def _suite_gamma_constants(cfg):
     g1_so4 = liealg.gamma1_estimate(liealg.AlgebraSpec.so_n(4), restarts=16, seed=cfg.seed)
     checks.append(_check("gamma1-so4-bound", g1_so4.value - liealg.GAMMA1_MAX, 1e-5))
     constants = {n: {'gamma0': g0[n].value, 'gamma0_grad_norm': g0[n].grad_norm,
-                     'gamma0_converged': g0[n].converged,
+                     'gamma0_converged': g0[n].converged, 'gamma0_iterations': g0[n].iterations,
+                     'gamma0_restart': g0[n].restart,
                      'gamma1': g1[n].value, 'gamma1_grad_norm': g1[n].grad_norm,
-                     'gamma1_converged': g1[n].converged} for n in algebras}
+                     'gamma1_converged': g1[n].converged, 'gamma1_iterations': g1[n].iterations,
+                     'gamma1_restart': g1[n].restart} for n in algebras}
     return checks, {'constants': constants}
 
 

@@ -197,6 +197,10 @@ def test_gamma_searches_converge_to_the_sharp_constants(suite_estimates):
     for seed in SEEDS:
         est = liealg.gamma1_estimate(so4, restarts=16, seed=seed)
         assert est.converged and est.value <= liealg.GAMMA1_MAX + 1e-12
+    # a benchmark pass seed, pass_seed(3, 20), whose best restart converges only by a
+    # step that ties f to the last bit and shrinks the projected gradient
+    est = liealg.gamma1_estimate(liealg.AlgebraSpec.so3_block(), restarts=32, seed=1232813911)
+    assert est.converged and abs(est.value - liealg.GAMMA1_SO3) < 1e-12
 
 
 def test_gamma_restart_tie_rule_ignores_roundoff(suite_estimates):

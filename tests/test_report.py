@@ -451,6 +451,11 @@ def test_cli_constants_exports_values(capsys):
     assert abs(vals["su2"]["gamma1"] - liealg.GAMMA1_SU2) < 1e-5
     assert abs(vals["so3"]["gamma1"] - liealg.GAMMA1_SO3) < 1e-5
     assert vals["su2"]["gamma0_converged"] is True
+    for name in ("su2", "so3"):
+        for g in ("gamma0", "gamma1"):
+            iterations, restart = vals[name][f"{g}_iterations"], vals[name][f"{g}_restart"]
+            assert type(iterations) is int and 1 <= iterations <= liealg._MAX_ITER
+            assert type(restart) is int and restart >= 0
 
 
 def test_cli_constants_runs_each_search_once(monkeypatch, capsys):
@@ -465,6 +470,25 @@ def test_cli_constants_runs_each_search_once(monkeypatch, capsys):
         monkeypatch.setattr(liealg, name, counted)
     assert cli.main(["--format", "json", "constants"]) == 0
     assert calls == {"gamma0_estimate": 2, "gamma1_estimate": 3}
+
+
+def test_gamma_constants_suite_objective_calls(monkeypatch):
+    # one objective call per ascent loop, so this counts the loops without a clock
+    ascent, calls = liealg._sphere_ascent, [0]
+
+    def counted(objective, starts):
+        def objective_counted(z):
+            calls[0] += 1
+            return objective(z)
+        return ascent(objective_counted, starts)
+
+    monkeypatch.setattr(liealg, "_sphere_ascent", counted)
+    per_run = []
+    for seed in range(24):
+        calls[0] = 0
+        assert report.run_suite("gamma-constants", report.GapConfig(seed=seed)).passed
+        per_run.append(calls[0])
+    assert max(per_run) <= 80, per_run
 
 
 # parsed values each README command line must produce, by subcommand
