@@ -96,7 +96,7 @@ def connection_at(p, x):
     y = (x - p.center_array) / p.scale
     f = 1.0 / (1.0 + np.einsum('...m,...m->...', y, y))
     cvals = np.einsum('amn,...n->...am', _THETA_COEFF, y)      # (..., 3, 4)
-    theta = np.einsum('...am,aij->...mij', cvals, np.stack([liealg.SU2_I, liealg.SU2_J, liealg.SU2_K]))
+    theta = np.einsum('...am,aij->...mij', cvals, liealg.SU2_BASIS)
     return theta * (f / p.scale)[..., None, None, None]
 
 

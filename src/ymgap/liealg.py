@@ -38,7 +38,8 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SU2_I = np.block([[_O, _I2], [-_I2, _O]])
 SU2_J = np.block([[_O, _J], [_J, _O]])
 SU2_K = np.block([[_J, _O], [_O, -_J]])
-for _m in (SU2_I, SU2_J, SU2_K):
+SU2_BASIS = np.stack([SU2_I, SU2_J, SU2_K])
+for _m in (SU2_I, SU2_J, SU2_K, SU2_BASIS):
     _m.setflags(write=False)
 
 # sign convention self-test: the toolkit is built on ij = k
@@ -71,21 +72,6 @@ def bracket(a, b):
 def is_skew(a):
     a = np.asarray(a, dtype=float)
     return np.max(np.abs(a + np.swapaxes(a, -1, -2))) <= 1e-14
-
-
-def so3_generators():
-    """3x3 rotation generators with [L1, L2] = L3 cyclically and |La| = 1."""
-    gens = np.zeros((3, 3, 3))
-    for a in range(3):
-        for bb in range(3):
-            for c in range(3):
-                # (L_a)_bc = -eps_abc
-                gens[a, bb, c] = -_levi_civita(a, bb, c)
-    return gens
-
-
-def _levi_civita(i, j, k):
-    return (i - j) * (j - k) * (k - i) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +138,18 @@ class AlgebraSpec:
     @classmethod
     def su2_real(cls):
         """span{i, j, k} as real 4x4 matrices."""
-        return cls('su2_real', 4, np.stack([SU2_I, SU2_J, SU2_K]))
+        return cls('su2_real', 4, SU2_BASIS)
 
     @classmethod
     def so3_block(cls):
-        """so(3) as 3x3 rotation generators padded to 4x4."""
+        """so(3) as 3x3 rotation generators padded to 4x4.
+
+        (L_a)_bc = -eps_abc, so [L1, L2] = L3 cyclically and |La| = 1.
+        """
+        a = np.arange(3)
+        b, c = (a + 1) % 3, (a + 2) % 3
         gens = np.zeros((3, 4, 4))
-        gens[:, :3, :3] = so3_generators()
+        gens[a, b, c], gens[a, c, b] = -1.0, 1.0
         return cls('so3_block', 4, gens)
 
     @classmethod
@@ -246,19 +237,18 @@ def bracket_bound_check(p, gamma0):
 # -- sharp-constant optimizers ----------------------------------------------
 
 _TOL = 1e-7         # stop when |P grad f| < _TOL * max(1, |f|)
-_MAX_ITER = 800     # per restart: its start plus the steps it accepted
+_MAX_ITER = 800     # per restart: its start plus its steps
 _TIE = 1e-12        # relative distance from the best value that counts as a tie
-_STEPS = np.array([2.0, 1.0, 0.5, 0.25, 0.125])     # trial steps per loop, x the last accepted
 
 
 @dataclass
 class GammaEstimate:
-    """Result of a seeded projected-gradient search.
+    """Result of a seeded shifted-power search.
 
     When ``converged``, ``value`` is a stationary point of f to tolerance
     (projected gradient norm below it on the constraint sphere(s)), not a
-    certified maximum; otherwise it is the best value reached. Either way
-    it is a lower bound on the supremum. ``restart`` is the earliest
+    certified maximum; otherwise it is the value at the last step. Either
+    way it is a lower bound on the supremum. ``restart`` is the earliest
     restart whose value is within a relative _TIE = 1e-12 of the best one,
     and ``argmax``, ``grad_norm`` and ``iterations`` are that restart's: an
     (A, B) pair for gamma0 and a unit-norm Lie-valued 2-form for gamma1.
@@ -277,58 +267,39 @@ def _sphere_ascent(objective, starts):
 
     ``starts`` is (R, B, n): one row per restart, each a point on B spheres
     in R^n (normalized here). ``objective(z)`` returns f (R',) and its
-    gradient (R', B, n) for any (R', B, n) stack. Each loop makes one
-    objective call on the renormalized trial points of every active
-    restart along its projected gradient, at the steps _STEPS times its
-    last accepted step, capped at 1. A restart moves to its trial with the
-    largest f if f rises, or if f ties to the last bit and the projected
-    gradient shrinks (near convergence a step raises f by less than its
-    last bit), and keeps the step it used; otherwise its step is halved. A
-    restart stops when |P grad f| < _TOL max(1, |f|) (converged), when its
-    step falls to 1e-16, or after _MAX_ITER accepted steps. Returns a
-    GammaEstimate of f for the earliest restart within a relative _TIE of
-    the best value, with its point as ``argmax``.
+    gradient g (R', B, n) for any (R', B, n) stack; f is homogeneous of
+    degree d in each sphere's point, so z.g = d f, and is positive.
+    Each loop moves every active restart, sphere by sphere, by the shifted
+    power step z <- unit(g + (z.g) z), a projected-gradient step of length
+    1/(2 z.g) with no step size to search or store, and makes one
+    objective call on the active rows. A restart stops when
+    |P grad f| < _TOL max(1, |f|) (converged) or after _MAX_ITER points.
+    Returns a GammaEstimate of f for the earliest restart within a
+    relative _TIE of the best value, with its point as ``argmax``.
     """
     if len(starts) < 1:
         raise ValueError("restarts must be >= 1")
-
-    def unit(v):
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    def tangent(g, z):
-        pg = g - np.sum(g * z, axis=-1, keepdims=True) * z
-        return pg, np.sqrt(np.sum(pg * pg, axis=(-2, -1)))
-
-    z = unit(starts)
+    z = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
     val, grad = objective(z)
-    pg, gn = tangent(grad, z)
     iterations = np.ones(len(z), dtype=int)
-    step = np.full(len(z), 0.5)
     while True:
+        radial = np.sum(grad * z, axis=-1, keepdims=True) * z
+        gn = np.sqrt(np.sum((grad - radial) ** 2, axis=(-2, -1)))
         converged = gn < _TOL * np.maximum(1.0, np.abs(val))
-        active = np.flatnonzero(~converged & (step > 1e-16) & (iterations < _MAX_ITER))
+        active = np.flatnonzero(~converged & (iterations < _MAX_ITER))
         if not active.size:
             break
-        steps = np.minimum(step[active, None] * _STEPS, 1.0)
-        trial = unit(z[active, None] + steps[..., None, None] * pg[active, None])
-        trial = trial.reshape((-1,) + z.shape[1:])
-        tval, tgrad = objective(trial)
-        pick = np.arange(active.size) * _STEPS.size + np.argmax(tval.reshape(steps.shape), axis=1)
-        trial, tval, tstep = trial[pick], tval[pick], steps.ravel()[pick]
-        tpg, tgn = tangent(tgrad[pick], trial)
-        up = (tval > val[active]) | ((tval == val[active]) & (tgn < gn[active]))
-        acc = active[up]
-        z[acc], val[acc], pg[acc], gn[acc] = trial[up], tval[up], tpg[up], tgn[up]
-        iterations[acc] += 1
-        step[acc] = tstep[up]
-        step[active[~up]] *= 0.5
+        power = grad[active] + radial[active]
+        z[active] = power / np.linalg.norm(power, axis=-1, keepdims=True)
+        val[active], grad[active] = objective(z[active])
+        iterations[active] += 1
     r = int(np.flatnonzero(val >= val.max() - _TIE * abs(val.max()))[0])
     return GammaEstimate(float(val[r]), z[r], float(gn[r]), int(iterations[r]), r,
                          bool(converged[r]))
 
 
 def gamma0_estimate(alg, restarts=64, seed=0):
-    """Maximize |[A,B]| / (|A||B|) by projected gradient ascent on spheres.
+    """Maximize |[A,B]| / (|A||B|) by the shifted power iteration on two spheres.
 
     Works on orthonormal-basis coefficients x, y with the algebra's
     structure constants f: [A,B] has coefficients c = f(x, y, .), so the

@@ -273,15 +273,14 @@ def _suite_bochner(cfg):
 def _suite_bracket_sharpness(cfg):
     rng = np.random.default_rng(cfg.seed + 2)
     checks = []
-    basis = np.stack([liealg.SU2_I, liealg.SU2_J, liealg.SU2_K])
-    p = liealg.lv_from_sd_coeffs(basis)
+    p = liealg.lv_from_sd_coeffs(liealg.SU2_BASIS)
     checks.append(_check("cubic-form-bpst", abs(liealg.cubic_form(p) - 24.0), 1e-12))
     checks.append(_check("bracket-norm-bpst",
                          abs(liealg.lv_norm(liealg.comm2form(p, p)) - 4.0 * np.sqrt(6.0)), 1e-12))
     checks.append(_check("bound-equality-bpst",
                          abs(liealg.bracket_bound_check(p, liealg.GAMMA0_SU2)), 1e-10))
     coeffs = rng.standard_normal((200, 3, 3))
-    q = liealg.lv_from_sd_coeffs(np.einsum('...ak,kij->...aij', coeffs, basis))
+    q = liealg.lv_from_sd_coeffs(np.einsum('...ak,kij->...aij', coeffs, liealg.SU2_BASIS))
     worst = min(0.0, np.min(liealg.bracket_bound_check(q, liealg.GAMMA0_SU2)))
     checks.append(_check("bound-nonneg-random", -worst, 1e-10))
     params = cfg.instanton_params()

@@ -124,7 +124,7 @@ def test_covariant_derivative_analytic_profile():
 
 def test_flat_connection_constant_form_parallel():
     const_form = liealg.lv_from_sd_coeffs(
-        np.stack([liealg.SU2_I, liealg.SU2_J, liealg.SU2_K]))
+        liealg.SU2_BASIS)
     nab = instanton.covariant_derivative_of(lambda x: const_form, flat_connection,
                                             np.array([0.2, 0.4, -0.1, 0.9]), h=1e-3)
     assert instanton.cov_norm_sq(nab) == 0.0

@@ -1,5 +1,7 @@
 """Lie algebra layer: inner product, brackets, 2-form commutator, constants."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def lv_sd_coeffs(p):
 
 def bpst_shape():
     """The unit-coefficient extremal configuration e1(x)i + e2(x)j + e3(x)k."""
-    return liealg.lv_from_sd_coeffs(np.stack([liealg.SU2_I, liealg.SU2_J, liealg.SU2_K]))
+    return liealg.lv_from_sd_coeffs(liealg.SU2_BASIS)
 
 
 def test_quaternion_matrices():
@@ -89,6 +91,17 @@ def test_algebra_specs_validate():
         liealg.AlgebraSpec('open', 4, np.stack([liealg.SU2_I, liealg.SU2_J]))
 
 
+def test_so3_block_is_minus_levi_civita():
+    eps = np.zeros((3, 3, 3))
+    for a, b, c in itertools.permutations(range(3)):
+        eps[a, b, c] = (a - b) * (b - c) * (c - a) / 2.0
+    gens = liealg.AlgebraSpec.so3_block().basis
+    assert np.array_equal(gens[:, :3, :3], -eps) and not gens[:, 3].any() and not gens[..., 3].any()
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        assert np.array_equal(liealg.bracket(gens[a], gens[b]), gens[c])
+
+
 def test_lv_norm_convention():
     p = bpst_shape()
     assert abs(liealg.lv_norm_sq(p) - 6.0) < 1e-14
@@ -108,7 +121,7 @@ def test_comm2form_oracle_equivalence():
 
 def test_comm2form_symmetric_and_self_dual():
     rng = np.random.default_rng(17)
-    basis = np.stack([liealg.SU2_I, liealg.SU2_J, liealg.SU2_K])
+    basis = liealg.SU2_BASIS
     for _ in range(10):
         p = liealg.lv_from_sd_coeffs(np.einsum('ak,kij->aij', rng.standard_normal((3, 3)), basis))
         q = liealg.lv_from_sd_coeffs(np.einsum('ak,kij->aij', rng.standard_normal((3, 3)), basis))
@@ -130,7 +143,7 @@ def test_bpst_configuration_identities():
 
 def test_bracket_bound_nonnegative_random():
     rng = np.random.default_rng(23)
-    basis = np.stack([liealg.SU2_I, liealg.SU2_J, liealg.SU2_K])
+    basis = liealg.SU2_BASIS
     for _ in range(300):
         p = liealg.lv_from_sd_coeffs(np.einsum('ak,kij->aij', rng.standard_normal((3, 3)), basis))
         assert liealg.bracket_bound_check(p, liealg.GAMMA0_SU2) >= -1e-10
@@ -139,7 +152,7 @@ def test_bracket_bound_nonnegative_random():
 
 def test_gamma_chain_consistency():
     rng = np.random.default_rng(29)
-    basis = np.stack([liealg.SU2_I, liealg.SU2_J, liealg.SU2_K])
+    basis = liealg.SU2_BASIS
     for _ in range(100):
         om = liealg.lv_from_sd_coeffs(np.einsum('ak,kij->aij', rng.standard_normal((3, 3)), basis))
         cubic = liealg.lv_inner(om, liealg.comm2form(om, om))
@@ -197,8 +210,8 @@ def test_gamma_searches_converge_to_the_sharp_constants(suite_estimates):
     for seed in SEEDS:
         est = liealg.gamma1_estimate(so4, restarts=16, seed=seed)
         assert est.converged and est.value <= liealg.GAMMA1_MAX + 1e-12
-    # a benchmark pass seed, pass_seed(3, 20), whose best restart converges only by a
-    # step that ties f to the last bit and shrinks the projected gradient
+    # a benchmark pass seed, pass_seed(3, 20), whose best restart a step-length
+    # search could finish only by steps that left f unchanged to the last bit
     est = liealg.gamma1_estimate(liealg.AlgebraSpec.so3_block(), restarts=32, seed=1232813911)
     assert est.converged and abs(est.value - liealg.GAMMA1_SO3) < 1e-12
 
