@@ -15,14 +15,14 @@ rng = np.random.default_rng(0)
 dx12, dx34 = np.eye(6)[[forms4.PAIR_INDEX[(0, 1)], forms4.PAIR_INDEX[(2, 3)]]]
 print("|dx12|^2 =", forms4.inner_2form(dx12, dx12), "(the factor-2 convention)")
 
-# the package applies the star to Lie-algebra-valued forms; tensor a scalar
-# form with the quaternion i, whose (0, 2) entry is 1, to read it back
-i = liealg.SU2_I
-print("star(dx12 (x) i) = dx34 (x) i:",
-      np.array_equal(liealg.lv_hodge(dx12[:, None, None] * i), dx34[:, None, None] * i))
+# the package applies the star to Lie-algebra-valued forms, stored as
+# (6, k) coefficients on an orthonormal basis E_1..E_k of the algebra; a
+# scalar form a is the form a (x) E_1 with one coefficient, a[:, None]
+print("star(dx12 (x) E_1) = dx34 (x) E_1:",
+      np.array_equal(liealg.lv_hodge(dx12[:, None]), dx34[:, None]))
 
 a = rng.standard_normal(6)
-plus = liealg.lv_self_dual(a[:, None, None] * i)[:, 0, 2]
+plus = liealg.lv_self_dual(a[:, None])[:, 0]
 minus = a - plus
 print("\nrandom 2-form split: |a|^2 = |a+|^2 + |a-|^2 ->",
       forms4.inner_2form(a, a), "=",

@@ -4,12 +4,13 @@ gamma0 bounds |[A,B]|/(|A||B|); it is sqrt(2) on su(2) (attained by Pauli
 pairs, and by the search's argmax) and 1 on so(3). gamma1 bounds the
 cubic form <w,[w,w]>/|w|^3 over self-dual algebra-valued 2-forms:
 4/sqrt(6) for su(2), 2/sqrt(3) for so(3), and never more than 4/sqrt(6)
-for any skew algebra.
+for any skew algebra. The searches work on coefficients on an orthonormal
+basis of the algebra, and brackets on its structure constants.
 """
 
 import numpy as np
 
-from ymgap import liealg
+from ymgap import forms4, liealg
 
 print("quaternion generators: |i|^2 =", liealg.ip_endo(liealg.SU2_I, liealg.SU2_I),
       " [i,j] = 2k:", np.array_equal(liealg.bracket(liealg.SU2_I, liealg.SU2_J),
@@ -22,9 +23,11 @@ for name, alg, expected in [
     est = liealg.gamma0_estimate(alg, restarts=32, seed=0)
     print(f"gamma0[{name}] = {est.value:.12f}  (expected {expected:.12f}, "
           f"grad norm {est.grad_norm:.1e}, converged={est.converged})")
-    # the search returns its maximizing pair, a witness that the value is attained
-    a, b = est.argmax
-    ratio = liealg.norm_endo(liealg.bracket(a, b)) / (liealg.norm_endo(a) * liealg.norm_endo(b))
+    # the search returns its maximizing coefficient pair, a witness that the
+    # value is attained
+    x, y = est.argmax
+    c = liealg.bracket_coeffs(x, y, alg.structure_constants)
+    ratio = np.linalg.norm(c) / (np.linalg.norm(x) * np.linalg.norm(y))
     print(f"  its argmax pair has |[A,B]|/(|A||B|) = {ratio:.12f}")
 
 print()
@@ -36,11 +39,14 @@ for name, alg, expected in [
     print(f"gamma1[{name}] = {est.value:.12f}  (expected {expected:.12f})")
 
 print("\nthe maximizing configuration is the quaternionic one:")
-p = liealg.lv_from_sd_coeffs(np.stack([liealg.SU2_I, liealg.SU2_J, liealg.SU2_K]))
+# su(2)'s orthonormal basis is (i, j, k)/sqrt2, so i, j, k have coefficient sqrt2
+f = liealg.SU2.structure_constants
+p = np.sqrt(2.0) * forms4.sd_basis().T
 print("  P = e1(x)i + e2(x)j + e3(x)k,  |P|^2 =", liealg.lv_norm_sq(p))
-print("  [P,P] = 4P:", np.allclose(liealg.comm2form(p, p), 4 * p))
-print("  <P,[P,P]> =", liealg.cubic_form(p), " = (4/sqrt 6)|P|^3 =",
+print("  [P,P] = 4P:", np.allclose(liealg.comm2form(p, p, f), 4 * p))
+print("  <P,[P,P]> =", liealg.cubic_form(p, f), " = (4/sqrt 6)|P|^3 =",
       4 / np.sqrt(6) * liealg.lv_norm(p) ** 3)
-print("  |[P,P]| =", liealg.lv_norm(liealg.comm2form(p, p)), " = 4 sqrt(6) =", 4 * np.sqrt(6.0))
+print("  |[P,P]| =", liealg.lv_norm(liealg.comm2form(p, p, f)), " = 4 sqrt(6) =",
+      4 * np.sqrt(6.0))
 print("  bound residual (2/sqrt3) gamma0 |P|^2 - |[P,P]| =",
-      liealg.bracket_bound_check(p, liealg.GAMMA0_SU2))
+      liealg.bracket_bound_check(p, liealg.GAMMA0_SU2, f))

@@ -13,6 +13,12 @@ from ymgap import instanton, liealg
 p = instanton.STANDARD
 x = np.array([0.3, -0.1, 0.7, 0.2])
 
+# su(2) values are coefficients on its orthonormal basis (i, j, k)/sqrt2;
+# divided by sqrt2 they are the quaternion components of the module display
+theta = instanton.connection_at(p, x)
+print("theta at x, one row per dx^m, components on (i, j, k):")
+print(np.round(theta / np.sqrt(2.0), 6))
+
 f = instanton.curvature_closed_at(p, x)
 print("|F|^2 at x:", liealg.lv_norm_sq(f), " norm law:",
       instanton.curvature_norm_sq(p, x))
@@ -42,7 +48,7 @@ for pt in (np.array([0.5, 0, 0, 0]), x, np.array([-1.2, 0.4, 0.1, -0.3])):
 print("\nBochner identity at the origin:")
 print("  (1/2) Lap |F|^2 =", 0.5 * float(instanton.curvature_norm_sq_laplacian(p, np.zeros(4))))
 f0 = instanton.curvature_closed_at(p, np.zeros(4))
-print("  <F,[F,F]>      =", float(liealg.lv_inner(f0, liealg.comm2form(f0, f0))))
+print("  <F,[F,F]>      =", float(liealg.cubic_form(f0, liealg.SU2.structure_constants)))
 print("  |nabla F|^2    =", instanton.cov_norm_sq(covariant_derivative(np.zeros(4))))
 print("  residual       =", instanton.bochner_residual_at(p, np.zeros(4)))
 

@@ -5,7 +5,8 @@ Subpackages:
 
 * ``forms4``    -- 2-form algebra on oriented R^4 (star table, self-dual
                    basis, circ product, operators on the self-dual space)
-* ``liealg``    -- skew matrix algebras, bracket constants gamma0/gamma1
+* ``liealg``    -- Lie algebras as structure constants, the bracket of
+                   coefficient vectors, bracket constants gamma0/gamma1
 * ``instanton`` -- the charge-one instanton family in closed form plus
                    finite-difference cross-checks
 * ``quad4``     -- energy / characteristic-number quadrature over R^4

@@ -27,8 +27,11 @@ x -> (x - center)/scale, which multiplies connection coefficients by
 1/scale and curvature coefficients by 1/scale^2.
 
 Every evaluator takes points x of shape (..., 4) and broadcasts over the
-leading axes: a single point (4,) is the case ... = (). Forms come back as
-(..., 6, n, n), covariant derivatives as (..., 4, 6, n, n), scalars and
+leading axes: a single point (4,) is the case ... = (). Lie-algebra values
+are coefficients on the orthonormal basis (i, j, k)/sqrt2 of ``liealg.SU2``,
+sqrt2 times the quaternion entries of the displays above, and every
+bracket is ``liealg.bracket_coeffs``. Connections come back as (..., 4, 3),
+forms as (..., 6, 3), covariant derivatives as (..., 4, 6, 3), scalars and
 residuals as (...). Finite-difference evaluators use central differences
 with optional Richardson extrapolation (on by default where a tight
 tolerance matters); convergence-order checks should pass
@@ -43,17 +46,16 @@ import numpy as np
 
 from . import forms4, liealg
 
-#: constant matrix-valued components of the standard curvature, index order
-#: (12, 13, 14, 23, 24, 34); the scalar profile multiplies all six.
-CURV_COMPONENTS = np.stack([
-    liealg.SU2_I,
-    liealg.SU2_J,
-    liealg.SU2_K,
-    liealg.SU2_K,
-    -liealg.SU2_J,
-    liealg.SU2_I,
+# quaternion components (i, j, k) of the standard curvature's six form
+# components, index order (12, 13, 14, 23, 24, 34); the profile multiplies all
+_CURV_COEFF = np.array([
+    [1.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0],
+    [0.0, 0.0, 1.0],
+    [0.0, -1.0, 0.0],
+    [1.0, 0.0, 0.0],
 ])
-CURV_COMPONENTS.setflags(write=False)
 
 # 1-form coefficient matrices: theta_a = (C_a x) . dx with C_a below
 _THETA_COEFF = np.array([
@@ -88,24 +90,24 @@ STANDARD = InstantonParams()
 
 
 def connection_at(p, x):
-    """Connection coefficients theta_1..theta_4 at x: (..., 4, 4, 4).
+    """Connection coefficients theta_1..theta_4 at x: (..., 4, 3).
 
-    Axis -3 is the dx index; the trailing axes are the su(2)_real matrix.
+    Axis -2 is the dx index, axis -1 the su(2) coefficient.
     """
     x = np.asarray(x, dtype=float)
     y = (x - p.center_array) / p.scale
-    f = 1.0 / (1.0 + np.einsum('...m,...m->...', y, y))
-    cvals = np.einsum('amn,...n->...am', _THETA_COEFF, y)      # (..., 3, 4)
-    theta = np.einsum('...am,aij->...mij', cvals, liealg.SU2_BASIS)
-    return theta * (f / p.scale)[..., None, None, None]
+    # sqrt2: a quaternion is sqrt2 times its vector of the orthonormal basis
+    f = np.sqrt(2.0) / (p.scale * (1.0 + np.einsum('...m,...m->...', y, y)))
+    return np.einsum('amn,...n->...ma', _THETA_COEFF, y) * f[..., None, None]
 
 
 def curvature_closed_at(p, x):
-    """Closed-form curvature at x: (..., 6, 4, 4), self-dual."""
+    """Closed-form curvature at x: (..., 6, 3), self-dual; the display's
+    factor 2 times the sqrt2 of the basis."""
     x = np.asarray(x, dtype=float)
     y = (x - p.center_array) / p.scale
-    s = 2.0 / (p.scale * (1.0 + np.einsum('...m,...m->...', y, y))) ** 2
-    return s[..., None, None, None] * CURV_COMPONENTS
+    s = np.sqrt(8.0) / (p.scale * (1.0 + np.einsum('...m,...m->...', y, y))) ** 2
+    return s[..., None, None] * _CURV_COEFF
 
 
 def norm_law(p, s):
@@ -153,7 +155,7 @@ def _partial(fn, x, k, h, richardson):
     # divide by the step actually taken, not 2 step, which x[k] >> step rounds
     def central(step):
         hi, lo = x + step * ek, x - step * ek
-        return (fn(hi) - fn(lo)) / (hi[..., k] - lo[..., k])[..., None, None, None]
+        return (fn(hi) - fn(lo)) / (hi[..., k] - lo[..., k])[..., None, None]
     d = central(h)
     if richardson:
         d = (4.0 * central(h / 2.0) - d) / 3.0
@@ -166,7 +168,7 @@ def _check_step(h):
 
 
 def curvature_fd_of(conn_fn, x, h, richardson=False):
-    """Curvature (..., 6, n, n) from a connection callable via central differences.
+    """Curvature (..., 6, 3) from a connection callable via central differences.
 
     F_ij = d_i theta_j - d_j theta_i - [theta_i, theta_j]; converges to the
     closed form at O(h^2) (O(h^4) with richardson).
@@ -175,10 +177,10 @@ def curvature_fd_of(conn_fn, x, h, richardson=False):
     x = np.asarray(x, dtype=float)
     th = conn_fn(x)
     # dth[..., k, j] = d_k theta_j
-    dth = np.stack([_partial(conn_fn, x, k, h, richardson) for k in range(4)], axis=-4)
+    dth = np.stack([_partial(conn_fn, x, k, h, richardson) for k in range(4)], axis=-3)
     i, j = forms4.PAIR_I, forms4.PAIR_J
-    return (dth[..., i, j, :, :] - dth[..., j, i, :, :]
-            - liealg.bracket(th[..., i, :, :], th[..., j, :, :]))
+    return (dth[..., i, j, :] - dth[..., j, i, :]
+            - liealg.bracket_coeffs(th[..., i, :], th[..., j, :], liealg.SU2.structure_constants))
 
 
 def curvature_fd_at(p, x, h, richardson=False):
@@ -186,7 +188,7 @@ def curvature_fd_at(p, x, h, richardson=False):
 
 
 def covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=True):
-    """(nabla_1 F, ..., nabla_4 F) as a (..., 4, 6, n, n) array.
+    """(nabla_1 F, ..., nabla_4 F) as a (..., 4, 6, 3) array.
 
     nabla_k F_ij = d_k F_ij - [theta_k, F_ij] on the flat chart (the
     Levi-Civita terms vanish).
@@ -195,15 +197,15 @@ def covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=True):
     x = np.asarray(x, dtype=float)
     th = conn_fn(x)
     f0 = curv_fn(x)
-    out = np.empty(x.shape[:-1] + (4,) + f0.shape[-3:])
+    out = np.empty(x.shape[:-1] + (4,) + f0.shape[-2:])
     for k in range(4):
-        thk = th[..., k:k + 1, :, :]
-        out[..., k, :, :, :] = _partial(curv_fn, x, k, h, richardson) - (thk @ f0 - f0 @ thk)
+        out[..., k, :, :] = _partial(curv_fn, x, k, h, richardson) - liealg.bracket_coeffs(
+            th[..., k:k + 1, :], f0, liealg.SU2.structure_constants)
     return out
 
 
 def cov_norm_sq(nabla):
-    """|nabla F|^2 = sum_k |nabla_k F|^2 (combined inner product): (..., 4, 6, n, n) -> (...)."""
+    """|nabla F|^2 = sum_k |nabla_k F|^2 (combined inner product): (..., 4, 6, 3) -> (...)."""
     return np.sum(liealg.lv_norm_sq(nabla), axis=-1)
 
 
@@ -230,19 +232,19 @@ def bochner_residual_at(p, x, h=1e-3, richardson=False):
 
     nabla = covariant_derivative_of(plus, lambda z: connection_at(p, z), x, h, richardson)
     return (0.5 * curvature_norm_sq_laplacian(p, x) - cov_norm_sq(nabla)
-            + liealg.cubic_form(plus(x)))
+            + liealg.cubic_form(plus(x), liealg.SU2.structure_constants))
 
 
 def bianchi_residual_of(curv_fn, conn_fn, x, h):
     """Max norm over index triples of the cyclic sum of nabla_k F_ij, shape (...)."""
     nabla = covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=False)
     i, j = forms4.PAIR_I, forms4.PAIR_J
-    # full[..., k, i, j] = nabla_k F_ij, antisymmetric in (i, j)
-    full = np.zeros(nabla.shape[:-3] + (4, 4) + nabla.shape[-2:])
-    full[..., i, j, :, :] = nabla
-    full[..., j, i, :, :] = -nabla
-    cyc = full + np.moveaxis(full, -5, -3) + np.moveaxis(full, -3, -5)
-    return np.max(liealg.norm_endo(cyc), axis=(-3, -2, -1))
+    # full[..., k, i, j, :] = nabla_k F_ij, antisymmetric in (i, j)
+    full = np.zeros(nabla.shape[:-2] + (4, 4) + nabla.shape[-1:])
+    full[..., i, j, :] = nabla
+    full[..., j, i, :] = -nabla
+    cyc = full + np.moveaxis(full, -4, -2) + np.moveaxis(full, -2, -4)
+    return np.max(np.linalg.norm(cyc, axis=-1), axis=(-3, -2, -1))
 
 
 def bianchi_residual_at(p, x, h=1e-3):

@@ -1,8 +1,14 @@
-"""Skew-symmetric matrix Lie algebras and the sharp bracket constants.
+"""Matrix Lie algebras, their structure constants and the sharp bracket constants.
 
-Elements are real skew-symmetric n x n matrices with the inner product
-``<A, B> = -tr(AB)/2``, positive definite on skew matrices. Under it the
-quaternion generators below satisfy |i|^2 = |j|^2 = |k|^2 = 2.
+An ``AlgebraSpec`` is given by real skew-symmetric n x n matrices with the
+inner product ``<A, B> = -tr(AB)/2``, positive definite on skew matrices.
+The matrices are read once, when the spec is built, to tabulate the
+structure constants f[k,l,m] = <[E_k,E_l],E_m> on an orthonormal basis E.
+From then on every Lie-algebra value is its coefficient vector on E, and
+every bracket is ``bracket_coeffs`` on f. The instanton's algebra is
+``SU2``, the span of the quaternion generators i, j, k below, for which
+|i|^2 = |j|^2 = |k|^2 = 2: its orthonormal basis is (i, j, k)/sqrt2, so
+its coefficients are sqrt2 times the quaternion entries.
 
 The two sharp constants computed here are
 
@@ -11,10 +17,6 @@ The two sharp constants computed here are
 * ``gamma1``: sup <omega,[omega,omega]> / |omega|^3 over self-dual
   algebra-valued 2-forms, equal to 4/sqrt(6) for the real su(2) and
   2/sqrt(3) for so(3), and never larger than 4/sqrt(6).
-
-Both searches run on orthonormal-basis coefficients through the structure
-constants f[k,l,m] = <[E_k,E_l],E_m> that each ``AlgebraSpec`` tabulates
-once, never on matrices.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ class AlgebraSpec:
     name: str
     n: int
     basis: np.ndarray
-    _onb: np.ndarray = field(init=False, repr=False, compare=False)
     _f: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -102,26 +103,17 @@ class AlgebraSpec:
         if np.linalg.matrix_rank(gram, tol=1e-10) < len(basis):
             raise ValueError("basis is linearly dependent")
         # orthonormalize (the built-in bases are already orthogonal)
-        chol = np.linalg.cholesky(gram)
-        onb = np.einsum('pk,kij->pij', np.linalg.inv(chol), basis)
-        object.__setattr__(self, '_onb', onb)
+        onb = np.einsum('pk,kij->pij', np.linalg.inv(np.linalg.cholesky(gram)), basis)
         brackets = bracket(onb[:, None], onb[None, :])
-        object.__setattr__(self, '_f', ip_endo(brackets[:, :, None], onb))
-        self._check_closure(brackets)
-
-    def _check_closure(self, brackets):
-        """[E_k, E_l] - sum_m f[k,l,m] E_m vanishes iff the span is closed."""
-        leak = brackets - np.einsum('klm,mij->klij', self._f, self._onb)
-        if np.max(norm_endo(leak)) > 1e-12:
+        f = ip_endo(brackets[:, :, None], onb)
+        # [E_k, E_l] - sum_m f[k,l,m] E_m vanishes iff the span is closed
+        if np.max(norm_endo(brackets - np.einsum('klm,mij->klij', f, onb))) > 1e-12:
             raise ValueError(f"{self.name}: bracket leaves the basis span")
+        object.__setattr__(self, '_f', f)
 
     @property
     def dim(self):
         return len(self.basis)
-
-    @property
-    def orthonormal_basis(self):
-        return self._onb
 
     @property
     def structure_constants(self):
@@ -130,10 +122,6 @@ class AlgebraSpec:
         Totally antisymmetric, since the trace form is ad-invariant.
         """
         return self._f
-
-    def element(self, coeffs):
-        """Linear combination of the orthonormal basis."""
-        return np.einsum('...k,kij->...ij', np.asarray(coeffs, dtype=float), self._onb)
 
     @classmethod
     def su2_real(cls):
@@ -165,14 +153,28 @@ class AlgebraSpec:
         return cls(f'so({n})', n, np.stack(basis))
 
 
+SU2 = AlgebraSpec.su2_real()
+
+
+def bracket_coeffs(a, b, f):
+    """Coefficients of [A, B] from those of A and B: sum_kl a_k b_l f[k,l,.].
+
+    The package's one bracket, on structure constants f (k, k, k);
+    broadcasts over leading axes.
+    """
+    k = len(f)
+    ab = np.asarray(a, dtype=float)[..., :, None] * np.asarray(b, dtype=float)[..., None, :]
+    return (ab.reshape(-1, k * k) @ f.reshape(k * k, k)).reshape(ab.shape[:-1])
+
+
 # -- Lie-algebra-valued 2-forms ---------------------------------------------
-# stored as (..., 6, n, n): six form components (shared index order), each a
-# skew matrix. Combined norm |P|^2 = 2 sum_{i<j} |P_ij|^2.
+# stored as (..., 6, k): six form components (shared index order), each the
+# coefficients on the algebra's orthonormal basis. Combined norm
+# |P|^2 = 2 sum_{i<j} |P_ij|^2.
 
 def lv_inner(p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return -np.einsum('...cij,...cji->...', p, q)
+    return 2.0 * np.einsum('...ck,...ck->...', np.asarray(p, dtype=float),
+                           np.asarray(q, dtype=float))
 
 
 def lv_norm_sq(p):
@@ -185,8 +187,7 @@ def lv_norm(p):
 
 def lv_hodge(p):
     """*p on the six components as one matmul; exact, each row of STAR holds one +-1."""
-    p = np.asarray(p, dtype=float)
-    return (forms4.STAR @ p.reshape(p.shape[:-3] + (6, -1))).reshape(p.shape)
+    return forms4.STAR @ np.asarray(p, dtype=float)
 
 
 def lv_self_dual(p):
@@ -197,41 +198,29 @@ def lv_self_dual(p):
     return sp
 
 
-def lv_from_sd_coeffs(coeffs):
-    """Assemble sum_a e_a (x) coeffs[a] from (..., 3, n, n) coefficients."""
-    return np.einsum('ac,...aij->...cij', forms4.sd_basis(), np.asarray(coeffs, dtype=float))
-
-
-_BRACKET_SIGN = forms4.CIRC_SIGN[:, :, None, None]
-
-
-def comm2form(p, q):
-    """Bracket of Lie-valued 2-forms.
+def comm2form(p, q, f):
+    """Bracket of Lie-valued 2-forms on structure constants f.
 
     [P,Q]_ij = sum_k ([P_ik, Q_jk] - [P_jk, Q_ik]); symmetric in (P, Q),
     self-dual output for self-dual inputs. It has the 24 nonzero +-1
     structure constants of ``forms4.circ``, four per output component, with
-    commutators [P_a, Q_b] in place of products; they are applied as one
-    gathered batched matmul, so the call broadcasts over leading axes. The
-    explicit four-loop version lives in the test suite as an oracle.
+    brackets [P_a, Q_b] in place of products; they are applied as one
+    gathered ``bracket_coeffs``, so the call broadcasts over leading axes.
+    The four-loop version on matrices lives in the test suite as an oracle.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape[-1] != q.shape[-1]:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    pa = p[..., forms4.CIRC_LEFT, :, :]
-    qb = q[..., forms4.CIRC_RIGHT, :, :]
-    return np.sum(_BRACKET_SIGN * (pa @ qb - qb @ pa), axis=-3)
+    pa = forms4.CIRC_SIGN[:, :, None] * np.asarray(p, dtype=float)[..., forms4.CIRC_LEFT, :]
+    qb = np.asarray(q, dtype=float)[..., forms4.CIRC_RIGHT, :]
+    return np.sum(bracket_coeffs(pa, qb, f), axis=-2)
 
 
-def cubic_form(p):
+def cubic_form(p, f):
     """<P, [P,P]> under the combined inner product."""
-    return lv_inner(p, comm2form(p, p))
+    return lv_inner(p, comm2form(p, p, f))
 
 
-def bracket_bound_check(p, gamma0):
+def bracket_bound_check(p, gamma0, f):
     """(2/sqrt3) * gamma0 * |p|^2 - |[p,p]|; nonnegative for self-dual p."""
-    return (2.0 / np.sqrt(3.0)) * gamma0 * lv_norm_sq(p) - lv_norm(comm2form(p, p))
+    return (2.0 / np.sqrt(3.0)) * gamma0 * lv_norm_sq(p) - lv_norm(comm2form(p, p, f))
 
 
 # -- sharp-constant optimizers ----------------------------------------------
@@ -250,8 +239,9 @@ class GammaEstimate:
     certified maximum; otherwise it is the value at the last step. Either
     way it is a lower bound on the supremum. ``restart`` is the earliest
     restart whose value is within a relative _TIE = 1e-12 of the best one,
-    and ``argmax``, ``grad_norm`` and ``iterations`` are that restart's: an
-    (A, B) pair for gamma0 and a unit-norm Lie-valued 2-form for gamma1.
+    and ``argmax``, ``grad_norm`` and ``iterations`` are that restart's: a
+    coefficient pair (x, y) for gamma0 and a unit-norm Lie-valued 2-form
+    (6, k) for gamma1.
     """
 
     value: float
@@ -301,29 +291,22 @@ def _sphere_ascent(objective, starts):
 def gamma0_estimate(alg, restarts=64, seed=0):
     """Maximize |[A,B]| / (|A||B|) by the shifted power iteration on two spheres.
 
-    Works on orthonormal-basis coefficients x, y with the algebra's
-    structure constants f: [A,B] has coefficients c = f(x, y, .), so the
-    ascent climbs |c|^2 with gradients 2 f(., y, c) and 2 f(x, ., c) (the
-    coefficients of 2[B,[A,B]] and 2[[A,B],A] by ad-invariance).
-    ``grad_norm`` is that of the ratio |c| itself. Deterministic for a
-    fixed seed.
+    Works on orthonormal-basis coefficients x, y: the ascent climbs |c|^2
+    for c = [x, y], with gradients 2[y, c] and 2[c, x] (f is totally
+    antisymmetric). ``grad_norm`` is that of the ratio |c| itself and
+    ``argmax`` the coefficient pair (x, y). Deterministic for a fixed seed.
     """
-    k = alg.dim
     f = alg.structure_constants
-    f2 = f.reshape(k, k * k)
 
     def objective(z):
-        x, y = z[:, 0], z[:, 1]
-        ad_x = (x @ f2).reshape(-1, k, k)       # ad_x[r, l, m] = f(x_r, l, m)
-        c = np.einsum('rl,rlm->rm', y, ad_x)
-        gx = np.einsum('klm,rl,rm->rk', f, y, c)
-        gy = np.einsum('rlm,rm->rl', ad_x, c)
-        return np.sum(c * c, axis=-1), 2.0 * np.stack([gx, gy], axis=1)
+        c = bracket_coeffs(z[:, 0], z[:, 1], f)
+        grad = bracket_coeffs(np.stack([z[:, 1], c], axis=1), np.stack([c, z[:, 0]], axis=1), f)
+        return np.sum(c * c, axis=-1), 2.0 * grad
 
-    est = _sphere_ascent(objective, np.random.default_rng(seed).standard_normal((restarts, 2, k)))
-    x, y = est.argmax
+    rng = np.random.default_rng(seed)
+    est = _sphere_ascent(objective, rng.standard_normal((restarts, 2, alg.dim)))
     norm = np.sqrt(est.value)
-    return replace(est, value=float(norm), argmax=(alg.element(x), alg.element(y)),
+    return replace(est, value=float(norm), argmax=tuple(est.argmax),
                    grad_norm=est.grad_norm / (2.0 * max(norm, 1e-15)))
 
 
@@ -356,8 +339,8 @@ def gamma1_estimate(alg, restarts=64, seed=0):
     The cubic form is T(z, z, z) for the fully symmetric tensor
     T = eps (x) f of ``sd_cubic_tensor``, so its gradient is 3 T(., z, z),
     the coefficient array of 3[omega,omega]. Each start is flipped to make
-    the cubic form nonnegative. The argmax is assembled as a Lie-valued
-    2-form.
+    the cubic form nonnegative. The argmax is the Lie-valued 2-form
+    ``forms4.sd_basis().T @ z``.
     """
     k = alg.dim
     t2 = sd_cubic_tensor(alg).reshape(3 * k, 9 * k * k)
@@ -371,5 +354,4 @@ def gamma1_estimate(alg, restarts=64, seed=0):
     starts = rng.standard_normal((restarts, 3, k)).reshape(restarts, 1, 3 * k)
     starts *= np.where(objective(starts)[0] < 0.0, -1.0, 1.0)[:, None, None]
     est = _sphere_ascent(objective, starts)
-    coeffs = np.einsum('ak,kij->aij', est.argmax.reshape(3, k), alg.orthonormal_basis)
-    return replace(est, argmax=lv_from_sd_coeffs(coeffs))
+    return replace(est, argmax=forms4.sd_basis().T @ est.argmax.reshape(3, k))

@@ -256,7 +256,8 @@ def _suite_bochner(cfg):
     checks = _order2_checks("bochner-order2", instanton.bochner_residual_at, params, pts)
     origin = np.zeros(4)
     lap_term = 0.5 * instanton.curvature_norm_sq_laplacian(instanton.STANDARD, origin)
-    cubic = liealg.cubic_form(instanton.curvature_closed_at(instanton.STANDARD, origin))
+    cubic = liealg.cubic_form(instanton.curvature_closed_at(instanton.STANDARD, origin),
+                              liealg.SU2.structure_constants)
     checks.append(_check("laplacian-term-at-0", abs(lap_term + 1536.0) / 1536.0, 1e-5))
     checks.append(_check("bracket-term-at-0", abs(cubic - 1536.0) / 1536.0, 1e-5))
     residual = instanton.bochner_residual_at(params, pts[0], h=h, richardson=True)
@@ -272,21 +273,23 @@ def _suite_bochner(cfg):
 
 def _suite_bracket_sharpness(cfg):
     rng = np.random.default_rng(cfg.seed + 2)
+    f = liealg.SU2.structure_constants
     checks = []
-    p = liealg.lv_from_sd_coeffs(liealg.SU2_BASIS)
-    checks.append(_check("cubic-form-bpst", abs(liealg.cubic_form(p) - 24.0), 1e-12))
+    # e1 (x) i + e2 (x) j + e3 (x) k; i, j, k are sqrt2 times the basis
+    p = np.sqrt(2.0) * forms4.sd_basis().T
+    checks.append(_check("cubic-form-bpst", abs(liealg.cubic_form(p, f) - 24.0), 1e-12))
     checks.append(_check("bracket-norm-bpst",
-                         abs(liealg.lv_norm(liealg.comm2form(p, p)) - 4.0 * np.sqrt(6.0)), 1e-12))
+                         abs(liealg.lv_norm(liealg.comm2form(p, p, f)) - 4.0 * np.sqrt(6.0)),
+                         1e-12))
     checks.append(_check("bound-equality-bpst",
-                         abs(liealg.bracket_bound_check(p, liealg.GAMMA0_SU2)), 1e-10))
-    coeffs = rng.standard_normal((200, 3, 3))
-    q = liealg.lv_from_sd_coeffs(np.einsum('...ak,kij->...aij', coeffs, liealg.SU2_BASIS))
-    worst = min(0.0, np.min(liealg.bracket_bound_check(q, liealg.GAMMA0_SU2)))
+                         abs(liealg.bracket_bound_check(p, liealg.GAMMA0_SU2, f)), 1e-10))
+    q = p @ rng.standard_normal((200, 3, 3))
+    worst = min(0.0, np.min(liealg.bracket_bound_check(q, liealg.GAMMA0_SU2, f)))
     checks.append(_check("bound-nonneg-random", -worst, 1e-10))
     params = cfg.instanton_params()
     pts = params.center_array + cfg.scale * _sample_points(rng, 50, radius=2.0)
     fp = liealg.lv_self_dual(instanton.curvature_closed_at(params, pts))
-    cubic = liealg.cubic_form(fp)
+    cubic = liealg.cubic_form(fp, f)
     norms = liealg.lv_norm(fp)
     attain = np.max(np.abs(cubic - liealg.GAMMA1_SU2 * norms ** 3)) * cfg.scale ** 6
     checks.append(_check("pointwise-gamma1-attainment", attain, 1e-10))

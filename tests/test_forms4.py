@@ -13,13 +13,13 @@ def dx(i, j):
 
 def star(a):
     """The Hodge star as the package applies it, ``liealg.lv_hodge``, on
-    a (x) SU2_I; the (0, 2) entry of SU2_I is 1, so it reads the form back."""
-    return liealg.lv_hodge(np.asarray(a)[..., None, None] * liealg.SU2_I)[..., 0, 2]
+    a (x) E_1, a Lie-valued form with one coefficient; reads the form back."""
+    return liealg.lv_hodge(np.asarray(a)[..., None])[..., 0]
 
 
 def self_dual(a):
-    """``liealg.lv_self_dual`` on a (x) SU2_I, read back like ``star``."""
-    return liealg.lv_self_dual(np.asarray(a)[..., None, None] * liealg.SU2_I)[..., 0, 2]
+    """``liealg.lv_self_dual`` on a (x) E_1, read back like ``star``."""
+    return liealg.lv_self_dual(np.asarray(a)[..., None])[..., 0]
 
 
 def to_matrix(c):

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.stats import ortho_group
 
+from test_liealg import SU2_F, element
 from ymgap import forms4, instanton, liealg
 
 STD = instanton.STANDARD
@@ -12,14 +12,39 @@ STD = instanton.STANDARD
 def flat_connection(x):
     """Zero connection, same output shape as connection_at."""
     x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape[:-1] + (4, 4, 4))
+    return np.zeros(x.shape[:-1] + (4, 3))
 
 
-def conjugated(fn, g):
-    """Wrap a matrix-valued evaluator with a constant gauge conjugation."""
-    gt = np.asarray(g, dtype=float).T
+def display_connection(x):
+    """The module docstring's theta as 4x4 matrices (4, 4, 4), dx index first."""
+    x1, x2, x3, x4 = x
+    dx = np.array([[-x2, x1, -x4, x3],          # theta_1 = x1 dx2 - x2 dx1 + x3 dx4 - x4 dx3
+                   [-x3, x4, x1, -x2],          # theta_2 = x1 dx3 - x3 dx1 + x4 dx2 - x2 dx4
+                   [-x4, -x3, x2, x1]])         # theta_3 = x1 dx4 - x4 dx1 + x2 dx3 - x3 dx2
+    return np.einsum('am,aij->mij', dx, liealg.SU2_BASIS) / (1.0 + x @ x)
+
+
+def display_curvature(x):
+    """The module docstring's F as 4x4 matrices (6, 4, 4), components (12, ..., 34)."""
+    i, j, k = liealg.SU2_BASIS
+    return 2.0 / (1.0 + x @ x) ** 2 * np.stack([i, j, k, k, -j, i])
+
+
+def unit_quaternion_rotation(rng):
+    """A constant gauge g = a + b i + c j + d k, |g| = 1, and the rotation R
+    of su(2) coefficients it induces: element(R c) = g^-1 element(c) g."""
+    a = rng.standard_normal(4)
+    g = np.einsum('q,qij->ij', a / np.linalg.norm(a),
+                  np.concatenate([np.eye(4)[None], liealg.SU2_BASIS]))
+    onb = element(liealg.SU2, np.eye(3))
+    rot = liealg.ip_endo(g.T @ onb[None, :] @ g, onb[:, None])     # rot[m, a]
+    return g, rot
+
+
+def rotated(fn, rot):
+    """Wrap a coefficient-valued evaluator with a constant gauge rotation."""
     def wrapped(x):
-        return g @ fn(x) @ gt
+        return fn(x) @ rot.T
     return wrapped
 
 
@@ -31,13 +56,20 @@ def covariant_derivative(p, x, h=1e-4):
 
 def test_connection_at_origin_and_unit_point():
     th = instanton.connection_at(STD, np.zeros(4))
-    assert np.max(np.abs(th)) == 0.0
+    assert th.shape == (4, 3) and np.max(np.abs(th)) == 0.0
     th = instanton.connection_at(STD, np.array([1.0, 0, 0, 0]))
-    # dx^3 coefficient of the j-component is x1/(1+|x|^2) = 1/2
-    coeff_j_dx3 = liealg.ip_endo(th[2], liealg.SU2_J) / 2.0
-    assert abs(coeff_j_dx3 - 0.5) < 1e-15
-    coeff_i_dx2 = liealg.ip_endo(th[1], liealg.SU2_I) / 2.0
-    assert abs(coeff_i_dx2 - 0.5) < 1e-15
+    # dx^3 coefficient of the j-component is x1/(1+|x|^2) = 1/2, times sqrt2 on (i, j, k)/sqrt2
+    assert abs(th[2, 1] - 0.5 * np.sqrt(2.0)) < 1e-15
+    assert abs(th[1, 0] - 0.5 * np.sqrt(2.0)) < 1e-15
+
+
+def test_closed_forms_match_the_matrix_display():
+    rng = np.random.default_rng(1)
+    for x in (np.zeros(4), np.array([1.0, 0, 0, 0]), *rng.standard_normal((20, 4)) * 1.5):
+        th = instanton.connection_at(STD, x)
+        assert np.max(np.abs(element(liealg.SU2, th) - display_connection(x))) < 1e-15
+        f = instanton.curvature_closed_at(STD, x)
+        assert np.max(np.abs(element(liealg.SU2, f) - display_curvature(x))) < 1e-15
 
 
 def test_connection_dilation_pullback():
@@ -49,9 +81,9 @@ def test_connection_dilation_pullback():
 
 def test_curvature_closed_origin():
     f = instanton.curvature_closed_at(STD, np.zeros(4))
-    # coefficient of (dx12+dx34) (x) i is 2
-    assert np.array_equal(f[0], 2.0 * liealg.SU2_I)
-    assert np.array_equal(f[5], 2.0 * liealg.SU2_I)
+    # coefficient of (dx12+dx34) (x) i is 2, so 2 sqrt2 on i/sqrt2
+    assert np.array_equal(f[0], [np.sqrt(8.0), 0.0, 0.0])
+    assert np.array_equal(f[5], f[0])
     assert abs(liealg.lv_norm_sq(f) - 96.0) < 1e-12
     f1 = instanton.curvature_closed_at(STD, np.array([1.0, 0, 0, 0]))
     assert abs(liealg.lv_norm_sq(f1) - 6.0) < 1e-13
@@ -123,8 +155,7 @@ def test_covariant_derivative_analytic_profile():
 
 
 def test_flat_connection_constant_form_parallel():
-    const_form = liealg.lv_from_sd_coeffs(
-        liealg.SU2_BASIS)
+    const_form = np.sqrt(2.0) * forms4.sd_basis().T
     nab = instanton.covariant_derivative_of(lambda x: const_form, flat_connection,
                                             np.array([0.2, 0.4, -0.1, 0.9]), h=1e-3)
     assert instanton.cov_norm_sq(nab) == 0.0
@@ -171,7 +202,7 @@ def test_bochner_identity_origin_values():
     lap_half = 0.5 * instanton.curvature_norm_sq_laplacian(STD, np.zeros(4))
     assert abs(lap_half + 1536.0) / 1536.0 < 1e-12
     f0 = instanton.curvature_closed_at(STD, np.zeros(4))
-    cubic = liealg.lv_inner(f0, liealg.comm2form(f0, f0))
+    cubic = liealg.cubic_form(f0, SU2_F)
     assert abs(cubic - 1536.0) / 1536.0 < 1e-12
     assert abs(instanton.bochner_residual_at(STD, np.zeros(4), h=1e-3)) < 1e-4
 
@@ -190,10 +221,11 @@ def test_pointwise_cubic_attainment():
     pts = rng.standard_normal((100, 4)) * 1.5
     f = instanton.curvature_closed_at(STD, pts)
     fplus = liealg.lv_self_dual(f)
-    cubic = liealg.lv_inner(fplus, liealg.comm2form(fplus, fplus))
+    bracket = liealg.comm2form(fplus, fplus, SU2_F)
+    cubic = liealg.lv_inner(fplus, bracket)
     norms = liealg.lv_norm(fplus)
     assert np.max(np.abs(cubic - liealg.GAMMA1_SU2 * norms ** 3)) < 1e-10
-    bracket_norms = liealg.lv_norm(liealg.comm2form(fplus, fplus))
+    bracket_norms = liealg.lv_norm(bracket)
     expected = (2.0 / np.sqrt(3.0)) * np.sqrt(2.0) * norms ** 2
     assert np.max(np.abs(bracket_norms - expected)) < 1e-10
 
@@ -206,22 +238,27 @@ def test_bianchi_residual():
     r2 = instanton.bianchi_residual_at(STD, x, h=1e-3)
     assert r2 <= r1 / 3.0 + 1e-10
     flat = instanton.bianchi_residual_of(
-        lambda z: np.zeros((6, 4, 4)), flat_connection, x, h=1e-3)
+        lambda z: np.zeros((6, 3)), flat_connection, x, h=1e-3)
     assert flat == 0.0
 
 
 def test_gauge_conjugation_invariance():
-    g = ortho_group.rvs(4, random_state=np.random.default_rng(19))
-    conn = conjugated(lambda z: instanton.connection_at(STD, z), g)
-    curv = conjugated(lambda z: instanton.curvature_closed_at(STD, z), g)
+    g, rot = unit_quaternion_rotation(np.random.default_rng(19))
+    assert np.max(np.abs(rot @ rot.T - np.eye(3))) < 1e-14 and abs(np.linalg.det(rot) - 1) < 1e-14
+    conn = rotated(lambda z: instanton.connection_at(STD, z), rot)
+    curv = rotated(lambda z: instanton.curvature_closed_at(STD, z), rot)
     for x in (np.array([0.4, 0.3, -0.2, 0.7]), np.array([1.4, 0, 0.2, 0])):
         f_conj = curv(x)
+        # g^-1 = g^T: the rotation is the conjugation on matrices
+        for fn, display in ((curv, display_curvature), (conn, display_connection)):
+            assert np.max(np.abs(element(liealg.SU2, fn(x)) - g.T @ display(x) @ g)) < 1e-14
         assert abs(liealg.lv_norm_sq(f_conj) - instanton.curvature_norm_sq(STD, x)) < 1e-10
         nab_ref = covariant_derivative(STD, x, h=1e-4)
         nab_conj = instanton.covariant_derivative_of(curv, conn, x, h=1e-4)
         assert abs(instanton.cov_norm_sq(nab_conj) - instanton.cov_norm_sq(nab_ref)) < 1e-10
         fd_conj = instanton.curvature_fd_of(conn, x, h=1e-4)
-        assert np.max(np.abs(fd_conj - g @ instanton.curvature_closed_at(STD, x) @ g.T)) < 1e-7
+        fd_matrices = element(liealg.SU2, fd_conj)
+        assert np.max(np.abs(fd_matrices - g.T @ display_curvature(x) @ g)) < 1e-7
 
 
 def test_params_validation():
@@ -271,8 +308,9 @@ def test_fd_layer_batched_matches_pointwise(p, shape):
 
 def test_fd_layer_shapes():
     pts = np.zeros((2, 3, 4))
-    assert covariant_derivative(STD, pts).shape == (2, 3, 4, 6, 4, 4)
-    assert instanton.curvature_fd_at(STD, pts, h=1e-4).shape == (2, 3, 6, 4, 4)
+    assert covariant_derivative(STD, pts).shape == (2, 3, 4, 6, 3)
+    assert instanton.curvature_fd_at(STD, pts, h=1e-4).shape == (2, 3, 6, 3)
+    assert instanton.connection_at(STD, pts).shape == (2, 3, 4, 3)
     for value in (instanton.kato_residual_at(STD, pts), instanton.bochner_residual_at(STD, pts),
                   instanton.bianchi_residual_at(STD, pts),
                   instanton.cov_norm_sq(covariant_derivative(STD, pts))):

@@ -217,6 +217,11 @@ MUTATIONS = [
     # the norm cannot see comm2form-sign, but it sees a scale
     _row("comm2form-x1.000001", _scaled(liealg, "comm2form", 1 + 1e-6), ["bracket-sharpness"],
          {"bracket-norm-bpst"}),
+    # the one bracket of the package: the differenced curvature's [theta_i, theta_j]
+    # and nabla F's [theta_k, F] flip with the bracket of the cubic form
+    _row("bracket-coeffs-sign", _scaled(liealg, "bracket_coeffs", -1.0),
+         ["bochner", "bracket-sharpness"],
+         {"curvature-fd", "bianchi", "bracket-term-at-0", "cubic-form-bpst"}),
     _row("circ-sign-12", _flipped_circ_sign, ["circ-basis"], {"circ-orthonormal-100bases"}),
     # the sampled ratios reach 0.98 of the sharp 2/sqrt(6)
     _row("weyl-bound-x0.95", _set(forms4, "WEYL_BOUND", 0.95 * forms4.WEYL_BOUND),
@@ -238,7 +243,7 @@ MUTATIONS = [
     # dilated ones miss Y by 5.3
     _row("conductivity-x0.5", _halved_conductivity, ["yamabe-quotient"],
          {"quotient-family-floor", "quotient-dilation-family"}),
-    # ||F+|| comes from the curvature matrices, the pointwise identity from the norm law
+    # ||F+|| comes from the curvature coefficients, the pointwise identity from the norm law
     _row("norm-law-x1.000001", _scaled(instanton, "curvature_norm_sq", 1 + 1e-6), ["gap"],
          {"equality-identity"}),
 ]
