@@ -12,16 +12,15 @@ import numpy as np
 
 from ymgap import forms4, liealg
 
-print("quaternion generators: |i|^2 =", liealg.ip_endo(liealg.SU2_I, liealg.SU2_I),
-      " [i,j] = 2k:", np.array_equal(liealg.bracket(liealg.SU2_I, liealg.SU2_J),
-                                     2 * liealg.SU2_K))
+# the quaternion relations in plain numpy, with <A, B> = -tr(AB)/2
+i, j, k = liealg.SU2_BASIS
+print("quaternion generators: |i|^2 =", -np.trace(i @ i) / 2,
+      " [i,j] = 2k:", np.array_equal(i @ j - j @ i, 2 * k))
 
-for name, alg, expected in [
-        ("su(2)", liealg.AlgebraSpec.su2_real(), np.sqrt(2.0)),
-        ("so(3)", liealg.AlgebraSpec.so3_block(), 1.0),
-        ("so(4)", liealg.AlgebraSpec.so_n(4), np.sqrt(2.0))]:
+# the package's three algebras, each built once when liealg is imported
+for alg, expected in [(liealg.SU2, np.sqrt(2.0)), (liealg.SO3, 1.0), (liealg.SO4, np.sqrt(2.0))]:
     est = liealg.gamma0_estimate(alg, restarts=32, seed=0)
-    print(f"gamma0[{name}] = {est.value:.12f}  (expected {expected:.12f}, "
+    print(f"gamma0[{alg.name}] = {est.value:.12f}  (expected {expected:.12f}, "
           f"grad norm {est.grad_norm:.1e}, converged={est.converged})")
     # the search returns its maximizing coefficient pair, a witness that the
     # value is attained
@@ -31,12 +30,10 @@ for name, alg, expected in [
     print(f"  its argmax pair has |[A,B]|/(|A||B|) = {ratio:.12f}")
 
 print()
-for name, alg, expected in [
-        ("su(2)", liealg.AlgebraSpec.su2_real(), 4 / np.sqrt(6.0)),
-        ("so(3)", liealg.AlgebraSpec.so3_block(), 2 / np.sqrt(3.0)),
-        ("so(4)", liealg.AlgebraSpec.so_n(4), 4 / np.sqrt(6.0))]:
+for alg, expected in [(liealg.SU2, 4 / np.sqrt(6.0)), (liealg.SO3, 2 / np.sqrt(3.0)),
+                      (liealg.SO4, 4 / np.sqrt(6.0))]:
     est = liealg.gamma1_estimate(alg, restarts=16, seed=0)
-    print(f"gamma1[{name}] = {est.value:.12f}  (expected {expected:.12f})")
+    print(f"gamma1[{alg.name}] = {est.value:.12f}  (expected {expected:.12f})")
 
 print("\nthe maximizing configuration is the quaternionic one:")
 # su(2)'s orthonormal basis is (i, j, k)/sqrt2, so i, j, k have coefficient sqrt2

@@ -276,8 +276,8 @@ def dilation_factor(lam):
     u(rho) = lam (1 + t^2) / (1 + lam^2 t^2), t = tan(rho/2); the Yamabe
     quotient is constant (= 8 sqrt(6) pi) along this family.
     """
-    if lam <= 0:
-        raise ValueError("dilation factor must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"dilation factor must be positive and finite; got {lam!r}")
 
     def u(rho):
         t2 = np.tan(0.5 * np.asarray(rho)) ** 2

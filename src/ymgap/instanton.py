@@ -79,6 +79,8 @@ class InstantonParams:
         c = np.asarray(self.center, dtype=float)
         if c.shape != (4,):
             raise ValueError("center must be a point in R^4")
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"center must be finite; got {self.center!r}")
         object.__setattr__(self, 'center', tuple(c))
 
     @property

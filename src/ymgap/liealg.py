@@ -5,7 +5,8 @@ inner product ``<A, B> = -tr(AB)/2``, positive definite on skew matrices.
 The matrices are read once, when the spec is built, to tabulate the
 structure constants f[k,l,m] = <[E_k,E_l],E_m> on an orthonormal basis E.
 From then on every Lie-algebra value is its coefficient vector on E, and
-every bracket is ``bracket_coeffs`` on f. The instanton's algebra is
+every bracket is ``bracket_coeffs`` on f. The package uses three specs,
+built once here: ``SU2``, ``SO3`` and ``SO4``. The instanton's algebra is
 ``SU2``, the span of the quaternion generators i, j, k below, for which
 |i|^2 = |j|^2 = |k|^2 = 2: its orthonormal basis is (i, j, k)/sqrt2, so
 its coefficients are sqrt2 times the quaternion entries.
@@ -49,66 +50,46 @@ if not np.array_equal(SU2_I @ SU2_J, SU2_K):
     raise ImportError("quaternion generator sign convention violated (ij != k)")
 
 
-def ip_endo(a, b):
+def _trace_form(a, b):
     """<A, B> = -tr(AB)/2. Broadcasts over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return -0.5 * np.einsum('...ij,...ji->...', a, b)
-
-
-def norm_endo(a):
-    return np.sqrt(ip_endo(a, a))
-
-
-def bracket(a, b):
-    """Matrix commutator ab - ba; skew-symmetric when a, b are."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
-def is_skew(a):
-    a = np.asarray(a, dtype=float)
-    return np.max(np.abs(a + np.swapaxes(a, -1, -2))) <= 1e-14
 
 
 @dataclass(frozen=True, eq=False)
 class AlgebraSpec:
-    """A concrete matrix Lie algebra: a name, ambient dimension, and basis.
+    """A concrete matrix Lie algebra: a name and a basis (k, n, n).
 
-    The basis (k, n, n) must consist of skew matrices, be linearly
-    independent, and close under the bracket; this is checked at
-    construction. The constants gamma0/gamma1 depend on the embedding, not
-    just the abstract algebra, so specs built by different factories are
-    not interchangeable.
+    The basis must consist of skew matrices, be linearly independent, and
+    close under the bracket; this is checked at construction. The constants
+    gamma0/gamma1 depend on the embedding, not just the abstract algebra, so
+    specs of different bases are not interchangeable. The spec keeps its
+    own copy of the basis; it and the structure constants are read-only.
     """
 
     name: str
-    n: int
     basis: np.ndarray
     _f: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        object.__setattr__(self, 'basis', basis)
-        if basis.ndim != 3 or basis.shape[1:] != (self.n, self.n):
-            raise ValueError(f"basis shape {basis.shape} does not match n={self.n}")
-        if not is_skew(basis):
+        basis = np.array(self.basis, dtype=float)
+        if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+            raise ValueError(f"basis shape {basis.shape} is not (k, n, n)")
+        if not np.max(np.abs(basis + np.swapaxes(basis, -1, -2))) <= 1e-14:
             raise ValueError("basis contains a non-skew matrix")
-        gram = ip_endo(basis[:, None], basis[None, :])
+        gram = _trace_form(basis[:, None], basis[None, :])
         if np.linalg.matrix_rank(gram, tol=1e-10) < len(basis):
             raise ValueError("basis is linearly dependent")
         # orthonormalize (the built-in bases are already orthogonal)
         onb = np.einsum('pk,kij->pij', np.linalg.inv(np.linalg.cholesky(gram)), basis)
-        brackets = bracket(onb[:, None], onb[None, :])
-        f = ip_endo(brackets[:, :, None], onb)
+        brackets = onb[:, None] @ onb[None, :] - onb[None, :] @ onb[:, None]
+        f = _trace_form(brackets[:, :, None], onb)
         # [E_k, E_l] - sum_m f[k,l,m] E_m vanishes iff the span is closed
-        if np.max(norm_endo(brackets - np.einsum('klm,mij->klij', f, onb))) > 1e-12:
+        rest = brackets - np.einsum('klm,mij->klij', f, onb)
+        if np.max(np.sqrt(_trace_form(rest, rest))) > 1e-12:
             raise ValueError(f"{self.name}: bracket leaves the basis span")
+        basis.setflags(write=False)
+        f.setflags(write=False)
+        object.__setattr__(self, 'basis', basis)
         object.__setattr__(self, '_f', f)
 
     @property
@@ -123,37 +104,22 @@ class AlgebraSpec:
         """
         return self._f
 
-    @classmethod
-    def su2_real(cls):
-        """span{i, j, k} as real 4x4 matrices."""
-        return cls('su2_real', 4, SU2_BASIS)
 
-    @classmethod
-    def so3_block(cls):
-        """so(3) as 3x3 rotation generators padded to 4x4.
+# so(3) as 3x3 rotation generators (L_a)_bc = -eps_abc: [L1, L2] = L3
+# cyclically and |L_a| = 1
+_a = np.arange(3)
+_SO3_BASIS = np.zeros((3, 3, 3))
+_SO3_BASIS[_a, (_a + 1) % 3, (_a + 2) % 3] = -1.0
+_SO3_BASIS[_a, (_a + 2) % 3, (_a + 1) % 3] = 1.0
+# so(4) with basis E_ab - E_ba, a < b
+_a, _b = np.triu_indices(4, 1)
+_SO4_BASIS = np.zeros((6, 4, 4))
+_SO4_BASIS[np.arange(6), _a, _b] = 1.0
+_SO4_BASIS[np.arange(6), _b, _a] = -1.0
 
-        (L_a)_bc = -eps_abc, so [L1, L2] = L3 cyclically and |La| = 1.
-        """
-        a = np.arange(3)
-        b, c = (a + 1) % 3, (a + 2) % 3
-        gens = np.zeros((3, 4, 4))
-        gens[a, b, c], gens[a, c, b] = -1.0, 1.0
-        return cls('so3_block', 4, gens)
-
-    @classmethod
-    def so_n(cls, n):
-        """Full so(n) with basis E_ab - E_ba, a < b."""
-        basis = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                m = np.zeros((n, n))
-                m[a, b] = 1.0
-                m[b, a] = -1.0
-                basis.append(m)
-        return cls(f'so({n})', n, np.stack(basis))
-
-
-SU2 = AlgebraSpec.su2_real()
+SU2 = AlgebraSpec('su(2)', SU2_BASIS)
+SO3 = AlgebraSpec('so(3)', _SO3_BASIS)
+SO4 = AlgebraSpec('so(4)', _SO4_BASIS)
 
 
 def bracket_coeffs(a, b, f):

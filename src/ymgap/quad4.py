@@ -148,13 +148,13 @@ def ym_energy(p, grid=None, about=None):
     integrand is constant on every sphere and n = 1. The radial panels are
     graded from ``about``, so they resolve the bump of width scale at radius
     d only up to d = 10 scale (n = 280; within 1e-9 on the grid for that
-    scale); a farther center raises ``ValueError``.
+    scale); a farther center, or a non-finite ``about``, raises ``ValueError``.
     """
     grid = grid or RadialGrid.make(scale=p.scale)
     e = p.center_array - np.asarray(p.center if about is None else about, dtype=float)
     d2 = float(e @ e)
     d = np.sqrt(d2)
-    if d > 10.0 * p.scale:
+    if not d <= 10.0 * p.scale:
         raise ValueError(f"the center is {d / p.scale:g} scales from about; the grid resolves 10")
     axis, log_rho = (e / d, np.arcsinh(p.scale / d)) if d else (np.eye(4)[0], np.inf)
     n = next(n for n in range(1, _MAX_POINTS + 1)

@@ -20,8 +20,8 @@ def _verdict(num, name, ok, detail):
 
 
 def test_criterion_01_gamma0():
-    su2 = liealg.gamma0_estimate(liealg.AlgebraSpec.su2_real(), restarts=64, seed=0)
-    so3 = liealg.gamma0_estimate(liealg.AlgebraSpec.so3_block(), restarts=64, seed=0)
+    su2 = liealg.gamma0_estimate(liealg.SU2, restarts=64, seed=0)
+    so3 = liealg.gamma0_estimate(liealg.SO3, restarts=64, seed=0)
     err_su2 = abs(su2.value - np.sqrt(2.0))
     err_so3 = abs(so3.value - 1.0)
     ok = err_su2 < 1e-6 and err_so3 < 1e-6
@@ -30,9 +30,9 @@ def test_criterion_01_gamma0():
 
 
 def test_criterion_02_gamma1():
-    su2 = liealg.gamma1_estimate(liealg.AlgebraSpec.su2_real(), restarts=64, seed=0)
-    so3 = liealg.gamma1_estimate(liealg.AlgebraSpec.so3_block(), restarts=64, seed=0)
-    so4 = liealg.gamma1_estimate(liealg.AlgebraSpec.so_n(4), restarts=32, seed=0)
+    su2 = liealg.gamma1_estimate(liealg.SU2, restarts=64, seed=0)
+    so3 = liealg.gamma1_estimate(liealg.SO3, restarts=64, seed=0)
+    so4 = liealg.gamma1_estimate(liealg.SO4, restarts=32, seed=0)
     err_su2 = abs(su2.value - 4 / np.sqrt(6.0))
     err_so3 = abs(so3.value - 2 / np.sqrt(3.0))
     excess = so4.value - 4 / np.sqrt(6.0)

@@ -261,6 +261,13 @@ def test_yamabe_quotient_dilation_family():
         assert abs(val - Y) < 1e-6
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0],
+                         ids=["nan", "inf", "minus-inf", "zero", "minus-1"])
+def test_dilation_factor_rejects_non_finite_and_nonpositive(lam):
+    with pytest.raises(ValueError, match="dilation factor"):
+        conformal.dilation_factor(lam)
+
+
 def test_yamabe_quotient_random_family_floor():
     prob = _round_problem()
     rng = np.random.default_rng(11)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from test_liealg import SU2_F, element
+from test_liealg import SU2_F, element, trace_form
 from ymgap import forms4, instanton, liealg
 
 STD = instanton.STANDARD
@@ -37,7 +37,7 @@ def unit_quaternion_rotation(rng):
     g = np.einsum('q,qij->ij', a / np.linalg.norm(a),
                   np.concatenate([np.eye(4)[None], liealg.SU2_BASIS]))
     onb = element(liealg.SU2, np.eye(3))
-    rot = liealg.ip_endo(g.T @ onb[None, :] @ g, onb[:, None])     # rot[m, a]
+    rot = trace_form(g.T @ onb[None, :] @ g, onb[:, None])     # rot[m, a]
     return g, rot
 
 
@@ -266,6 +266,9 @@ def test_params_validation():
         instanton.InstantonParams(scale=0.0)
     with pytest.raises(ValueError):
         instanton.InstantonParams(center=(1.0, 2.0))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="center must be finite"):
+            instanton.InstantonParams(1.0, (0.0, bad, 0.0, 0.0))
 
 
 # -- batched evaluation: points (..., 4) give results with leading shape (...) --

@@ -27,9 +27,31 @@ def brute_comm2form(p, q):
     return np.stack([out[i, j] for (i, j) in forms4.PAIRS])
 
 
+def trace_form(a, b):
+    """<A, B> = -tr(AB)/2 of matrices; broadcasts over leading axes."""
+    return -0.5 * np.einsum('...ij,...ji->...', a, b)
+
+
+def matrix_norm(a):
+    return np.sqrt(trace_form(a, a))
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def so_n(n):
+    """Full so(n) with basis E_ab - E_ba, a < b."""
+    a, b = np.triu_indices(n, 1)
+    basis = np.zeros((len(a), n, n))
+    basis[np.arange(len(a)), a, b] = 1.0
+    basis[np.arange(len(a)), b, a] = -1.0
+    return liealg.AlgebraSpec(f'so({n})', basis)
+
+
 def orthonormal_basis(alg):
     """The basis (k, n, n) of alg orthonormalized by Cholesky, as the spec does."""
-    gram = liealg.ip_endo(alg.basis[:, None], alg.basis[None, :])
+    gram = trace_form(alg.basis[:, None], alg.basis[None, :])
     return np.einsum('pk,kij->pij', np.linalg.inv(np.linalg.cholesky(gram)), alg.basis)
 
 
@@ -63,19 +85,18 @@ def levi_civita():
     return eps
 
 
-ALL_ALGEBRAS = (liealg.AlgebraSpec.su2_real, liealg.AlgebraSpec.so3_block,
-                lambda: liealg.AlgebraSpec.so_n(4))
+ALL_ALGEBRAS = (liealg.SU2, liealg.SO3, liealg.SO4)
 
 
 def test_quaternion_matrices():
     for m in (liealg.SU2_I, liealg.SU2_J, liealg.SU2_K):
-        assert liealg.is_skew(m)
-        assert liealg.ip_endo(m, m) == 2.0
-    assert liealg.ip_endo(liealg.SU2_I, liealg.SU2_J) == 0.0
+        assert np.array_equal(m.T, -m)
+        assert trace_form(m, m) == 2.0
+    assert trace_form(liealg.SU2_I, liealg.SU2_J) == 0.0
     assert np.array_equal(liealg.SU2_I @ liealg.SU2_J, liealg.SU2_K)
-    assert np.array_equal(liealg.bracket(liealg.SU2_I, liealg.SU2_J), 2 * liealg.SU2_K)
-    assert np.array_equal(liealg.bracket(liealg.SU2_J, liealg.SU2_K), 2 * liealg.SU2_I)
-    assert np.array_equal(liealg.bracket(liealg.SU2_I, liealg.SU2_K), -2 * liealg.SU2_J)
+    assert np.array_equal(commutator(liealg.SU2_I, liealg.SU2_J), 2 * liealg.SU2_K)
+    assert np.array_equal(commutator(liealg.SU2_J, liealg.SU2_K), 2 * liealg.SU2_I)
+    assert np.array_equal(commutator(liealg.SU2_I, liealg.SU2_K), -2 * liealg.SU2_J)
 
 
 def test_su2_is_the_quaternions_over_sqrt2():
@@ -85,33 +106,25 @@ def test_su2_is_the_quaternions_over_sqrt2():
     assert np.max(np.abs(SU2_F - np.sqrt(2.0) * levi_civita())) < 1e-15
 
 
-def test_ip_endo_rejects_mismatch():
-    with pytest.raises(ValueError):
-        liealg.ip_endo(np.zeros((3, 3)), np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        liealg.bracket(np.zeros((3, 3)), np.zeros((4, 4)))
-    assert liealg.ip_endo(np.zeros((4, 4)), liealg.SU2_J) == 0.0
-
-
 def test_bracket_ratio_su2():
-    c = liealg.bracket(liealg.SU2_I, liealg.SU2_J)
-    ratio = liealg.norm_endo(c) / (liealg.norm_endo(liealg.SU2_I) * liealg.norm_endo(liealg.SU2_J))
+    c = commutator(liealg.SU2_I, liealg.SU2_J)
+    ratio = matrix_norm(c) / (matrix_norm(liealg.SU2_I) * matrix_norm(liealg.SU2_J))
     assert abs(ratio - np.sqrt(2.0)) < 1e-14
 
 
 def test_bracket_skew_and_jacobi():
     rng = np.random.default_rng(5)
-    alg = liealg.AlgebraSpec.so_n(4)
+    alg = liealg.SO4
     f = alg.structure_constants
     for _ in range(30):
         x, y, z = rng.standard_normal((3, 6))
         a, b, c = element(alg, x), element(alg, y), element(alg, z)
-        br = liealg.bracket(a, b)
+        br = commutator(a, b)
         assert np.max(np.abs(br + br.T)) < 1e-13
-        assert np.max(np.abs(liealg.bracket(a, a))) == 0.0
-        jac = (liealg.bracket(a, liealg.bracket(b, c))
-               + liealg.bracket(b, liealg.bracket(c, a))
-               + liealg.bracket(c, liealg.bracket(a, b)))
+        assert np.max(np.abs(commutator(a, a))) == 0.0
+        jac = (commutator(a, commutator(b, c))
+               + commutator(b, commutator(c, a))
+               + commutator(c, commutator(a, b)))
         assert np.max(np.abs(jac)) < 1e-12
         assert np.max(np.abs(liealg.bracket_coeffs(x, x, f))) < 1e-15
         jac = (liealg.bracket_coeffs(x, liealg.bracket_coeffs(y, z, f), f)
@@ -121,20 +134,38 @@ def test_bracket_skew_and_jacobi():
 
 
 def test_algebra_specs_validate():
-    with pytest.raises(ValueError):
-        liealg.AlgebraSpec('bad', 4, np.stack([liealg.SU2_I, liealg.SU2_I]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dependent"):
+        liealg.AlgebraSpec('bad', np.stack([liealg.SU2_I, liealg.SU2_I]))
+    with pytest.raises(ValueError, match="span"):
         # i alone does not close under bracket with j missing
-        liealg.AlgebraSpec('open', 4, np.stack([liealg.SU2_I, liealg.SU2_J]))
+        liealg.AlgebraSpec('open', np.stack([liealg.SU2_I, liealg.SU2_J]))
+    with pytest.raises(ValueError, match="shape"):
+        liealg.AlgebraSpec('flat', liealg.SU2_BASIS[:, :3])
+    with pytest.raises(ValueError, match="skew"):
+        liealg.AlgebraSpec('sym', np.abs(liealg.SU2_BASIS))
+
+
+def test_shared_algebras_are_read_only():
+    for alg in ALL_ALGEBRAS:
+        assert not alg.basis.flags.writeable and not alg.structure_constants.flags.writeable
+    with pytest.raises(ValueError):
+        liealg.SO4.structure_constants[0, 1, 2] = 0.0
+    with pytest.raises(ValueError):
+        liealg.SO3.basis[0, 1, 2] = 0.0
+    # a spec copies its basis: building one leaves the caller's array writable
+    basis = so_n(3).basis.copy()
+    liealg.AlgebraSpec('so(3)', basis)
+    assert basis.flags.writeable
 
 
 def test_so3_block_is_minus_levi_civita():
     eps = levi_civita()
-    gens = liealg.AlgebraSpec.so3_block().basis
-    assert np.array_equal(gens[:, :3, :3], -eps) and not gens[:, 3].any() and not gens[..., 3].any()
+    gens = liealg.SO3.basis
+    assert np.array_equal(gens, -eps)
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
-        assert np.array_equal(liealg.bracket(gens[a], gens[b]), gens[c])
+        assert np.array_equal(commutator(gens[a], gens[b]), gens[c])
+    assert np.array_equal(liealg.SO4.basis, so_n(4).basis)
 
 
 def test_lv_norm_convention():
@@ -144,17 +175,15 @@ def test_lv_norm_convention():
     assert abs(liealg.lv_norm_sq(4.0 * p) - 96.0) < 1e-12
     # the combined norm is that of the matrices: 2 sum_c <P_c, P_c>
     rng = np.random.default_rng(7)
-    for make in ALL_ALGEBRAS:
-        alg = make()
+    for alg in ALL_ALGEBRAS:
         q = rng.standard_normal((6, alg.dim))
-        want = 2.0 * np.sum(liealg.ip_endo(element(alg, q), element(alg, q)))
+        want = 2.0 * np.sum(trace_form(element(alg, q), element(alg, q)))
         assert abs(liealg.lv_norm_sq(q) - want) < 1e-12
 
 
 def test_comm2form_oracle_equivalence():
     rng = np.random.default_rng(13)
-    for make in ALL_ALGEBRAS:
-        alg = make()
+    for alg in ALL_ALGEBRAS:
         f = alg.structure_constants
         for _ in range(10):
             p, q = rng.standard_normal((2, 6, alg.dim))
@@ -205,20 +234,20 @@ def test_gamma_chain_consistency():
 
 
 def test_gamma0_estimates():
-    su2 = liealg.gamma0_estimate(liealg.AlgebraSpec.su2_real(), restarts=16, seed=1)
+    su2 = liealg.gamma0_estimate(liealg.SU2, restarts=16, seed=1)
     assert abs(su2.value - np.sqrt(2.0)) < 1e-6
     assert su2.converged and su2.grad_norm < 1e-6
     a, b = element(liealg.SU2, su2.argmax)
-    ratio = liealg.norm_endo(liealg.bracket(a, b)) / (liealg.norm_endo(a) * liealg.norm_endo(b))
+    ratio = matrix_norm(commutator(a, b)) / (matrix_norm(a) * matrix_norm(b))
     assert abs(ratio - su2.value) < 1e-10
-    so3 = liealg.gamma0_estimate(liealg.AlgebraSpec.so3_block(), restarts=16, seed=1)
+    so3 = liealg.gamma0_estimate(liealg.SO3, restarts=16, seed=1)
     assert abs(so3.value - 1.0) < 1e-6
-    so4 = liealg.gamma0_estimate(liealg.AlgebraSpec.so_n(4), restarts=16, seed=1)
+    so4 = liealg.gamma0_estimate(liealg.SO4, restarts=16, seed=1)
     assert abs(so4.value - np.sqrt(2.0)) < 1e-6
 
 
 def test_gamma0_deterministic_and_validates():
-    alg = liealg.AlgebraSpec.su2_real()
+    alg = liealg.SU2
     r1 = liealg.gamma0_estimate(alg, restarts=4, seed=42)
     r2 = liealg.gamma0_estimate(alg, restarts=4, seed=42)
     assert r1.value == r2.value and r1.restart == r2.restart
@@ -234,12 +263,12 @@ SUITE_SEARCHES = [
     (liealg.gamma1_estimate, 'so3', 32, liealg.GAMMA1_SO3),
 ]
 SEEDS = range(24)
-ALGEBRAS = {'su2': liealg.AlgebraSpec.su2_real, 'so3': liealg.AlgebraSpec.so3_block}
+ALGEBRAS = {'su2': liealg.SU2, 'so3': liealg.SO3}
 
 
 @pytest.fixture(scope='module')
 def suite_estimates():
-    return {(estimate, name, seed): estimate(ALGEBRAS[name](), restarts=r, seed=seed)
+    return {(estimate, name, seed): estimate(ALGEBRAS[name], restarts=r, seed=seed)
             for estimate, name, r, _ in SUITE_SEARCHES for seed in SEEDS}
 
 
@@ -248,37 +277,36 @@ def test_gamma_searches_converge_to_the_sharp_constants(suite_estimates):
         for seed in SEEDS:
             est = suite_estimates[estimate, name, seed]
             assert est.converged and abs(est.value - sharp) < 1e-12
-    so4 = liealg.AlgebraSpec.so_n(4)
     for seed in SEEDS:
-        est = liealg.gamma1_estimate(so4, restarts=16, seed=seed)
+        est = liealg.gamma1_estimate(liealg.SO4, restarts=16, seed=seed)
         assert est.converged and est.value <= liealg.GAMMA1_MAX + 1e-12
     # a benchmark pass seed, pass_seed(3, 20), whose best restart a step-length
     # search could finish only by steps that left f unchanged to the last bit
-    est = liealg.gamma1_estimate(liealg.AlgebraSpec.so3_block(), restarts=32, seed=1232813911)
+    est = liealg.gamma1_estimate(liealg.SO3, restarts=32, seed=1232813911)
     assert est.converged and abs(est.value - liealg.GAMMA1_SO3) < 1e-12
 
 
 def test_gamma_restart_tie_rule_ignores_roundoff(suite_estimates):
     # scaling the basis by 1 + 2^-50 moves the orthonormal basis only at roundoff
     for estimate, name, restarts, _ in SUITE_SEARCHES:
-        alg = ALGEBRAS[name]()
-        nudged = liealg.AlgebraSpec(alg.name, alg.n, alg.basis * (1.0 + 2.0 ** -50))
+        alg = ALGEBRAS[name]
+        nudged = liealg.AlgebraSpec(alg.name, alg.basis * (1.0 + 2.0 ** -50))
         for seed in SEEDS:
             est = estimate(nudged, restarts=restarts, seed=seed)
             assert est.restart == suite_estimates[estimate, name, seed].restart
 
 
 def test_gamma1_estimates():
-    su2 = liealg.gamma1_estimate(liealg.AlgebraSpec.su2_real(), restarts=8, seed=1)
+    su2 = liealg.gamma1_estimate(liealg.SU2, restarts=8, seed=1)
     assert abs(su2.value - liealg.GAMMA1_SU2) < 1e-5
-    so3 = liealg.gamma1_estimate(liealg.AlgebraSpec.so3_block(), restarts=8, seed=1)
+    so3 = liealg.gamma1_estimate(liealg.SO3, restarts=8, seed=1)
     assert abs(so3.value - liealg.GAMMA1_SO3) < 1e-5
-    so4 = liealg.gamma1_estimate(liealg.AlgebraSpec.so_n(4), restarts=8, seed=1)
+    so4 = liealg.gamma1_estimate(liealg.SO4, restarts=8, seed=1)
     assert so4.value <= liealg.GAMMA1_MAX + 1e-5
 
 
 def test_gamma1_argmax_is_unit_and_attains():
-    res = liealg.gamma1_estimate(liealg.AlgebraSpec.su2_real(), restarts=4, seed=3)
+    res = liealg.gamma1_estimate(liealg.SU2, restarts=4, seed=3)
     om = res.argmax
     assert om.shape == (6, 3)
     assert abs(liealg.lv_norm(om) - 1.0) < 1e-10
@@ -290,7 +318,7 @@ def test_objective_scale_invariance():
     a, b = element(liealg.SU2, rng.standard_normal((2, 3)))
 
     def ratio0(x, y):
-        return liealg.norm_endo(liealg.bracket(x, y)) / (liealg.norm_endo(x) * liealg.norm_endo(y))
+        return matrix_norm(commutator(x, y)) / (matrix_norm(x) * matrix_norm(y))
     assert abs(ratio0(a, b) - ratio0(2.5 * a, 0.3 * b)) < 1e-12
     om = bpst_shape()
 
@@ -320,8 +348,7 @@ def test_cubic_gradient_matches_finite_differences():
 
 def test_comm2form_batched_and_broadcast_match_oracle():
     rng = np.random.default_rng(41)
-    for make in ALL_ALGEBRAS:
-        alg = make()
+    for alg in ALL_ALGEBRAS:
         f = alg.structure_constants
         p = rng.standard_normal((5, 6, alg.dim))
         q = rng.standard_normal((5, 6, alg.dim))
@@ -340,15 +367,14 @@ def test_comm2form_batched_and_broadcast_match_oracle():
 
 def test_structure_constants_reproduce_bracket():
     rng = np.random.default_rng(43)
-    for make in (*ALL_ALGEBRAS, lambda: liealg.AlgebraSpec.so_n(5)):
-        alg = make()
+    for alg in (*ALL_ALGEBRAS, so_n(5)):
         f = alg.structure_constants
         assert f.shape == (alg.dim,) * 3
         assert np.max(np.abs(f + np.swapaxes(f, 0, 1))) < 1e-14
         assert np.max(np.abs(f - np.transpose(f, (1, 2, 0)))) < 1e-14
         x = rng.standard_normal((10, alg.dim))
         y = rng.standard_normal((10, alg.dim))
-        want = liealg.bracket(element(alg, x), element(alg, y))
+        want = commutator(element(alg, x), element(alg, y))
         got = element(alg, liealg.bracket_coeffs(x, y, f))
         assert np.max(np.abs(got - want)) < 1e-13
         # broadcast: one x against every y, and a grid
@@ -361,7 +387,7 @@ def test_structure_constants_reproduce_bracket():
 
 def test_sd_cubic_tensor_matches_comm2form_so4():
     rng = np.random.default_rng(47)
-    alg = liealg.AlgebraSpec.so_n(4)
+    alg = liealg.SO4
     f = alg.structure_constants
     k = alg.dim
     t = liealg.sd_cubic_tensor(alg)
@@ -390,7 +416,7 @@ def test_sd_cubic_tensor_matches_comm2form_so4():
 
 
 def test_gamma1_deterministic():
-    alg = liealg.AlgebraSpec.so3_block()
+    alg = liealg.SO3
     r1 = liealg.gamma1_estimate(alg, restarts=4, seed=42)
     r2 = liealg.gamma1_estimate(alg, restarts=4, seed=42)
     assert r1.value == r2.value and r1.restart == r2.restart

@@ -126,6 +126,9 @@ def test_far_center_is_refused():
     for scale in (0.099, 1e-3):
         with pytest.raises(ValueError, match="scales from about"):
             quad4.ym_energy(instanton.InstantonParams(scale, (1.0, 0, 0, 0)), about=np.zeros(4))
+    for about in ((np.nan, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0)):    # a non-finite offset
+        with pytest.raises(ValueError, match="scales from about"):
+            quad4.ym_energy(instanton.STANDARD, about=about)
 
 
 def test_energy_standard_and_grid_refinement():

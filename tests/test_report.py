@@ -87,6 +87,20 @@ def test_run_suite_unknown_id():
         report.run_suite("nope")
 
 
+def test_gamma_constants_suite_builds_no_algebra(monkeypatch):
+    # the three algebras are module constants of liealg, built once at import
+    built = []
+    post_init = liealg.AlgebraSpec.__post_init__
+
+    def counting(alg):
+        built.append(alg.name)
+        post_init(alg)
+
+    monkeypatch.setattr(liealg.AlgebraSpec, "__post_init__", counting)
+    assert report.run_suite("gamma-constants").passed
+    assert built == []
+
+
 @pytest.mark.parametrize("name", ["circ-basis", "weyl-bound", "bracket-sharpness",
                                   "chern-weil", "eigenvalue", "gap", "thresholds",
                                   "flow-check"])
