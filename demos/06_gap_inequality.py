@@ -39,6 +39,6 @@ print(f"  weak universal bound: 16 pi^2 |kappa| + Y^2/12 = {su2.weak_universal:.
 print("\nflow admissibility gate (energy strictly below 16 pi^2):")
 for energy in (0.0, 8 * np.pi ** 2, 16 * np.pi ** 2):
     print(f"  energy {energy:10.4f}: admissible = {report.flow_admissible(energy)}")
-e_bpst = quad4.ym_energy(report.GapConfig().instanton_params())
+e_bpst = quad4.ym_energy(report.GapConfig())
 print(f"  computed instanton energy {e_bpst:.6f}: admissible =",
       report.flow_admissible(e_bpst))

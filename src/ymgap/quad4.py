@@ -26,6 +26,10 @@ from . import instanton, liealg
 TWO_PI_SQ = 2.0 * np.pi ** 2
 EPI2_16 = 16.0 * np.pi ** 2
 
+#: the 24-node Gauss-Legendre rule on [-1, 1] of every radial panel
+_GL_NODES, _GL_WEIGHTS = leggauss(24)
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -55,8 +59,8 @@ class RadialGrid:
         rmax = 1000.0 * max(1.0, scale)
         edges = np.concatenate([[0.0], np.geomspace(0.25 * min(1.0, scale), rmax, panels)])
         a, h = edges[:-1, None], np.diff(edges)[:, None]
-        xs, ws = leggauss(24)
-        return cls((0.5 * (xs + 1.0) * h + a).ravel(), (0.5 * h * ws).ravel(), float(rmax))
+        return cls((0.5 * (_GL_NODES + 1.0) * h + a).ravel(), (0.5 * h * _GL_WEIGHTS).ravel(),
+                   float(rmax))
 
 
 def panel_count(scale):

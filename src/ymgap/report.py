@@ -30,29 +30,21 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class GapConfig:
-    """The values the command line sets, and nothing else."""
+class GapConfig(instanton.InstantonParams):
+    """The values the command line sets, and nothing else: the configured
+    member of the instanton family, and the seed of the sampling suites."""
 
-    scale: float = 1.0
-    center: tuple = (0.0, 0.0, 0.0, 0.0)
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, 'seed', int(self.seed))    # JSON writes no numpy integer
         # the instanton checks the rest, non-finite values included
         try:
-            self.instanton_params()
+            super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def instanton_params(self):
-        return instanton.InstantonParams(self.scale, self.center)
-
-    def to_dict(self):
-        d = asdict(self)
-        d['center'] = list(self.center)
-        return d
 
 
 @dataclass
@@ -77,9 +69,6 @@ class GapReport:
     slack: float
     verdict: str
     equality_residual: float | None = None
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def gap_inequality(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0, tol=1e-6):
@@ -117,28 +106,27 @@ def gap_report(cfg):
     The instanton is su(2)-valued, so gamma1 is the su(2) constant. The
     report also carries the residual of the pointwise identity behind the
     equality case, a property of the instanton whatever the L2 verdict."""
-    params = cfg.instanton_params()
-    f_plus, _ = quad4.l2_sd_norms(params)
+    f_plus, _ = quad4.l2_sd_norms(cfg)
     rep = gap_inequality(f_plus, liealg.GAMMA1_SU2)
-    rep.equality_residual = _equality_identity_residual(params, rep.gamma1)
+    rep.equality_residual = _equality_identity_residual(cfg, rep.gamma1)
     return rep
 
 
-def _equality_identity_residual(params, gamma1):
+def _equality_identity_residual(p, gamma1):
     """Max |R - 3 gamma1 |F+|_round| over 64 sample points, round representative.
 
     The round-metric pointwise norm is u^-2 |F+|_flat with u = 2/(1+|x|^2)
-    composed with the conformal motion taking ``params`` to standard.
+    composed with the conformal motion taking ``p`` to standard.
     """
     rho = np.linspace(0.05, np.pi - 0.05, 64)
     r = np.tan(0.5 * rho)
     x = np.zeros((len(r), 4))
     x[:, 0] = r
-    # pull the sample ray through the conformal motion pairing params with
+    # pull the sample ray through the conformal motion pairing p with
     # the standard instanton; scale^2 undoes the curvature pullback factor
-    xs = params.center_array + params.scale * x
+    xs = p.center_array + p.scale * x
     u = 2.0 / (1.0 + r ** 2)
-    f_round = np.sqrt(instanton.curvature_norm_sq(params, xs)) * params.scale ** 2 / u ** 2
+    f_round = np.sqrt(instanton.curvature_norm_sq(p, xs)) * p.scale ** 2 / u ** 2
     return float(np.max(np.abs(conformal.ROUND_SCALAR_CURVATURE - 3.0 * gamma1 * f_round)))
 
 
@@ -192,9 +180,6 @@ class Check:
     residual: float
     tolerance: float
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class SuiteResult:
@@ -206,7 +191,7 @@ class SuiteResult:
 
     def to_dict(self):
         return {'suite': self.suite, 'passed': self.passed,
-                'checks': [c.to_dict() for c in self.checks]}
+                'checks': [asdict(c) for c in self.checks]}
 
 
 def _check(name, residual, tolerance):
@@ -227,42 +212,40 @@ def _sample_points(rng, count, radius, min_radius=0.0):
 
 def _suite_kato(cfg):
     rng = np.random.default_rng(cfg.seed)
-    params = cfg.instanton_params()
-    pts = params.center_array + cfg.scale * _sample_points(rng, 1000, radius=3.0)
-    worst = np.min(instanton.kato_residual_at(params, pts, h=1e-4 * cfg.scale))
+    pts = cfg.center_array + cfg.scale * _sample_points(rng, 1000, radius=3.0)
+    worst = np.min(instanton.kato_residual_at(cfg, pts, h=1e-4 * cfg.scale))
     return ([_check("kato-floor-1000pts", -worst * cfg.scale ** 6, 1e-8)]
-            + _order2_checks("kato-order2", instanton.kato_residual_at, params, pts[:3])), {}
+            + _order2_checks("kato-order2", instanton.kato_residual_at, cfg, pts[:3])), {}
 
 
-def _order2_checks(name, residual_at, params, pts):
+def _order2_checks(name, residual_at, p, pts):
     """One check per point that the residual (~ scale^-6) decays at least
     quadratically from h = 2e-3 to 1e-3 scale; the floor absorbs points
     where the h^2 error coefficient happens to cross zero."""
-    scale = params.scale
-    r1 = np.abs(residual_at(params, pts, h=2e-3 * scale, richardson=False)) * scale ** 6
-    r2 = np.abs(residual_at(params, pts, h=1e-3 * scale, richardson=False)) * scale ** 6
+    scale = p.scale
+    r1 = np.abs(residual_at(p, pts, h=2e-3 * scale, richardson=False)) * scale ** 6
+    r2 = np.abs(residual_at(p, pts, h=1e-3 * scale, richardson=False)) * scale ** 6
     return [_check(name, gap, 0.0) for gap in r2 - (r1 / 3.0 + 1e-8)]
 
 
 def _suite_bochner(cfg):
     rng = np.random.default_rng(cfg.seed + 1)
-    params = cfg.instanton_params()
-    pts = params.center_array + cfg.scale * _sample_points(rng, 10, radius=2.0, min_radius=0.2)
+    pts = cfg.center_array + cfg.scale * _sample_points(rng, 10, radius=2.0, min_radius=0.2)
     h = 1e-3 * cfg.scale
-    checks = _order2_checks("bochner-order2", instanton.bochner_residual_at, params, pts)
+    checks = _order2_checks("bochner-order2", instanton.bochner_residual_at, cfg, pts)
     origin = np.zeros(4)
     lap_term = 0.5 * instanton.curvature_norm_sq_laplacian(instanton.STANDARD, origin)
     cubic = liealg.cubic_form(instanton.curvature_closed_at(instanton.STANDARD, origin),
                               liealg.SU2.structure_constants)
     checks.append(_check("laplacian-term-at-0", abs(lap_term + 1536.0) / 1536.0, 1e-5))
     checks.append(_check("bracket-term-at-0", abs(cubic - 1536.0) / 1536.0, 1e-5))
-    residual = instanton.bochner_residual_at(params, pts[0], h=h, richardson=True)
+    residual = instanton.bochner_residual_at(cfg, pts[0], h=h, richardson=True)
     checks.append(_check("bochner-residual-default", abs(residual) * cfg.scale ** 6, 1e-6))
     # the curvature and its Bianchi identity from the connection by differences
-    fd = instanton.curvature_fd_at(params, pts, h=h, richardson=True)
-    fd_error = np.max(np.abs(fd - instanton.curvature_closed_at(params, pts)))
+    fd = instanton.curvature_fd_at(cfg, pts, h=h, richardson=True)
+    fd_error = np.max(np.abs(fd - instanton.curvature_closed_at(cfg, pts)))
     checks.append(_check("curvature-fd", fd_error * cfg.scale ** 2, 1e-10))
-    bianchi = np.max(instanton.bianchi_residual_at(params, pts, h=h))
+    bianchi = np.max(instanton.bianchi_residual_at(cfg, pts, h=h))
     checks.append(_check("bianchi", bianchi * cfg.scale ** 3, 1e-4))
     return checks, {}
 
@@ -282,9 +265,8 @@ def _suite_bracket_sharpness(cfg):
     q = p @ rng.standard_normal((200, 3, 3))
     worst = min(0.0, np.min(liealg.bracket_bound_check(q, liealg.GAMMA0_SU2, f)))
     checks.append(_check("bound-nonneg-random", -worst, 1e-10))
-    params = cfg.instanton_params()
-    pts = params.center_array + cfg.scale * _sample_points(rng, 50, radius=2.0)
-    fp = liealg.lv_self_dual(instanton.curvature_closed_at(params, pts))
+    pts = cfg.center_array + cfg.scale * _sample_points(rng, 50, radius=2.0)
+    fp = liealg.lv_self_dual(instanton.curvature_closed_at(cfg, pts))
     cubic = liealg.cubic_form(fp, f)
     norms = liealg.lv_norm(fp)
     attain = np.max(np.abs(cubic - liealg.GAMMA1_SU2 * norms ** 3)) * cfg.scale ** 6
@@ -353,12 +335,12 @@ def _suite_energy(cfg):
         e = quad4.ym_energy(instanton.InstantonParams(scale, center), grid, about=np.zeros(4))
         checks.append(_check(f"energy-shift-{scale}", abs(e - quad4.EPI2_16) / quad4.EPI2_16, 1e-6))
     counts = sorted({8, 12, 16, 24, quad4.panel_count(cfg.scale)})
-    table = quad4.energy_convergence_table(cfg.instanton_params(), counts)
+    table = quad4.energy_convergence_table(cfg, counts)
     return checks, {'energy_convergence': table}
 
 
 def _suite_chern_weil(cfg):
-    plus, minus = quad4.l2_sd_norms(cfg.instanton_params())
+    plus, minus = quad4.l2_sd_norms(cfg)
     checks = [
         _check("kappa-bpst", abs(quad4.chern_weil_kappa(plus, minus) + 1.0), 1e-8),
         _check("asd-part-vanishes", minus, 1e-10),
@@ -437,7 +419,7 @@ def _suite_gap(cfg):
     ]
     flat = gap_inequality(0.0, rep.gamma1)
     checks.append(_check("flat-is-case-1", 0.0 if flat.verdict == "case-1" else 1.0, 0.5))
-    return checks, {'gap_report': rep.to_dict()}
+    return checks, {'gap_report': asdict(rep)}
 
 
 def _suite_thresholds(cfg):
@@ -456,7 +438,7 @@ def _suite_thresholds(cfg):
 def _suite_flow_check(cfg):
     # the instanton is a non-flat Yang-Mills connection, so it cannot flow to
     # flat: the gate must reject its measured energy
-    energy = quad4.ym_energy(cfg.instanton_params())
+    energy = quad4.ym_energy(cfg)
     admissible = flow_admissible(energy)
     checks = [_check("gate-rejects-instanton", 1.0 if admissible else 0.0, 0.5)]
     return checks, {'flow': {'energy': energy, 'threshold': quad4.EPI2_16, 'admissible': admissible,
@@ -513,7 +495,7 @@ def report_document(cfg, suites=(), command=""):
     doc = {
         'schema': SCHEMA,
         'command': command,
-        'config': cfg.to_dict(),
+        'config': asdict(cfg),
         'suites': [s.to_dict() for s in suites],
     }
     for s in suites:

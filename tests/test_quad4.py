@@ -54,6 +54,21 @@ def test_radial_grid_weights_reach_rmax():
         quad4.RadialGrid.make(panels=1)
 
 
+def test_radial_grid_uses_the_24_node_rule():
+    # the rule is built once at import; every grid is a fresh leggauss(24) per panel
+    xs, ws = leggauss(24)
+    for scale, panels in ((1.0, None), (1e-3, None), (50.0, 7)):
+        grid = quad4.RadialGrid.make(scale=scale, panels=panels)
+        rmax = 1000.0 * max(1.0, scale)
+        edges = np.concatenate([[0.0], np.geomspace(0.25 * min(1.0, scale), rmax,
+                                                    panels or quad4.panel_count(scale))])
+        a, h = edges[:-1, None], np.diff(edges)[:, None]
+        assert np.array_equal(grid.nodes, (0.5 * (xs + 1.0) * h + a).ravel())
+        assert np.array_equal(grid.weights, (0.5 * h * ws).ravel())
+    with pytest.raises(ValueError):
+        quad4._GL_WEIGHTS[0] = 1.0
+
+
 def _product_rule(n):
     """The independent full-S^3 oracle: the product rule of order n.
 

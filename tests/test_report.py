@@ -46,6 +46,9 @@ def test_gap_report_rhs_closure_and_provenance():
 def test_gap_config_validation():
     with pytest.raises(report.ConfigError):
         report.GapConfig(seed=-1)
+    # a numpy integer seed is stored as an int, which the JSON report can write
+    doc = report.report_document(report.GapConfig(seed=np.int64(3)))
+    assert json.loads(report.render(doc, "json"))["config"]["seed"] == 3
     for kwargs in ({"w_plus_l2": -1.0}, {"yamabe": 0.0}, {"tol": 0.0}):
         with pytest.raises(report.ConfigError):
             report.gap_inequality(4 * np.pi, liealg.GAMMA1_SU2, **kwargs)
@@ -75,7 +78,7 @@ def test_flow_admissible():
     assert report.flow_admissible(0.0) is True
     assert report.flow_admissible(16 * PI2) is False
     assert report.flow_admissible(15.9 * PI2) is True
-    computed = quad4.ym_energy(report.GapConfig().instanton_params())
+    computed = quad4.ym_energy(report.GapConfig())
     assert report.flow_admissible(computed) is False
     for energy in (-1.0, float("nan"), float("inf")):
         with pytest.raises(report.ConfigError):
@@ -305,7 +308,7 @@ def test_cli_flow_check_json(capsys):
     assert cli.main(["--format", "json", "flow-check"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["flow"]["admissible"] is False
-    assert doc["flow"]["energy"] == quad4.ym_energy(report.GapConfig().instanton_params())
+    assert doc["flow"]["energy"] == quad4.ym_energy(report.GapConfig())
 
 
 @pytest.mark.parametrize("flags, cfg", [
@@ -315,12 +318,12 @@ def test_cli_flow_check_json(capsys):
 def test_cli_energy_reports_convergence_table(flags, cfg, capsys):
     assert cli.main(["--format", "json", *flags, "energy"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["config"] == cfg.to_dict()
+    assert doc["config"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
     rows = doc["energy_convergence"]
     panels = quad4.panel_count(cfg.scale)
     assert [row["panels"] for row in rows] == sorted({8, 12, 16, 24, panels})
     row = next(row for row in rows if row["panels"] == panels)
-    assert row["energy"] == quad4.ym_energy(cfg.instanton_params())
+    assert row["energy"] == quad4.ym_energy(cfg)
 
 
 def test_grid_rule_resolves_every_scale_and_rmax():
@@ -414,6 +417,10 @@ def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
     pytest.param({"center": (0.0,) * 5}, id="center-5-values"),
     pytest.param({"center": ()}, id="center-empty"),
     pytest.param({"center": ((0.0, 0.0), (0.0, 0.0))}, id="center-nested-2x2"),
+    # numpy's SeedSequence takes only nonnegative integers
+    pytest.param({"seed": float("nan")}, id="seed-nan"),
+    pytest.param({"seed": 1.5}, id="seed-1.5"),
+    pytest.param({"seed": "0"}, id="seed-str"),
 ])
 def test_gap_config_rejects_what_lower_layers_reject(kwargs):
     with pytest.raises(report.ConfigError):
@@ -438,6 +445,26 @@ def test_gap_inequality_rejects_non_finite(field, value):
 def test_gap_config_rejects_non_finite_center():
     with pytest.raises(report.ConfigError, match="center"):
         report.GapConfig(center=(0.0, float("nan"), 0.0, 0.0))
+
+
+def _random_member():
+    rng = np.random.default_rng(28)
+    return float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))), tuple(rng.uniform(-2, 2, 4))
+
+
+@pytest.mark.parametrize("scale, center", [
+    pytest.param(1.0, (0.0, 0.0, 0.0, 0.0), id="default"),
+    pytest.param(2.0, (30.0, 0.0, 0.0, 0.0), id="lambda-2-center-30"),
+    pytest.param(*_random_member(), id="random-member"),
+])
+def test_config_is_the_instanton_member(scale, center):
+    cfg, params = report.GapConfig(scale, center, 7), instanton.InstantonParams(scale, center)
+    assert isinstance(cfg, instanton.InstantonParams)
+    pts = np.asarray(center) + scale * np.random.default_rng(0).standard_normal((20, 4))
+    assert quad4.ym_energy(cfg) == quad4.ym_energy(params)
+    assert quad4.l2_sd_norms(cfg) == quad4.l2_sd_norms(params)
+    for evaluate in (instanton.curvature_closed_at, instanton.kato_residual_at):
+        assert np.array_equal(evaluate(cfg, pts), evaluate(params, pts))
 
 
 def test_render_json_is_strict():
