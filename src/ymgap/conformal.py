@@ -158,35 +158,59 @@ _MAX_ITER = 400
 
 
 class EigenSolveError(RuntimeError):
-    """``lambda1`` reached its step cap above its residual floor."""
+    """``lambda1`` met a non-finite operator, or reached its step cap above its residual floor."""
+
+
+def _doubling(c):
+    """In-place solver of y_i = b_i + c_i y_(i-1), c_0 = 0, by recursive doubling
+    (Stone, J. ACM 20, 1973), with the coefficients of every level built once."""
+    levels, s = [], 1
+    while s < len(c):
+        levels.append((s, c[s:]))
+        c = np.concatenate((c[:s], c[s:] * c[:-s]))
+        s *= 2
+
+    def solve(b):
+        for s, cs in levels:
+            b[s:] += cs * b[:-s]
+        return b
+    return solve
 
 
 def lambda1(prob):
     """Smallest eigenvalue and positive eigenfunction of the discrete L.
 
-    Inverse iteration on the weight-symmetrized tridiagonal T, shifted one
-    below its Gershgorin bound: T - sigma I = L D L^T (pivots >= 1) is an
-    M-matrix, so both sweeps only add nonnegative terms and every iterate from
-    the positive start sqrt(weight), the exact ground state for constant Phi,
-    stays positive. Stops at ||T v - lam v|| <= 8 eps ||T||_inf.
-    """
+    Inverse iteration on the weight-symmetrized tridiagonal T from the positive
+    start sqrt(weight), exact for constant Phi, shifted 1, 4, 16, ... below the
+    start's Rayleigh quotient until every pivot of T - sigma I = L D L^T is positive,
+    and at most to one below the Gershgorin bound: then sigma < lambda1 (Sylvester),
+    both sweeps add only nonnegative terms and every iterate stays positive.
+    Stops at ||T v - lam v|| <= 8 eps ||T||_inf."""
     d, e = prob.tridiagonal()
     off = np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0])
-    sigma = np.min(d - off) - 1.0
     floor = 8.0 * np.finfo(float).eps * np.max(np.abs(d) + off)
-    pivots, lower = [float(d[0] - sigma)], []
-    for a, b in zip((d[1:] - sigma).tolist(), e.tolist()):
-        lower.append(b / pivots[-1])
-        pivots.append(a - b * lower[-1])
+    if not np.isfinite(floor):
+        raise EigenSolveError("the operator has a non-finite entry")
+    lowest = np.min(d - off) - 1.0          # the pivots are >= 1 from here
     v = np.sqrt(prob.weight / np.sum(prob.weight))
+    start, width = float(v @ (d * v) + 2.0 * (e * v[1:]) @ v[:-1]), 1.0
+    while True:
+        sigma = max(lowest, start - width)
+        p, pivots = float(d[0] - sigma), []
+        for a, b in zip((d[1:] - sigma).tolist(), (e * e).tolist()):
+            pivots.append(p)
+            if p <= 0.0:
+                break
+            p = a - b / p
+        if sigma == lowest or (p > 0.0 and len(pivots) == len(e)):
+            break
+        width *= 4.0
+    pivots = np.array(pivots + [p])
+    c = -e / pivots[:-1]
+    forward, backward = _doubling(np.r_[0.0, c]), _doubling(np.r_[0.0, c[::-1]])
     for _ in range(_MAX_ITER):
-        x = v.tolist()
-        for i in range(1, len(x)):
-            x[i] -= lower[i - 1] * x[i - 1]
-        x = [xi / p for xi, p in zip(x, pivots)]
-        for i in range(len(x) - 2, -1, -1):
-            x[i] -= lower[i] * x[i + 1]
-        v = np.array(x) / np.linalg.norm(x)
+        x = backward((forward(v.copy()) / pivots)[::-1])[::-1]
+        v = x / np.linalg.norm(x)
         tv = d * v + np.r_[e * v[1:], 0.0] + np.r_[0.0, e * v[:-1]]
         lam = float(v @ tv)
         residual = float(np.linalg.norm(tv - lam * v))
@@ -215,7 +239,7 @@ def transform_problem(prob, u):
     if not callable(u):
         raise ValueError("transform_problem needs a callable conformal factor")
     uf = np.asarray(u(np.arange(len(prob.rho) + 1) * prob.h), dtype=float)
-    if np.any(uf <= 0):
+    if not np.all(uf > 0):
         raise ValueError("conformal factor must be positive")
     un = np.asarray(u(prob.rho), dtype=float)
     return SLProblem(prob.rho, prob.h, prob.weight * un ** 4, prob.cond * uf ** 2,
@@ -226,7 +250,7 @@ def transformed_phi(u, prob):
     """Phi_hat = u^-3 L u = u^-3 (-6 Lap u + Phi u) on the grid of ``prob``,
     an SLProblem (a ModifiedScalarField is one), through ``prob.apply``."""
     un = as_values(u, prob.rho)
-    if np.any(un <= 0):
+    if not np.all(un > 0):
         raise ValueError("conformal factor must be positive")
     return prob.apply(un) / un ** 3
 
@@ -242,7 +266,7 @@ def covariance_check(u, field):
     slip in either route.
     """
     un = as_values(u, field.rho)
-    if np.any(un <= 0):
+    if not np.all(un > 0):
         raise ValueError("conformal factor must be positive")
     route_b = pointwise_laplacian(un, field)     # built in place, one array at a time
     route_b *= -6.0
@@ -264,10 +288,28 @@ def yamabe_quotient(u, prob):
     family of round metrics); larger for everything else, up to O(h^2).
     """
     vals = as_values(u, prob.rho)
-    if np.any(vals <= 0):
+    if not np.all(vals > 0):
         raise ValueError("conformal factor must be positive")
     num = TWO_PI_SQ * prob.quadratic_form(vals)
     return float(num / np.sqrt(TWO_PI_SQ * np.sum(vals ** 4 * prob.weight)))
+
+
+def cosine_yamabe_quotients(amps, prob):
+    """``yamabe_quotient`` of u = 1 + sum_k amps[k-1] cos(k rho) for each row of amps, each
+    with sum |amps| < 1 so that u > 0: sqrt(2 pi^2) c^T G c / ((c x c)^T K (c x c))^(1/2) for
+    c = (1, amps), with G and K, the quadratic and quartic moments of the cos(k rho), built once."""
+    amps = np.asarray(amps, dtype=float)
+    if not np.all(np.sum(np.abs(amps), axis=1) < 1.0):
+        raise ValueError("conformal factor must be positive")
+    modes = np.cos(np.arange(amps.shape[1] + 1)[:, None] * prob.rho)
+    slopes, pairs = np.diff(modes), (modes[:, None] * modes).reshape(-1, len(prob.rho))
+    gram = ((slopes * (prob.cond[1:-1] / prob.h)) @ slopes.T
+            + (modes * (prob.phi * prob.weight)) @ modes.T)
+    pairs *= np.sqrt(prob.weight)           # in place: each n-long temporary is a fresh allocation
+    c = np.c_[np.ones(len(amps)), amps]
+    cc = (c[:, :, None] * c[:, None]).reshape(len(c), -1)
+    return np.sqrt(TWO_PI_SQ) * np.einsum('fi,ij,fj->f', c, gram, c) / np.sqrt(
+        np.einsum('fi,ij,fj->f', cc, pairs @ pairs.T, cc))
 
 
 def dilation_factor(lam):

@@ -395,14 +395,12 @@ def _suite_yamabe(cfg):
     # constants are exact on any grid; the rest is extrapolated from n and 2n
     checks = [_check("quotient-at-round",
                      abs(conformal.yamabe_quotient(1.0, probs[2000]) - conformal.YAMABE_S4), 1e-8)]
-    modes = {n: np.cos(np.arange(1, 4)[:, None] * prob.rho) for n, prob in probs.items()}
-    min_q = np.inf
-    for _ in range(50):
-        amps = rng.uniform(-1.0, 1.0, 3)
-        amps *= rng.uniform(0.05, 0.4) / np.sum(np.abs(amps))
-        q = _richardson(lambda n: conformal.yamabe_quotient(1.0 + amps @ modes[n], probs[n]), 2000)
-        min_q = min(min_q, q)
-    checks.append(_check("quotient-family-floor", conformal.YAMABE_S4 - min_q, 1e-6))
+    amps = np.empty((50, 3))
+    for row in amps:
+        row[:] = rng.uniform(-1.0, 1.0, 3)
+        row *= rng.uniform(0.05, 0.4) / np.sum(np.abs(row))
+    q = _richardson(lambda n: conformal.cosine_yamabe_quotients(amps, probs[n]), 2000)
+    checks.append(_check("quotient-family-floor", conformal.YAMABE_S4 - np.min(q), 1e-6))
     dilated = max(abs(_richardson(lambda n: conformal.yamabe_quotient(
         conformal.dilation_factor(lam), probs[n]), 2000) - conformal.YAMABE_S4)
         for lam in (0.5, 2.0))

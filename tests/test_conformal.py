@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from ymgap import conformal, liealg
+from ymgap import conformal, liealg, report
 
 Y = conformal.YAMABE_S4
 
@@ -88,6 +88,14 @@ def _smooth_plus_noise(seed, n):
     return conformal.round_problem(smooth + rng.uniform(-0.5, 0.5, n), n=n)
 
 
+def _lapack_gap(prob, lam):
+    """|lam - LAPACK's lambda1| of the symmetrized operator, in units of eps ||T||_inf."""
+    d, e = prob.tridiagonal()
+    ref = eigh_tridiagonal(d, e, select='i', select_range=(0, 0))[0][0]
+    norm = np.max(np.abs(d) + np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0]))
+    return abs(lam - ref) / (np.finfo(float).eps * norm)
+
+
 def test_lambda1_matches_lapack():
     prob = conformal.round_problem(lambda r: 12 + 3 * np.cos(2 * r), n=1500)
     lam, _ = conformal.lambda1(prob)
@@ -99,11 +107,46 @@ def test_lambda1_matches_lapack():
         for n in (250, 2000):
             prob = _smooth_plus_noise(seed, n)
             lam, vec = conformal.lambda1(prob)
-            d, e = prob.tridiagonal()
-            ref = eigh_tridiagonal(d, e, select='i', select_range=(0, 0))[0][0]
-            norm = np.max(np.abs(d) + np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0]))
-            assert abs(lam - ref) <= 2.0 * np.finfo(float).eps * norm, (seed, n)
+            assert _lapack_gap(prob, lam) <= 2.0, (seed, n)
             assert np.min(vec) > 0, (seed, n)
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5, 0.1, 0.05, 0.02])
+def test_lambda1_on_the_dilation_orbit(lam):
+    # the Gershgorin shift lay so far below lambda1 here that 0.05 and 0.02
+    # reached the step cap; the certified shift converges in under 20 steps
+    borderline = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=2000)
+    prob = conformal.transform_problem(borderline, conformal.dilation_factor(lam))
+    value, vec = conformal.lambda1(prob)
+    assert np.min(vec) > 0
+    assert _lapack_gap(prob, value) <= 2.0
+
+
+def test_lambda1_widens_to_a_deep_well():
+    # one cell at -1e6 puts lambda1 about 1e5 below the start's Rayleigh quotient
+    phi = np.full(2000, 12.0)
+    phi[700] = -1e6
+    prob = conformal.round_problem(phi)
+    value, vec = conformal.lambda1(prob)
+    assert value < -1e5 and np.min(vec) > 0
+    assert _lapack_gap(prob, value) <= 2.0
+
+
+def test_lambda1_certified_shift_steps(monkeypatch):
+    # the eigenvalue suite's transformed borderline problem: 7 steps from the
+    # certified shift, where one below the Gershgorin bound took 18
+    coarse = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=500)
+    prob = conformal.transform_problem(coarse, lambda r: 1.0 + 0.2 * np.cos(r))
+    monkeypatch.setattr(conformal, "_MAX_ITER", 7)
+    assert abs(conformal.lambda1(prob)[0]) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_lambda1_rejects_a_non_finite_potential(bad):
+    phi = np.full(2000, 12.0)
+    phi[1000] = bad
+    with pytest.raises(conformal.EigenSolveError, match="non-finite"):
+        conformal.lambda1(conformal.round_problem(phi))
 
 
 def test_lambda1_convergence_order():
@@ -236,6 +279,39 @@ def test_sign_invariance_under_conformal_change():
             assert np.sign(lam_hat) == sign
 
 
+def _nan_factor_calls():
+    """Each function with a conformal factor, called with u = nan on a 500-cell grid."""
+    field = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=500)
+    nan = np.full(500, np.nan)
+    return {
+        "yamabe_quotient": lambda: conformal.yamabe_quotient(nan, field),
+        "transformed_phi": lambda: conformal.transformed_phi(nan, field),
+        "covariance_check": lambda: conformal.covariance_check(nan, field),
+        "transform_problem": lambda: conformal.transform_problem(
+            field, lambda r: np.full_like(r, np.nan)),
+        # nan only at the pole face, which the nodes never sample
+        "transform_problem-face": lambda: conformal.transform_problem(
+            field, lambda r: np.where(r == 0.0, np.nan, 1.0)),
+        "cosine_yamabe_quotients": lambda: conformal.cosine_yamabe_quotients(
+            [[0.1, np.nan, 0.0]], field),
+    }
+
+
+def _unreachable(*args):
+    raise AssertionError("the operator was evaluated before the factor was checked")
+
+
+@pytest.mark.parametrize("name", list(_nan_factor_calls()))
+def test_nan_conformal_factor_is_refused(monkeypatch, name):
+    # refused by the function's own guard, before any operator is evaluated
+    monkeypatch.setattr(conformal, "pointwise_laplacian", _unreachable)
+    monkeypatch.setattr(conformal.SLProblem, "apply", _unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="conformal factor must be positive"):
+            _nan_factor_calls()[name]()
+
+
 def test_transform_problem_validation():
     base = conformal.round_problem(12.0, n=256)
     with pytest.raises(ValueError):
@@ -279,6 +355,39 @@ def test_yamabe_quotient_random_family_floor():
         u = 1.0 + sum(a * np.cos((k + 1) * rho) for k, a in enumerate(amps))
         min_q = min(min_q, conformal.yamabe_quotient(u, prob))
     assert min_q >= Y - 1e-6
+
+
+def _suite_quotient_calls(monkeypatch, seed):
+    """(amps, prob, quotients) of each cosine_yamabe_quotients call of the
+    yamabe-quotient suite at ``seed``: one per grid."""
+    calls = []
+    assembled = conformal.cosine_yamabe_quotients
+
+    def recorded(amps, prob):
+        calls.append((amps, prob, assembled(amps, prob)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(conformal, "cosine_yamabe_quotients", recorded)
+    assert report.run_suite("yamabe-quotient", report.GapConfig(seed=seed)).passed
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_assembled_quotients_match_factor_by_factor(monkeypatch, seed):
+    calls = _suite_quotient_calls(monkeypatch, seed)
+    assert sorted(len(prob.rho) for _, prob, _ in calls) == [2000, 4000]
+    for amps, prob, quotients in calls:
+        assert amps.shape == (50, 3)
+        modes = np.cos(np.arange(1, 4)[:, None] * prob.rho)
+        direct = [conformal.yamabe_quotient(1.0 + a @ modes, prob) for a in amps]
+        assert np.max(np.abs(quotients / direct - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("amps", [[[0.5, -0.3, 0.2]], [[0.1, 0.0, 0.0], [0.0, 1.5, 0.0]]],
+                         ids=["sum-1", "second-row-1.5"])
+def test_assembled_quotients_refuse_a_factor_that_may_vanish(amps):
+    with pytest.raises(ValueError, match="conformal factor must be positive"):
+        conformal.cosine_yamabe_quotients(amps, conformal.round_problem(12.0, 500))
 
 
 def test_eigen_solver_error_trace(monkeypatch):
