@@ -48,7 +48,7 @@ for pt in (np.array([0.5, 0, 0, 0]), x, np.array([-1.2, 0.4, 0.1, -0.3])):
 print("\nBochner identity at the origin:")
 print("  (1/2) Lap |F|^2 =", 0.5 * float(instanton.curvature_norm_sq_laplacian(p, np.zeros(4))))
 f0 = instanton.curvature_closed_at(p, np.zeros(4))
-print("  <F,[F,F]>      =", float(liealg.cubic_form(f0, liealg.SU2.structure_constants)))
+print("  <F,[F,F]>      =", float(liealg.cubic_form(f0, liealg.SU2)))
 print("  |nabla F|^2    =", instanton.cov_norm_sq(covariant_derivative(np.zeros(4))))
 print("  residual       =", instanton.bochner_residual_at(p, np.zeros(4)))
 

@@ -81,6 +81,9 @@ class InstantonParams:
             raise ValueError("center must be a point in R^4")
         if not np.all(np.isfinite(c)):
             raise ValueError(f"center must be finite; got {self.center!r}")
+        # beyond, (x - center)/scale loses the digits of the sample points
+        if np.linalg.norm(c) > 1e6 * self.scale:
+            raise ValueError(f"|center| must be at most 1e6 * scale; got {self.center!r}")
         object.__setattr__(self, 'center', tuple(c))
 
     @property
@@ -182,7 +185,7 @@ def curvature_fd_of(conn_fn, x, h, richardson=False):
     dth = np.stack([_partial(conn_fn, x, k, h, richardson) for k in range(4)], axis=-3)
     i, j = forms4.PAIR_I, forms4.PAIR_J
     return (dth[..., i, j, :] - dth[..., j, i, :]
-            - liealg.bracket_coeffs(th[..., i, :], th[..., j, :], liealg.SU2.structure_constants))
+            - liealg.bracket_coeffs(th[..., i, :], th[..., j, :], liealg.SU2))
 
 
 def curvature_fd_at(p, x, h, richardson=False):
@@ -202,7 +205,7 @@ def covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=True):
     out = np.empty(x.shape[:-1] + (4,) + f0.shape[-2:])
     for k in range(4):
         out[..., k, :, :] = _partial(curv_fn, x, k, h, richardson) - liealg.bracket_coeffs(
-            th[..., k:k + 1, :], f0, liealg.SU2.structure_constants)
+            th[..., k:k + 1, :], f0, liealg.SU2)
     return out
 
 
@@ -234,7 +237,7 @@ def bochner_residual_at(p, x, h=1e-3, richardson=False):
 
     nabla = covariant_derivative_of(plus, lambda z: connection_at(p, z), x, h, richardson)
     return (0.5 * curvature_norm_sq_laplacian(p, x) - cov_norm_sq(nabla)
-            + liealg.cubic_form(plus(x), liealg.SU2.structure_constants))
+            + liealg.cubic_form(plus(x), liealg.SU2))
 
 
 def bianchi_residual_of(curv_fn, conn_fn, x, h):

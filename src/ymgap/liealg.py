@@ -1,13 +1,13 @@
-"""Matrix Lie algebras, their structure constants and the sharp bracket constants.
+"""Lie algebras as structure constants, and the sharp bracket constants.
 
-An ``AlgebraSpec`` is given by real skew-symmetric n x n matrices with the
-inner product ``<A, B> = -tr(AB)/2``, positive definite on skew matrices.
-The matrices are read once, when the spec is built, to tabulate the
-structure constants f[k,l,m] = <[E_k,E_l],E_m> on an orthonormal basis E.
-From then on every Lie-algebra value is its coefficient vector on E, and
-every bracket is ``bracket_coeffs`` on f. The package uses three specs,
-built once here: ``SU2``, ``SO3`` and ``SO4``. The instanton's algebra is
-``SU2``, the span of the quaternion generators i, j, k below, for which
+An algebra is its structure constants f[k,l,m] = <[E_k,E_l],E_m>, a
+read-only (k, k, k) array on an orthonormal basis E of real skew n x n
+matrices with the inner product ``<A, B> = -tr(AB)/2``. Every Lie-algebra
+value is its coefficient vector on E, and every bracket is
+``bracket_coeffs`` on f. The package uses three algebras, tabulated once
+here from the matrix bases ``SU2_BASIS``, ``SO3_BASIS`` and ``SO4_BASIS``:
+``SU2``, ``SO3`` and ``SO4``. The instanton's algebra is ``SU2``, the span
+of the quaternion generators i, j, k below, for which
 |i|^2 = |j|^2 = |k|^2 = 2: its orthonormal basis is (i, j, k)/sqrt2, so
 its coefficients are sqrt2 times the quaternion entries.
 
@@ -22,7 +22,7 @@ The two sharp constants computed here are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,19 @@ SU2_I = np.block([[_O, _I2], [-_I2, _O]])
 SU2_J = np.block([[_O, _J], [_J, _O]])
 SU2_K = np.block([[_J, _O], [_O, -_J]])
 SU2_BASIS = np.stack([SU2_I, SU2_J, SU2_K])
-for _m in (SU2_I, SU2_J, SU2_K, SU2_BASIS):
+
+# so(3) as 3x3 rotation generators (L_a)_bc = -eps_abc: [L1, L2] = L3
+# cyclically and |L_a| = 1
+_a = np.arange(3)
+SO3_BASIS = np.zeros((3, 3, 3))
+SO3_BASIS[_a, (_a + 1) % 3, (_a + 2) % 3] = -1.0
+SO3_BASIS[_a, (_a + 2) % 3, (_a + 1) % 3] = 1.0
+# so(4) with basis E_ab - E_ba, a < b
+_a, _b = np.triu_indices(4, 1)
+SO4_BASIS = np.zeros((6, 4, 4))
+SO4_BASIS[np.arange(6), _a, _b] = 1.0
+SO4_BASIS[np.arange(6), _b, _a] = -1.0
+for _m in (SU2_I, SU2_J, SU2_K, SU2_BASIS, SO3_BASIS, SO4_BASIS):
     _m.setflags(write=False)
 
 # sign convention self-test: the toolkit is built on ij = k
@@ -55,71 +67,33 @@ def _trace_form(a, b):
     return -0.5 * np.einsum('...ij,...ji->...', a, b)
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraSpec:
-    """A concrete matrix Lie algebra: a name and a basis (k, n, n).
+def _structure_constants(basis):
+    """f[k,l,m] = <[E_k,E_l],E_m> on the orthonormal basis E = basis / |basis|.
 
-    The basis must consist of skew matrices, be linearly independent, and
-    close under the bracket; this is checked at construction. The constants
-    gamma0/gamma1 depend on the embedding, not just the abstract algebra, so
-    specs of different bases are not interchangeable. The spec keeps its
-    own copy of the basis; it and the structure constants are read-only.
+    The basis (k, n, n) must be skew, mutually orthogonal and closed under
+    the bracket, or ValueError. The read-only result is totally
+    antisymmetric, since the trace form is ad-invariant.
     """
-
-    name: str
-    basis: np.ndarray
-    _f: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        basis = np.array(self.basis, dtype=float)
-        if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
-            raise ValueError(f"basis shape {basis.shape} is not (k, n, n)")
-        if not np.max(np.abs(basis + np.swapaxes(basis, -1, -2))) <= 1e-14:
-            raise ValueError("basis contains a non-skew matrix")
-        gram = _trace_form(basis[:, None], basis[None, :])
-        if np.linalg.matrix_rank(gram, tol=1e-10) < len(basis):
-            raise ValueError("basis is linearly dependent")
-        # orthonormalize (the built-in bases are already orthogonal)
-        onb = np.einsum('pk,kij->pij', np.linalg.inv(np.linalg.cholesky(gram)), basis)
-        brackets = onb[:, None] @ onb[None, :] - onb[None, :] @ onb[:, None]
-        f = _trace_form(brackets[:, :, None], onb)
-        # [E_k, E_l] - sum_m f[k,l,m] E_m vanishes iff the span is closed
-        rest = brackets - np.einsum('klm,mij->klij', f, onb)
-        if np.max(np.sqrt(_trace_form(rest, rest))) > 1e-12:
-            raise ValueError(f"{self.name}: bracket leaves the basis span")
-        basis.setflags(write=False)
-        f.setflags(write=False)
-        object.__setattr__(self, 'basis', basis)
-        object.__setattr__(self, '_f', f)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    @property
-    def structure_constants(self):
-        """f[k,l,m] = <[E_k, E_l], E_m> on the orthonormal basis E.
-
-        Totally antisymmetric, since the trace form is ad-invariant.
-        """
-        return self._f
+    if not np.max(np.abs(basis + np.swapaxes(basis, -1, -2))) <= 1e-14:
+        raise ValueError("basis contains a non-skew matrix")
+    onb = basis / np.sqrt(_trace_form(basis, basis))[:, None, None]
+    if np.max(np.abs(_trace_form(onb[:, None], onb[None, :]) - np.eye(len(onb)))) > 1e-12:
+        raise ValueError("basis is not mutually orthogonal")
+    brackets = onb[:, None] @ onb[None, :] - onb[None, :] @ onb[:, None]
+    f = _trace_form(brackets[:, :, None], onb)
+    # [E_k, E_l] - sum_m f[k,l,m] E_m vanishes iff the span is closed
+    rest = brackets - np.einsum('klm,mij->klij', f, onb)
+    if np.max(np.sqrt(_trace_form(rest, rest))) > 1e-12:
+        raise ValueError("bracket leaves the basis span")
+    f.setflags(write=False)
+    return f
 
 
-# so(3) as 3x3 rotation generators (L_a)_bc = -eps_abc: [L1, L2] = L3
-# cyclically and |L_a| = 1
-_a = np.arange(3)
-_SO3_BASIS = np.zeros((3, 3, 3))
-_SO3_BASIS[_a, (_a + 1) % 3, (_a + 2) % 3] = -1.0
-_SO3_BASIS[_a, (_a + 2) % 3, (_a + 1) % 3] = 1.0
-# so(4) with basis E_ab - E_ba, a < b
-_a, _b = np.triu_indices(4, 1)
-_SO4_BASIS = np.zeros((6, 4, 4))
-_SO4_BASIS[np.arange(6), _a, _b] = 1.0
-_SO4_BASIS[np.arange(6), _b, _a] = -1.0
-
-SU2 = AlgebraSpec('su(2)', SU2_BASIS)
-SO3 = AlgebraSpec('so(3)', _SO3_BASIS)
-SO4 = AlgebraSpec('so(4)', _SO4_BASIS)
+# the package's three algebras; gamma0 and gamma1 depend on the embedding,
+# not just the abstract algebra, so each table is that of its basis
+SU2 = _structure_constants(SU2_BASIS)
+SO3 = _structure_constants(SO3_BASIS)
+SO4 = _structure_constants(SO4_BASIS)
 
 
 def bracket_coeffs(a, b, f):
@@ -254,29 +228,28 @@ def _sphere_ascent(objective, starts):
                          bool(converged[r]))
 
 
-def gamma0_estimate(alg, restarts=64, seed=0):
+def gamma0_estimate(f, restarts=64, seed=0):
     """Maximize |[A,B]| / (|A||B|) by the shifted power iteration on two spheres.
 
-    Works on orthonormal-basis coefficients x, y: the ascent climbs |c|^2
-    for c = [x, y], with gradients 2[y, c] and 2[c, x] (f is totally
-    antisymmetric). ``grad_norm`` is that of the ratio |c| itself and
-    ``argmax`` the coefficient pair (x, y). Deterministic for a fixed seed.
+    Works on coefficients x, y on the orthonormal basis of the structure
+    constants f: the ascent climbs |c|^2 for c = [x, y], with gradients
+    2[y, c] and 2[c, x] (f is totally antisymmetric). ``grad_norm`` is that
+    of the ratio |c| itself and ``argmax`` the coefficient pair (x, y).
+    Deterministic for a fixed seed.
     """
-    f = alg.structure_constants
-
     def objective(z):
         c = bracket_coeffs(z[:, 0], z[:, 1], f)
         grad = bracket_coeffs(np.stack([z[:, 1], c], axis=1), np.stack([c, z[:, 0]], axis=1), f)
         return np.sum(c * c, axis=-1), 2.0 * grad
 
     rng = np.random.default_rng(seed)
-    est = _sphere_ascent(objective, rng.standard_normal((restarts, 2, alg.dim)))
+    est = _sphere_ascent(objective, rng.standard_normal((restarts, 2, len(f))))
     norm = np.sqrt(est.value)
     return replace(est, value=float(norm), argmax=tuple(est.argmax),
                    grad_norm=est.grad_norm / (2.0 * max(norm, 1e-15)))
 
 
-def sd_cubic_tensor(alg):
+def sd_cubic_tensor(f):
     """Symmetric tensor T with <omega,[omega,omega]> = T(z, z, z).
 
     omega = sum_a e_a (x) sum_k z[a,k] E_k over the self-dual basis e_a of
@@ -293,11 +266,11 @@ def sd_cubic_tensor(alg):
     """
     e = forms4.sd_basis()
     eps = forms4.inner_2form(e[:, None, None], forms4.circ(e[:, None], e[None, :])[None])
-    k = alg.dim
-    return np.einsum('abc,lmk->akblcm', eps, alg.structure_constants).reshape(3 * k, 3 * k, 3 * k)
+    k = len(f)
+    return np.einsum('abc,lmk->akblcm', eps, f).reshape(3 * k, 3 * k, 3 * k)
 
 
-def gamma1_estimate(alg, restarts=64, seed=0):
+def gamma1_estimate(f, restarts=64, seed=0):
     """Maximize <omega,[omega,omega]> / |omega|^3 over self-dual forms.
 
     omega is parameterized by three orthonormal-basis coefficient vectors z
@@ -308,8 +281,8 @@ def gamma1_estimate(alg, restarts=64, seed=0):
     the cubic form nonnegative. The argmax is the Lie-valued 2-form
     ``forms4.sd_basis().T @ z``.
     """
-    k = alg.dim
-    t2 = sd_cubic_tensor(alg).reshape(3 * k, 9 * k * k)
+    k = len(f)
+    t2 = sd_cubic_tensor(f).reshape(3 * k, 9 * k * k)
 
     def objective(z):
         zf = z[:, 0]

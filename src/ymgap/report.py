@@ -235,8 +235,7 @@ def _suite_bochner(cfg):
     checks = _order2_checks("bochner-order2", instanton.bochner_residual_at, cfg, pts)
     origin = np.zeros(4)
     lap_term = 0.5 * instanton.curvature_norm_sq_laplacian(instanton.STANDARD, origin)
-    cubic = liealg.cubic_form(instanton.curvature_closed_at(instanton.STANDARD, origin),
-                              liealg.SU2.structure_constants)
+    cubic = liealg.cubic_form(instanton.curvature_closed_at(instanton.STANDARD, origin), liealg.SU2)
     checks.append(_check("laplacian-term-at-0", abs(lap_term + 1536.0) / 1536.0, 1e-5))
     checks.append(_check("bracket-term-at-0", abs(cubic - 1536.0) / 1536.0, 1e-5))
     residual = instanton.bochner_residual_at(cfg, pts[0], h=h, richardson=True)
@@ -252,7 +251,7 @@ def _suite_bochner(cfg):
 
 def _suite_bracket_sharpness(cfg):
     rng = np.random.default_rng(cfg.seed + 2)
-    f = liealg.SU2.structure_constants
+    f = liealg.SU2
     checks = []
     # e1 (x) i + e2 (x) j + e3 (x) k; i, j, k are sqrt2 times the basis
     p = np.sqrt(2.0) * forms4.sd_basis().T
@@ -379,8 +378,7 @@ def _suite_covariance(cfg):
                                liealg.GAMMA1_SU2, n=n) for n in (1024, 3072)]
     modes = [np.cos(np.arange(1, 4)[:, None] * f.rho) for f in fields]
     worst = 0.0
-    for _ in range(20):
-        amps = rng.uniform(-1.0, 1.0, 3)
+    for amps in rng.uniform(-1.0, 1.0, (20, 3)):
         amps *= 0.3 / max(np.sum(np.abs(amps)), 1e-9)
         # an O(h^2) gap shrinks 9-fold from n to 3n cells; a zero fine gap reads 1:
         # two routes that agree to the bit are not independent discretizations
@@ -395,10 +393,9 @@ def _suite_yamabe(cfg):
     # constants are exact on any grid; the rest is extrapolated from n and 2n
     checks = [_check("quotient-at-round",
                      abs(conformal.yamabe_quotient(1.0, probs[2000]) - conformal.YAMABE_S4), 1e-8)]
-    amps = np.empty((50, 3))
-    for row in amps:
-        row[:] = rng.uniform(-1.0, 1.0, 3)
-        row *= rng.uniform(0.05, 0.4) / np.sum(np.abs(row))
+    # 50 factors 1 + sum_k a_k cos k rho with sum |a_k| in [0.05, 0.4]
+    d = rng.uniform([-1.0, -1.0, -1.0, 0.05], [1.0, 1.0, 1.0, 0.4], (50, 4))
+    amps = d[:, :3] * (d[:, 3] / np.sum(np.abs(d[:, :3]), axis=1))[:, None]
     q = _richardson(lambda n: conformal.cosine_yamabe_quotients(amps, probs[n]), 2000)
     checks.append(_check("quotient-family-floor", conformal.YAMABE_S4 - np.min(q), 1e-6))
     dilated = max(abs(_richardson(lambda n: conformal.yamabe_quotient(

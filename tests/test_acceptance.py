@@ -91,7 +91,7 @@ def test_criterion_06_bochner():
         rates_ok = rates_ok and (r2 <= r1 / 3.0 + 1e-8)
     lap_half = 0.5 * float(instanton.curvature_norm_sq_laplacian(STD, np.zeros(4)))
     f0 = instanton.curvature_closed_at(STD, np.zeros(4))
-    cubic = float(liealg.cubic_form(f0, liealg.SU2.structure_constants))
+    cubic = float(liealg.cubic_form(f0, liealg.SU2))
     vals_ok = abs(lap_half + 1536.0) / 1536.0 < 1e-5 and abs(cubic - 1536.0) / 1536.0 < 1e-5
     ok = rates_ok and vals_ok
     _verdict(6, "flat-chart Bochner identity", ok,
@@ -103,7 +103,7 @@ def test_criterion_07_pointwise_sharpness():
     pts = rng.standard_normal((300, 4)) * 1.6
     f = instanton.curvature_closed_at(STD, pts)
     fplus = liealg.lv_self_dual(f)
-    bracket = liealg.comm2form(fplus, fplus, liealg.SU2.structure_constants)
+    bracket = liealg.comm2form(fplus, fplus, liealg.SU2)
     cubic = liealg.lv_inner(fplus, bracket)
     norms = liealg.lv_norm(fplus)
     gap1 = float(np.max(np.abs(cubic - (4 / np.sqrt(6.0)) * norms ** 3)))

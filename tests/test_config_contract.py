@@ -23,7 +23,8 @@ COMMANDS = ('gap', 'thresholds', 'flow-check')
 # per field, flags that make it invalid (joined form, so '-1' is not read as an option)
 INVALID = {
     'scale': ['--lambda=0', '--lambda=-1', '--lambda=nan', '--lambda=inf'],
-    'center': ['--center=0,nan,0,0', '--center=-inf,0,0,0'],
+    # 1e10 is beyond 1e6 * lambda, the farthest center, for every drawn lambda
+    'center': ['--center=0,nan,0,0', '--center=-inf,0,0,0', '--center=1e10,0,0,0'],
     'seed': ['--seed=-1'],
 }
 
@@ -81,6 +82,14 @@ def test_no_flag_moves_a_tolerance(draw, capsys):
     doc = _strict_json(capsys.readouterr().out)
     rows = [(s['suite'], c['name'], c['tolerance']) for s in doc['suites'] for c in s['checks']]
     assert rows == PINNED_TOLERANCES, flags
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_farthest_center_passes_every_check(scale, capsys):
+    # |center| = 1e6 * lambda is the farthest center a configuration may have
+    argv = ['--format', 'json', f"--lambda={scale!r}", f"--center={1e6 * scale!r},0,0,0", 'all']
+    assert cli.main(argv) == 0, argv
+    assert capsys.readouterr().err == "", argv
 
 
 @pytest.mark.parametrize("field, flag", [(f, v) for f, vs in INVALID.items() for v in vs])

@@ -372,12 +372,24 @@ def _suite_quotient_calls(monkeypatch, seed):
     return calls
 
 
+def _row_by_row_amps(seed):
+    """The yamabe-quotient suite's amplitudes at ``seed``, drawn one row at a
+    time: three amplitudes, then their l1 norm."""
+    rng = np.random.default_rng(seed + 6)
+    amps = np.empty((50, 3))
+    for row in amps:
+        row[:] = rng.uniform(-1.0, 1.0, 3)
+        row *= rng.uniform(0.05, 0.4) / np.sum(np.abs(row))
+    return amps
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_assembled_quotients_match_factor_by_factor(monkeypatch, seed):
     calls = _suite_quotient_calls(monkeypatch, seed)
     assert sorted(len(prob.rho) for _, prob, _ in calls) == [2000, 4000]
     for amps, prob, quotients in calls:
-        assert amps.shape == (50, 3)
+        # the suite's one batched draw is the row-by-row sample set, bit for bit
+        assert np.array_equal(amps, _row_by_row_amps(seed))
         modes = np.cos(np.arange(1, 4)[:, None] * prob.rho)
         direct = [conformal.yamabe_quotient(1.0 + a @ modes, prob) for a in amps]
         assert np.max(np.abs(quotients / direct - 1.0)) <= 1e-12

@@ -36,7 +36,7 @@ def unit_quaternion_rotation(rng):
     a = rng.standard_normal(4)
     g = np.einsum('q,qij->ij', a / np.linalg.norm(a),
                   np.concatenate([np.eye(4)[None], liealg.SU2_BASIS]))
-    onb = element(liealg.SU2, np.eye(3))
+    onb = element(liealg.SU2_BASIS, np.eye(3))
     rot = trace_form(g.T @ onb[None, :] @ g, onb[:, None])     # rot[m, a]
     return g, rot
 
@@ -67,9 +67,9 @@ def test_closed_forms_match_the_matrix_display():
     rng = np.random.default_rng(1)
     for x in (np.zeros(4), np.array([1.0, 0, 0, 0]), *rng.standard_normal((20, 4)) * 1.5):
         th = instanton.connection_at(STD, x)
-        assert np.max(np.abs(element(liealg.SU2, th) - display_connection(x))) < 1e-15
+        assert np.max(np.abs(element(liealg.SU2_BASIS, th) - display_connection(x))) < 1e-15
         f = instanton.curvature_closed_at(STD, x)
-        assert np.max(np.abs(element(liealg.SU2, f) - display_curvature(x))) < 1e-15
+        assert np.max(np.abs(element(liealg.SU2_BASIS, f) - display_curvature(x))) < 1e-15
 
 
 def test_connection_dilation_pullback():
@@ -251,13 +251,13 @@ def test_gauge_conjugation_invariance():
         f_conj = curv(x)
         # g^-1 = g^T: the rotation is the conjugation on matrices
         for fn, display in ((curv, display_curvature), (conn, display_connection)):
-            assert np.max(np.abs(element(liealg.SU2, fn(x)) - g.T @ display(x) @ g)) < 1e-14
+            assert np.max(np.abs(element(liealg.SU2_BASIS, fn(x)) - g.T @ display(x) @ g)) < 1e-14
         assert abs(liealg.lv_norm_sq(f_conj) - instanton.curvature_norm_sq(STD, x)) < 1e-10
         nab_ref = covariant_derivative(STD, x, h=1e-4)
         nab_conj = instanton.covariant_derivative_of(curv, conn, x, h=1e-4)
         assert abs(instanton.cov_norm_sq(nab_conj) - instanton.cov_norm_sq(nab_ref)) < 1e-10
         fd_conj = instanton.curvature_fd_of(conn, x, h=1e-4)
-        fd_matrices = element(liealg.SU2, fd_conj)
+        fd_matrices = element(liealg.SU2_BASIS, fd_conj)
         assert np.max(np.abs(fd_matrices - g.T @ display_curvature(x) @ g)) < 1e-7
 
 
@@ -269,6 +269,10 @@ def test_params_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="center must be finite"):
             instanton.InstantonParams(1.0, (0.0, bad, 0.0, 0.0))
+    # beyond 1e6 scales from the origin, (x - center)/scale loses the sample points' digits
+    instanton.InstantonParams(0.5, (3e5, 0.0, 0.0, -4e5))
+    with pytest.raises(ValueError, match="1e6"):
+        instanton.InstantonParams(0.5, (3e5, 0.0, 0.0, -4.1e5))
 
 
 # -- batched evaluation: points (..., 4) give results with leading shape (...) --

@@ -41,23 +41,24 @@ def commutator(a, b):
 
 
 def so_n(n):
-    """Full so(n) with basis E_ab - E_ba, a < b."""
+    """The basis E_ab - E_ba, a < b, of the full so(n)."""
     a, b = np.triu_indices(n, 1)
     basis = np.zeros((len(a), n, n))
     basis[np.arange(len(a)), a, b] = 1.0
     basis[np.arange(len(a)), b, a] = -1.0
-    return liealg.AlgebraSpec(f'so({n})', basis)
+    return basis
 
 
-def orthonormal_basis(alg):
-    """The basis (k, n, n) of alg orthonormalized by Cholesky, as the spec does."""
-    gram = trace_form(alg.basis[:, None], alg.basis[None, :])
-    return np.einsum('pk,kij->pij', np.linalg.inv(np.linalg.cholesky(gram)), alg.basis)
+def orthonormal_basis(basis):
+    """A basis (k, n, n) orthonormalized by Cholesky; on the orthogonal bases
+    of liealg this is its division by the norms."""
+    gram = trace_form(basis[:, None], basis[None, :])
+    return np.einsum('pk,kij->pij', np.linalg.inv(np.linalg.cholesky(gram)), basis)
 
 
-def element(alg, c):
-    """The matrices sum_k c[..., k] E_k of coefficients c on alg's orthonormal basis E."""
-    return np.einsum('...k,kij->...ij', np.asarray(c, dtype=float), orthonormal_basis(alg))
+def element(basis, c):
+    """The matrices sum_k c[..., k] E_k of coefficients c on the orthonormal basis E of basis."""
+    return np.einsum('...k,kij->...ij', np.asarray(c, dtype=float), orthonormal_basis(basis))
 
 
 def lv_sd_coeffs(p):
@@ -65,7 +66,7 @@ def lv_sd_coeffs(p):
     return 2.0 * forms4.sd_basis() @ np.asarray(p, dtype=float)
 
 
-SU2_F = liealg.SU2.structure_constants
+SU2_F = liealg.SU2
 
 
 def bpst_shape():
@@ -85,7 +86,9 @@ def levi_civita():
     return eps
 
 
-ALL_ALGEBRAS = (liealg.SU2, liealg.SO3, liealg.SO4)
+# (matrix basis, structure constants) of each of the package's algebras
+ALL_ALGEBRAS = ((liealg.SU2_BASIS, liealg.SU2), (liealg.SO3_BASIS, liealg.SO3),
+                (liealg.SO4_BASIS, liealg.SO4))
 
 
 def test_quaternion_matrices():
@@ -100,8 +103,9 @@ def test_quaternion_matrices():
 
 
 def test_su2_is_the_quaternions_over_sqrt2():
-    assert np.array_equal(liealg.SU2.basis, liealg.SU2_BASIS)
-    assert np.max(np.abs(orthonormal_basis(liealg.SU2) * np.sqrt(2.0) - liealg.SU2_BASIS)) < 1e-15
+    assert np.array_equal(liealg.SU2_BASIS, [liealg.SU2_I, liealg.SU2_J, liealg.SU2_K])
+    assert np.max(np.abs(orthonormal_basis(liealg.SU2_BASIS) * np.sqrt(2.0)
+                         - liealg.SU2_BASIS)) < 1e-15
     # [i, j] = 2k gives [E_1, E_2] = sqrt2 E_3
     assert np.max(np.abs(SU2_F - np.sqrt(2.0) * levi_civita())) < 1e-15
 
@@ -114,11 +118,10 @@ def test_bracket_ratio_su2():
 
 def test_bracket_skew_and_jacobi():
     rng = np.random.default_rng(5)
-    alg = liealg.SO4
-    f = alg.structure_constants
+    f = liealg.SO4
     for _ in range(30):
         x, y, z = rng.standard_normal((3, 6))
-        a, b, c = element(alg, x), element(alg, y), element(alg, z)
+        a, b, c = (element(liealg.SO4_BASIS, v) for v in (x, y, z))
         br = commutator(a, b)
         assert np.max(np.abs(br + br.T)) < 1e-13
         assert np.max(np.abs(commutator(a, a))) == 0.0
@@ -134,38 +137,38 @@ def test_bracket_skew_and_jacobi():
 
 
 def test_algebra_specs_validate():
-    with pytest.raises(ValueError, match="dependent"):
-        liealg.AlgebraSpec('bad', np.stack([liealg.SU2_I, liealg.SU2_I]))
+    # the structure constants are tabulated only from a skew, mutually
+    # orthogonal basis closed under the bracket
+    with pytest.raises(ValueError, match="orthogonal"):
+        liealg._structure_constants(np.stack([liealg.SU2_I, liealg.SU2_I]))
     with pytest.raises(ValueError, match="span"):
-        # i alone does not close under bracket with j missing
-        liealg.AlgebraSpec('open', np.stack([liealg.SU2_I, liealg.SU2_J]))
-    with pytest.raises(ValueError, match="shape"):
-        liealg.AlgebraSpec('flat', liealg.SU2_BASIS[:, :3])
+        # [i, j] = 2k leaves the span of i and j
+        liealg._structure_constants(np.stack([liealg.SU2_I, liealg.SU2_J]))
     with pytest.raises(ValueError, match="skew"):
-        liealg.AlgebraSpec('sym', np.abs(liealg.SU2_BASIS))
+        liealg._structure_constants(np.abs(liealg.SU2_BASIS))
 
 
 def test_shared_algebras_are_read_only():
-    for alg in ALL_ALGEBRAS:
-        assert not alg.basis.flags.writeable and not alg.structure_constants.flags.writeable
+    for basis, f in ALL_ALGEBRAS:
+        assert not basis.flags.writeable and not f.flags.writeable
     with pytest.raises(ValueError):
-        liealg.SO4.structure_constants[0, 1, 2] = 0.0
+        liealg.SO4[0, 1, 2] = 0.0
     with pytest.raises(ValueError):
-        liealg.SO3.basis[0, 1, 2] = 0.0
-    # a spec copies its basis: building one leaves the caller's array writable
-    basis = so_n(3).basis.copy()
-    liealg.AlgebraSpec('so(3)', basis)
+        liealg.SO3_BASIS[0, 1, 2] = 0.0
+    # tabulating leaves the caller's basis writable, and its table read-only
+    basis = so_n(3)
+    assert not liealg._structure_constants(basis).flags.writeable
     assert basis.flags.writeable
 
 
 def test_so3_block_is_minus_levi_civita():
     eps = levi_civita()
-    gens = liealg.SO3.basis
+    gens = liealg.SO3_BASIS
     assert np.array_equal(gens, -eps)
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
         assert np.array_equal(commutator(gens[a], gens[b]), gens[c])
-    assert np.array_equal(liealg.SO4.basis, so_n(4).basis)
+    assert np.array_equal(liealg.SO4_BASIS, so_n(4))
 
 
 def test_lv_norm_convention():
@@ -175,20 +178,19 @@ def test_lv_norm_convention():
     assert abs(liealg.lv_norm_sq(4.0 * p) - 96.0) < 1e-12
     # the combined norm is that of the matrices: 2 sum_c <P_c, P_c>
     rng = np.random.default_rng(7)
-    for alg in ALL_ALGEBRAS:
-        q = rng.standard_normal((6, alg.dim))
-        want = 2.0 * np.sum(trace_form(element(alg, q), element(alg, q)))
+    for basis, f in ALL_ALGEBRAS:
+        q = rng.standard_normal((6, len(f)))
+        want = 2.0 * np.sum(trace_form(element(basis, q), element(basis, q)))
         assert abs(liealg.lv_norm_sq(q) - want) < 1e-12
 
 
 def test_comm2form_oracle_equivalence():
     rng = np.random.default_rng(13)
-    for alg in ALL_ALGEBRAS:
-        f = alg.structure_constants
+    for basis, f in ALL_ALGEBRAS:
         for _ in range(10):
-            p, q = rng.standard_normal((2, 6, alg.dim))
-            want = brute_comm2form(element(alg, p), element(alg, q))
-            gap = np.max(np.abs(element(alg, liealg.comm2form(p, q, f)) - want))
+            p, q = rng.standard_normal((2, 6, len(f)))
+            want = brute_comm2form(element(basis, p), element(basis, q))
+            gap = np.max(np.abs(element(basis, liealg.comm2form(p, q, f)) - want))
             assert gap < 1e-12
 
 
@@ -237,7 +239,7 @@ def test_gamma0_estimates():
     su2 = liealg.gamma0_estimate(liealg.SU2, restarts=16, seed=1)
     assert abs(su2.value - np.sqrt(2.0)) < 1e-6
     assert su2.converged and su2.grad_norm < 1e-6
-    a, b = element(liealg.SU2, su2.argmax)
+    a, b = element(liealg.SU2_BASIS, su2.argmax)
     ratio = matrix_norm(commutator(a, b)) / (matrix_norm(a) * matrix_norm(b))
     assert abs(ratio - su2.value) < 1e-10
     so3 = liealg.gamma0_estimate(liealg.SO3, restarts=16, seed=1)
@@ -247,12 +249,11 @@ def test_gamma0_estimates():
 
 
 def test_gamma0_deterministic_and_validates():
-    alg = liealg.SU2
-    r1 = liealg.gamma0_estimate(alg, restarts=4, seed=42)
-    r2 = liealg.gamma0_estimate(alg, restarts=4, seed=42)
+    r1 = liealg.gamma0_estimate(liealg.SU2, restarts=4, seed=42)
+    r2 = liealg.gamma0_estimate(liealg.SU2, restarts=4, seed=42)
     assert r1.value == r2.value and r1.restart == r2.restart
     with pytest.raises(ValueError):
-        liealg.gamma0_estimate(alg, restarts=0)
+        liealg.gamma0_estimate(liealg.SU2, restarts=0)
 
 
 # (estimator, algebra, restarts, sharp value) as searched by the gamma-constants suite
@@ -263,6 +264,7 @@ SUITE_SEARCHES = [
     (liealg.gamma1_estimate, 'so3', 32, liealg.GAMMA1_SO3),
 ]
 SEEDS = range(24)
+BASES = {'su2': liealg.SU2_BASIS, 'so3': liealg.SO3_BASIS}
 ALGEBRAS = {'su2': liealg.SU2, 'so3': liealg.SO3}
 
 
@@ -289,8 +291,7 @@ def test_gamma_searches_converge_to_the_sharp_constants(suite_estimates):
 def test_gamma_restart_tie_rule_ignores_roundoff(suite_estimates):
     # scaling the basis by 1 + 2^-50 moves the orthonormal basis only at roundoff
     for estimate, name, restarts, _ in SUITE_SEARCHES:
-        alg = ALGEBRAS[name]
-        nudged = liealg.AlgebraSpec(alg.name, alg.basis * (1.0 + 2.0 ** -50))
+        nudged = liealg._structure_constants(BASES[name] * (1.0 + 2.0 ** -50))
         for seed in SEEDS:
             est = estimate(nudged, restarts=restarts, seed=seed)
             assert est.restart == suite_estimates[estimate, name, seed].restart
@@ -315,7 +316,7 @@ def test_gamma1_argmax_is_unit_and_attains():
 
 def test_objective_scale_invariance():
     rng = np.random.default_rng(31)
-    a, b = element(liealg.SU2, rng.standard_normal((2, 3)))
+    a, b = element(liealg.SU2_BASIS, rng.standard_normal((2, 3)))
 
     def ratio0(x, y):
         return matrix_norm(commutator(x, y)) / (matrix_norm(x) * matrix_norm(y))
@@ -348,49 +349,48 @@ def test_cubic_gradient_matches_finite_differences():
 
 def test_comm2form_batched_and_broadcast_match_oracle():
     rng = np.random.default_rng(41)
-    for alg in ALL_ALGEBRAS:
-        f = alg.structure_constants
-        p = rng.standard_normal((5, 6, alg.dim))
-        q = rng.standard_normal((5, 6, alg.dim))
-        pm, qm = element(alg, p), element(alg, q)
+    for basis, f in ALL_ALGEBRAS:
+        p = rng.standard_normal((5, 6, len(f)))
+        q = rng.standard_normal((5, 6, len(f)))
+        pm, qm = element(basis, p), element(basis, q)
         batched = liealg.comm2form(p, q, f)
         assert batched.shape == p.shape
         for t in range(5):
-            assert np.max(np.abs(element(alg, batched[t]) - brute_comm2form(pm[t], qm[t]))) < 1e-12
+            assert np.max(np.abs(element(basis, batched[t]) - brute_comm2form(pm[t], qm[t]))) < 1e-12
         grid = liealg.comm2form(p[:, None], q[None, :3], f)
         assert grid.shape == (5, 3) + p.shape[1:]
         for s in range(5):
             for t in range(3):
                 want = brute_comm2form(pm[s], qm[t])
-                assert np.max(np.abs(element(alg, grid[s, t]) - want)) < 1e-12
+                assert np.max(np.abs(element(basis, grid[s, t]) - want)) < 1e-12
 
 
 def test_structure_constants_reproduce_bracket():
     rng = np.random.default_rng(43)
-    for alg in (*ALL_ALGEBRAS, so_n(5)):
-        f = alg.structure_constants
-        assert f.shape == (alg.dim,) * 3
+    so5 = so_n(5)
+    for basis, f in (*ALL_ALGEBRAS, (so5, liealg._structure_constants(so5))):
+        k = len(basis)
+        assert f.shape == (k, k, k)
         assert np.max(np.abs(f + np.swapaxes(f, 0, 1))) < 1e-14
         assert np.max(np.abs(f - np.transpose(f, (1, 2, 0)))) < 1e-14
-        x = rng.standard_normal((10, alg.dim))
-        y = rng.standard_normal((10, alg.dim))
-        want = commutator(element(alg, x), element(alg, y))
-        got = element(alg, liealg.bracket_coeffs(x, y, f))
+        x = rng.standard_normal((10, k))
+        y = rng.standard_normal((10, k))
+        want = commutator(element(basis, x), element(basis, y))
+        got = element(basis, liealg.bracket_coeffs(x, y, f))
         assert np.max(np.abs(got - want)) < 1e-13
         # broadcast: one x against every y, and a grid
         row = liealg.bracket_coeffs(x[0], y, f)
         assert np.max(np.abs(row[3] - liealg.bracket_coeffs(x[0], y[3], f))) < 1e-15
         grid = liealg.bracket_coeffs(x[:, None], y[None, :4], f)
-        assert grid.shape == (10, 4, alg.dim)
+        assert grid.shape == (10, 4, k)
         assert np.max(np.abs(grid[7, 2] - liealg.bracket_coeffs(x[7], y[2], f))) < 1e-15
 
 
 def test_sd_cubic_tensor_matches_comm2form_so4():
     rng = np.random.default_rng(47)
-    alg = liealg.SO4
-    f = alg.structure_constants
-    k = alg.dim
-    t = liealg.sd_cubic_tensor(alg)
+    f = liealg.SO4
+    k = len(f)
+    t = liealg.sd_cubic_tensor(f)
     assert np.max(np.abs(t - np.transpose(t, (1, 0, 2)))) < 1e-14
     assert np.max(np.abs(t - np.transpose(t, (0, 2, 1)))) < 1e-14
 
@@ -416,13 +416,12 @@ def test_sd_cubic_tensor_matches_comm2form_so4():
 
 
 def test_gamma1_deterministic():
-    alg = liealg.SO3
-    r1 = liealg.gamma1_estimate(alg, restarts=4, seed=42)
-    r2 = liealg.gamma1_estimate(alg, restarts=4, seed=42)
+    r1 = liealg.gamma1_estimate(liealg.SO3, restarts=4, seed=42)
+    r2 = liealg.gamma1_estimate(liealg.SO3, restarts=4, seed=42)
     assert r1.value == r2.value and r1.restart == r2.restart
     assert np.array_equal(r1.argmax, r2.argmax)
     with pytest.raises(ValueError):
-        liealg.gamma1_estimate(alg, restarts=0)
+        liealg.gamma1_estimate(liealg.SO3, restarts=0)
 
 
 @pytest.mark.parametrize("flip", [False, True], ids=["star", "flipped-star"])

@@ -91,17 +91,18 @@ def test_run_suite_unknown_id():
 
 
 def test_gamma_constants_suite_builds_no_algebra(monkeypatch):
-    # the three algebras are module constants of liealg, built once at import
-    built = []
-    post_init = liealg.AlgebraSpec.__post_init__
+    # the three structure-constant tables are module constants of liealg,
+    # tabulated once at import
+    calls = []
+    structure_constants = liealg._structure_constants
 
-    def counting(alg):
-        built.append(alg.name)
-        post_init(alg)
+    def counting(basis):
+        calls.append(basis)
+        return structure_constants(basis)
 
-    monkeypatch.setattr(liealg.AlgebraSpec, "__post_init__", counting)
+    monkeypatch.setattr(liealg, "_structure_constants", counting)
     assert report.run_suite("gamma-constants").passed
-    assert built == []
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("name", ["circ-basis", "weyl-bound", "bracket-sharpness",
