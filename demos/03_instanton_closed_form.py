@@ -12,6 +12,9 @@ from ymgap import instanton, liealg
 
 p = instanton.STANDARD
 x = np.array([0.3, -0.1, 0.7, 0.2])
+# the differencing layer reads a connection as its theta, its curvature and
+# the structure constants of its algebra
+c = p.connection
 
 # su(2) values are coefficients on its orthonormal basis (i, j, k)/sqrt2;
 # divided by sqrt2 they are the quaternion components of the module display
@@ -24,23 +27,17 @@ print("|F|^2 at x:", liealg.lv_norm_sq(f), " norm law:",
       instanton.curvature_norm_sq(p, x))
 print("anti-self-dual part:", np.max(np.abs(f - liealg.lv_self_dual(f))))
 
-fd = instanton.curvature_fd_at(p, x, h=1e-4)
+fd = instanton.curvature_fd_of(c, x, h=1e-4)
 print("finite-difference vs closed form:", np.max(np.abs(fd - f)))
 print("halving h shrinks the gap ~4x:",
-      np.max(np.abs(instanton.curvature_fd_at(p, x, h=1e-3) - f)) /
-      np.max(np.abs(instanton.curvature_fd_at(p, x, h=5e-4) - f)))
+      np.max(np.abs(instanton.curvature_fd_of(c, x, h=1e-3) - f)) /
+      np.max(np.abs(instanton.curvature_fd_of(c, x, h=5e-4) - f)))
 
-print("\nBianchi cyclic-sum residual:", instanton.bianchi_residual_at(p, x, h=1e-3))
-
-
-def covariant_derivative(z):
-    return instanton.covariant_derivative_of(lambda y: instanton.curvature_closed_at(p, y),
-                                             lambda y: instanton.connection_at(p, y), z, h=1e-4)
-
+print("\nBianchi cyclic-sum residual:", instanton.bianchi_residual_of(c, x, h=1e-3))
 
 print("\nKato: |nabla F|^2 vs (3/2)|d|F||^2 (the family saturates it):")
 for pt in (np.array([0.5, 0, 0, 0]), x, np.array([-1.2, 0.4, 0.1, -0.3])):
-    nab = covariant_derivative(pt)
+    nab = instanton.covariant_derivative_of(c, pt, h=1e-4)
     lhs = instanton.cov_norm_sq(nab)
     rhs = 1.5 * float(instanton.curvature_norm_grad_sq(p, pt))
     print(f"  x = {pt}:  {lhs:.9f} vs {rhs:.9f}  (residual {lhs-rhs:+.2e})")
@@ -48,8 +45,9 @@ for pt in (np.array([0.5, 0, 0, 0]), x, np.array([-1.2, 0.4, 0.1, -0.3])):
 print("\nBochner identity at the origin:")
 print("  (1/2) Lap |F|^2 =", 0.5 * float(instanton.curvature_norm_sq_laplacian(p, np.zeros(4))))
 f0 = instanton.curvature_closed_at(p, np.zeros(4))
-print("  <F,[F,F]>      =", float(liealg.cubic_form(f0, liealg.SU2)))
-print("  |nabla F|^2    =", instanton.cov_norm_sq(covariant_derivative(np.zeros(4))))
+print("  <F,[F,F]>      =", float(liealg.cubic_form(f0, c.f)))
+nab0 = instanton.covariant_derivative_of(c, np.zeros(4), h=1e-4)
+print("  |nabla F|^2    =", instanton.cov_norm_sq(nab0))
 print("  residual       =", instanton.bochner_residual_at(p, np.zeros(4)))
 
 print("\ngeneral family member (scale 0.5, shifted center):")

@@ -95,8 +95,7 @@ def _circ_terms():
 
 #: circ(a, b)[c] = sum_t CIRC_SIGN[c, t] * a[CIRC_LEFT[c, t]] * b[CIRC_RIGHT[c, t]]
 CIRC_LEFT, CIRC_RIGHT, CIRC_SIGN = _circ_terms()
-for _arr in (CIRC_LEFT, CIRC_RIGHT, CIRC_SIGN):
-    _arr.setflags(write=False)
+CIRC_LEFT.flags.writeable = CIRC_RIGHT.flags.writeable = CIRC_SIGN.flags.writeable = False
 
 
 def circ(a, b):

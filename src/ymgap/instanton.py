@@ -28,14 +28,15 @@ x -> (x - center)/scale, which multiplies connection coefficients by
 
 Every evaluator takes points x of shape (..., 4) and broadcasts over the
 leading axes: a single point (4,) is the case ... = (). Lie-algebra values
-are coefficients on the orthonormal basis (i, j, k)/sqrt2 of ``liealg.SU2``,
-sqrt2 times the quaternion entries of the displays above, and every
-bracket is ``liealg.bracket_coeffs``. Connections come back as (..., 4, 3),
-forms as (..., 6, 3), covariant derivatives as (..., 4, 6, 3), scalars and
-residuals as (...). Finite-difference evaluators use central differences
-with optional Richardson extrapolation (on by default where a tight
-tolerance matters); convergence-order checks should pass
-``richardson=False``.
+are coefficients on the orthonormal basis of an algebra of dimension k,
+every bracket ``liealg.bracket_coeffs`` on its table f; the family's are
+on (i, j, k)/sqrt2 of ``liealg.SU2``, sqrt2 times the quaternion entries.
+Connections come back as (..., 4, k), forms as (..., 6, k), covariant
+derivatives as (..., 4, 6, k), scalars and residuals as (...). The
+finite-difference evaluators difference a ``Connection`` (the family's is
+``InstantonParams.connection``) by central differences with optional
+Richardson extrapolation (on by default where a tight tolerance matters);
+convergence-order checks should pass ``richardson=False``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ _THETA_COEFF = np.array([
 
 
 @dataclass(frozen=True)
+class Connection:
+    """A connection on the flat chart: ``theta`` maps points (..., 4) to (..., 4, k),
+    ``curvature`` to (..., 6, k); ``f`` is the (k, k, k) table of their algebra."""
+
+    theta: object
+    curvature: object
+    f: np.ndarray
+
+
+@dataclass(frozen=True)
 class InstantonParams:
     """Scale and center of a member of the conformal orbit of the standard
     connection; scale=1, center=0 is the standard one."""
@@ -89,6 +100,12 @@ class InstantonParams:
     @property
     def center_array(self):
         return np.asarray(self.center)
+
+    @property
+    def connection(self):
+        """This member as a ``Connection``: su(2)-valued, curvature in closed form."""
+        return Connection(lambda x: connection_at(self, x), lambda x: curvature_closed_at(self, x),
+                          liealg.SU2)
 
 
 STANDARD = InstantonParams()
@@ -155,8 +172,9 @@ def curvature_norm_grad_sq(p, x):
 
 
 def _partial(fn, x, k, h, richardson):
-    ek = np.zeros(4)
-    ek[k] = 1.0
+    if not h > 0:
+        raise ValueError("finite-difference step must be positive")
+    ek = np.eye(4)[k]
     # divide by the step actually taken, not 2 step, which x[k] >> step rounds
     def central(step):
         hi, lo = x + step * ek, x - step * ek
@@ -167,50 +185,39 @@ def _partial(fn, x, k, h, richardson):
     return d
 
 
-def _check_step(h):
-    if not h > 0:
-        raise ValueError("finite-difference step must be positive")
-
-
-def curvature_fd_of(conn_fn, x, h, richardson=False):
-    """Curvature (..., 6, 3) from a connection callable via central differences.
+def curvature_fd_of(c, x, h, richardson=False):
+    """Curvature (..., 6, k) of the connection c via central differences.
 
     F_ij = d_i theta_j - d_j theta_i - [theta_i, theta_j]; converges to the
     closed form at O(h^2) (O(h^4) with richardson).
     """
-    _check_step(h)
     x = np.asarray(x, dtype=float)
-    th = conn_fn(x)
+    th = c.theta(x)
     # dth[..., k, j] = d_k theta_j
-    dth = np.stack([_partial(conn_fn, x, k, h, richardson) for k in range(4)], axis=-3)
+    dth = np.stack([_partial(c.theta, x, k, h, richardson) for k in range(4)], axis=-3)
     i, j = forms4.PAIR_I, forms4.PAIR_J
     return (dth[..., i, j, :] - dth[..., j, i, :]
-            - liealg.bracket_coeffs(th[..., i, :], th[..., j, :], liealg.SU2))
+            - liealg.bracket_coeffs(th[..., i, :], th[..., j, :], c.f))
 
 
-def curvature_fd_at(p, x, h, richardson=False):
-    return curvature_fd_of(lambda z: connection_at(p, z), x, h, richardson)
-
-
-def covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=True):
-    """(nabla_1 F, ..., nabla_4 F) as a (..., 4, 6, 3) array.
+def covariant_derivative_of(c, x, h, richardson=True):
+    """(nabla_1 F, ..., nabla_4 F) of the connection c as a (..., 4, 6, k) array.
 
     nabla_k F_ij = d_k F_ij - [theta_k, F_ij] on the flat chart (the
     Levi-Civita terms vanish).
     """
-    _check_step(h)
     x = np.asarray(x, dtype=float)
-    th = conn_fn(x)
-    f0 = curv_fn(x)
+    th = c.theta(x)
+    f0 = c.curvature(x)
     out = np.empty(x.shape[:-1] + (4,) + f0.shape[-2:])
     for k in range(4):
-        out[..., k, :, :] = _partial(curv_fn, x, k, h, richardson) - liealg.bracket_coeffs(
-            th[..., k:k + 1, :], f0, liealg.SU2)
+        out[..., k, :, :] = _partial(c.curvature, x, k, h, richardson) - liealg.bracket_coeffs(
+            th[..., k:k + 1, :], f0, c.f)
     return out
 
 
 def cov_norm_sq(nabla):
-    """|nabla F|^2 = sum_k |nabla_k F|^2 (combined inner product): (..., 4, 6, 3) -> (...)."""
+    """|nabla F|^2 = sum_k |nabla_k F|^2 (combined inner product): (..., 4, 6, k) -> (...)."""
     return np.sum(liealg.lv_norm_sq(nabla), axis=-1)
 
 
@@ -218,11 +225,11 @@ def kato_residual_at(p, x, h=1e-4, richardson=True):
     """|nabla F+|^2 - (3/2)|d|F+||^2 at x.
 
     The gradient side comes from the norm law (exact); the covariant
-    derivative side is finite-difference. Nonnegative up to FD error; this
-    family attains equality identically.
+    derivative side is finite-difference, nabla F+ the self-dual part of
+    nabla F (the chart's star is constant, the bracket acts on the algebra
+    factor). Nonnegative up to FD error; this family attains equality.
     """
-    nabla = covariant_derivative_of(lambda z: liealg.lv_self_dual(curvature_closed_at(p, z)),
-                                    lambda z: connection_at(p, z), x, h, richardson)
+    nabla = liealg.lv_self_dual(covariant_derivative_of(p.connection, x, h, richardson))
     return cov_norm_sq(nabla) - 1.5 * curvature_norm_grad_sq(p, x)
 
 
@@ -232,17 +239,15 @@ def bochner_residual_at(p, x, h=1e-3, richardson=False):
     The Laplacian term is analytic (norm law), the bracket term closed
     form, the middle term finite-difference; vanishes at O(h^2).
     """
-    def plus(z):
-        return liealg.lv_self_dual(curvature_closed_at(p, z))
-
-    nabla = covariant_derivative_of(plus, lambda z: connection_at(p, z), x, h, richardson)
+    c = p.connection
+    nabla = liealg.lv_self_dual(covariant_derivative_of(c, x, h, richardson))
     return (0.5 * curvature_norm_sq_laplacian(p, x) - cov_norm_sq(nabla)
-            + liealg.cubic_form(plus(x), liealg.SU2))
+            + liealg.cubic_form(liealg.lv_self_dual(c.curvature(x)), c.f))
 
 
-def bianchi_residual_of(curv_fn, conn_fn, x, h):
-    """Max norm over index triples of the cyclic sum of nabla_k F_ij, shape (...)."""
-    nabla = covariant_derivative_of(curv_fn, conn_fn, x, h, richardson=False)
+def bianchi_residual_of(c, x, h):
+    """Max norm over index triples of the cyclic sum of nabla_k F_ij of c, shape (...)."""
+    nabla = covariant_derivative_of(c, x, h, richardson=False)
     i, j = forms4.PAIR_I, forms4.PAIR_J
     # full[..., k, i, j, :] = nabla_k F_ij, antisymmetric in (i, j)
     full = np.zeros(nabla.shape[:-2] + (4, 4) + nabla.shape[-1:])
@@ -250,8 +255,3 @@ def bianchi_residual_of(curv_fn, conn_fn, x, h):
     full[..., j, i, :] = -nabla
     cyc = full + np.moveaxis(full, -4, -2) + np.moveaxis(full, -2, -4)
     return np.max(np.linalg.norm(cyc, axis=-1), axis=(-3, -2, -1))
-
-
-def bianchi_residual_at(p, x, h=1e-3):
-    return bianchi_residual_of(lambda z: curvature_closed_at(p, z),
-                               lambda z: connection_at(p, z), x, h)

@@ -56,6 +56,7 @@ SO4_BASIS[np.arange(6), _a, _b] = 1.0
 SO4_BASIS[np.arange(6), _b, _a] = -1.0
 for _m in (SU2_I, SU2_J, SU2_K, SU2_BASIS, SO3_BASIS, SO4_BASIS):
     _m.setflags(write=False)
+del _O, _I2, _J, _a, _b, _m
 
 # sign convention self-test: the toolkit is built on ij = k
 if not np.array_equal(SU2_I @ SU2_J, SU2_K):

@@ -5,7 +5,7 @@ The central object is the sharp bound
     Y([g]) <= 3 gamma1 ||F+||_L2 + 2 sqrt(6) ||W+||_L2
 
 for a Yang-Mills connection with F+ not identically zero.
-``gap_inequality`` compares the four numbers; ``gap_report`` feeds it
+``gap_inequality`` compares the four numbers; ``gap_report`` compares
 ||F+|| of the configured instanton, for which the su(2) constant
 gamma1 = 4/sqrt(6) makes the bound an exact equality. Suites take only a
 ``GapConfig``, the values the command line sets, and use seeded sampling,
@@ -73,7 +73,8 @@ class GapReport:
 
 def gap_inequality(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0, tol=1e-6):
     """Compare Y with 3 gamma1 ||F+|| + 2 sqrt(6) ||W+||; ``tol`` is the
-    relative slack below which the verdict is ``equality``."""
+    relative slack below which the verdict is ``equality``. The inputs are a
+    caller's what-if values, so an invalid one raises ConfigError."""
     for name, value in (("f_plus_l2", f_plus_l2), ("gamma1", gamma1), ("yamabe", yamabe),
                         ("w_plus_l2", w_plus_l2), ("tol", tol)):
         if not np.isfinite(value):
@@ -86,6 +87,12 @@ def gap_inequality(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0,
         raise ConfigError("tol must be positive")
     if not 0.0 < gamma1 <= liealg.GAMMA1_MAX + 1e-12:
         raise ConfigError(f"gamma1 = {gamma1} outside (0, 4/sqrt(6)]")
+    return _gap_verdict(f_plus_l2, gamma1, yamabe, w_plus_l2, tol)
+
+
+def _gap_verdict(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0, tol=1e-6):
+    """``gap_inequality`` unchecked, for the package's own constants: a
+    defective one is then a failed check, not a configuration error."""
     rhs = 3.0 * gamma1 * f_plus_l2 + 2.0 * np.sqrt(6.0) * w_plus_l2
     slack = rhs - yamabe
 
@@ -107,7 +114,7 @@ def gap_report(cfg):
     report also carries the residual of the pointwise identity behind the
     equality case, a property of the instanton whatever the L2 verdict."""
     f_plus, _ = quad4.l2_sd_norms(cfg)
-    rep = gap_inequality(f_plus, liealg.GAMMA1_SU2)
+    rep = _gap_verdict(f_plus, liealg.GAMMA1_SU2)
     rep.equality_residual = _equality_identity_residual(cfg, rep.gamma1)
     return rep
 
@@ -241,10 +248,10 @@ def _suite_bochner(cfg):
     residual = instanton.bochner_residual_at(cfg, pts[0], h=h, richardson=True)
     checks.append(_check("bochner-residual-default", abs(residual) * cfg.scale ** 6, 1e-6))
     # the curvature and its Bianchi identity from the connection by differences
-    fd = instanton.curvature_fd_at(cfg, pts, h=h, richardson=True)
+    fd = instanton.curvature_fd_of(cfg.connection, pts, h=h, richardson=True)
     fd_error = np.max(np.abs(fd - instanton.curvature_closed_at(cfg, pts)))
     checks.append(_check("curvature-fd", fd_error * cfg.scale ** 2, 1e-10))
-    bianchi = np.max(instanton.bianchi_residual_at(cfg, pts, h=h))
+    bianchi = np.max(instanton.bianchi_residual_of(cfg.connection, pts, h=h))
     checks.append(_check("bianchi", bianchi * cfg.scale ** 3, 1e-4))
     return checks, {}
 
@@ -412,7 +419,8 @@ def _suite_gap(cfg):
         _check("slack-relative", abs(rep.slack) / rep.yamabe, 1e-6),
         _check("equality-identity", rep.equality_residual, 1e-8),
     ]
-    flat = gap_inequality(0.0, rep.gamma1)
+    # at ||F+|| = 0 every gamma1 in range gives case-1; GAMMA1_MAX is in range whatever its value
+    flat = gap_inequality(0.0, liealg.GAMMA1_MAX)
     checks.append(_check("flat-is-case-1", 0.0 if flat.verdict == "case-1" else 1.0, 0.5))
     return checks, {'gap_report': asdict(rep)}
 

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from test_liealg import SU2_F, element, trace_form
+from test_liealg import SU2_F, commutator, element, orthonormal_basis, trace_form
 from ymgap import forms4, instanton, liealg
 
 STD = instanton.STANDARD
 
 
-def flat_connection(x):
-    """Zero connection, same output shape as connection_at."""
-    x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape[:-1] + (4, 3))
+def constant(value):
+    """The evaluator x -> value at every point, broadcast over x's leading axes."""
+    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + np.shape(value))
+
+
+# the zero su(2) connection, with the curvature it has
+FLAT = instanton.Connection(constant(np.zeros((4, 3))), constant(np.zeros((6, 3))), SU2_F)
 
 
 def display_connection(x):
@@ -46,12 +49,6 @@ def rotated(fn, rot):
     def wrapped(x):
         return fn(x) @ rot.T
     return wrapped
-
-
-def covariant_derivative(p, x, h=1e-4):
-    """nabla F of the family member p by the generic finite-difference evaluator."""
-    return instanton.covariant_derivative_of(lambda z: instanton.curvature_closed_at(p, z),
-                                             lambda z: instanton.connection_at(p, z), x, h)
 
 
 def test_connection_at_origin_and_unit_point():
@@ -109,55 +106,70 @@ def test_norm_law_thousand_points():
 def test_curvature_fd_matches_closed():
     x = np.array([0.3, -0.1, 0.7, 0.2])
     closed = instanton.curvature_closed_at(STD, x)
-    fd = instanton.curvature_fd_at(STD, x, h=1e-4)
+    fd = instanton.curvature_fd_of(STD.connection, x, h=1e-4)
     assert np.max(np.abs(fd - closed)) < 1e-7
-    fd0 = instanton.curvature_fd_at(STD, np.zeros(4), h=1e-4)
+    fd0 = instanton.curvature_fd_of(STD.connection, np.zeros(4), h=1e-4)
     assert np.max(np.abs(fd0 - instanton.curvature_closed_at(STD, np.zeros(4)))) < 1e-7
 
 
 def test_curvature_fd_second_order():
     x = np.array([0.3, -0.1, 0.7, 0.2])
     closed = instanton.curvature_closed_at(STD, x)
-    r1 = np.max(np.abs(instanton.curvature_fd_at(STD, x, h=1e-3) - closed))
-    r2 = np.max(np.abs(instanton.curvature_fd_at(STD, x, h=5e-4) - closed))
+    r1 = np.max(np.abs(instanton.curvature_fd_of(STD.connection, x, h=1e-3) - closed))
+    r2 = np.max(np.abs(instanton.curvature_fd_of(STD.connection, x, h=5e-4) - closed))
     assert 3.0 < r1 / r2 < 5.0
 
 
 def test_curvature_fd_flat_connection():
-    fd = instanton.curvature_fd_of(flat_connection, np.array([0.5, 0.1, 0, 0]), h=1e-4)
+    fd = instanton.curvature_fd_of(FLAT, np.array([0.5, 0.1, 0, 0]), h=1e-4)
     assert np.max(np.abs(fd)) == 0.0
+
+
+def test_constant_so4_connection():
+    """theta_i = A_i, constant in so(4) (k = 6): F_ij = -[A_i, A_j], and the
+    Bianchi sum of that curvature is the Jacobi identity."""
+    a = np.random.default_rng(37).standard_normal((4, 6))
+    mats = element(liealg.SO4_BASIS, a)
+    minus_brackets = -commutator(mats[forms4.PAIR_I], mats[forms4.PAIR_J])      # (6, 4, 4)
+    curvature = trace_form(minus_brackets[:, None], orthonormal_basis(liealg.SO4_BASIS))
+    c = instanton.Connection(constant(a), constant(curvature), liealg.SO4)
+    pts = np.random.default_rng(38).standard_normal((5, 4))
+    fd = instanton.curvature_fd_of(c, pts, h=1e-3)
+    assert fd.shape == (5, 6, 6)
+    assert np.max(np.abs(element(liealg.SO4_BASIS, fd) - minus_brackets)) < 1e-14
+    assert np.max(instanton.bianchi_residual_of(c, pts, h=1e-3)) < 1e-13
 
 
 def test_fd_step_validation():
     with pytest.raises(ValueError):
-        instanton.curvature_fd_at(STD, np.zeros(4), h=0.0)
+        instanton.curvature_fd_of(STD.connection, np.zeros(4), h=0.0)
     with pytest.raises(ValueError):
-        covariant_derivative(STD, np.zeros(4), h=-1.0)
+        instanton.covariant_derivative_of(STD.connection, np.zeros(4), h=-1.0)
     with pytest.raises(ValueError):
-        instanton.bianchi_residual_at(STD, np.zeros(4), h=0.0)
+        instanton.bianchi_residual_of(STD.connection, np.zeros(4), h=0.0)
 
 
 def test_covariant_derivative_vanishes_at_center():
-    nab = covariant_derivative(STD, np.zeros(4), h=1e-4)
+    nab = instanton.covariant_derivative_of(STD.connection, np.zeros(4), h=1e-4)
     assert instanton.cov_norm_sq(nab) < 1e-5
     p = instanton.InstantonParams(0.5, (1.0, 0.0, -2.0, 0.3))
-    nab = covariant_derivative(p, p.center_array, h=1e-4)
+    nab = instanton.covariant_derivative_of(p.connection, p.center_array, h=1e-4)
     assert instanton.cov_norm_sq(nab) < 1e-4
 
 
 def test_covariant_derivative_analytic_profile():
     # |nabla F|^2 = 2304 r^2 / (1+r^2)^6 for the standard member
     for x in (np.array([0.5, 0, 0, 0]), np.array([0.3, -0.1, 0.7, 0.2])):
-        nab = covariant_derivative(STD, x, h=1e-4)
+        nab = instanton.covariant_derivative_of(STD.connection, x, h=1e-4)
         r2 = float(x @ x)
         expected = 2304.0 * r2 / (1.0 + r2) ** 6
         assert abs(instanton.cov_norm_sq(nab) - expected) < 1e-8
 
 
 def test_flat_connection_constant_form_parallel():
-    const_form = np.sqrt(2.0) * forms4.sd_basis().T
-    nab = instanton.covariant_derivative_of(lambda x: const_form, flat_connection,
-                                            np.array([0.2, 0.4, -0.1, 0.9]), h=1e-3)
+    const_form = instanton.Connection(FLAT.theta, constant(np.sqrt(2.0) * forms4.sd_basis().T),
+                                      SU2_F)
+    nab = instanton.covariant_derivative_of(const_form, np.array([0.2, 0.4, -0.1, 0.9]), h=1e-3)
     assert instanton.cov_norm_sq(nab) == 0.0
 
 
@@ -232,31 +244,29 @@ def test_pointwise_cubic_attainment():
 
 def test_bianchi_residual():
     x = np.array([0.5, 0, 0, 0])
-    r = instanton.bianchi_residual_at(STD, x, h=1e-3)
+    r = instanton.bianchi_residual_of(STD.connection, x, h=1e-3)
     assert r < 1e-5
-    r1 = instanton.bianchi_residual_at(STD, x, h=2e-3)
-    r2 = instanton.bianchi_residual_at(STD, x, h=1e-3)
+    r1 = instanton.bianchi_residual_of(STD.connection, x, h=2e-3)
+    r2 = instanton.bianchi_residual_of(STD.connection, x, h=1e-3)
     assert r2 <= r1 / 3.0 + 1e-10
-    flat = instanton.bianchi_residual_of(
-        lambda z: np.zeros((6, 3)), flat_connection, x, h=1e-3)
-    assert flat == 0.0
+    assert instanton.bianchi_residual_of(FLAT, x, h=1e-3) == 0.0
 
 
 def test_gauge_conjugation_invariance():
     g, rot = unit_quaternion_rotation(np.random.default_rng(19))
     assert np.max(np.abs(rot @ rot.T - np.eye(3))) < 1e-14 and abs(np.linalg.det(rot) - 1) < 1e-14
-    conn = rotated(lambda z: instanton.connection_at(STD, z), rot)
-    curv = rotated(lambda z: instanton.curvature_closed_at(STD, z), rot)
+    conj = instanton.Connection(rotated(STD.connection.theta, rot),
+                                rotated(STD.connection.curvature, rot), SU2_F)
     for x in (np.array([0.4, 0.3, -0.2, 0.7]), np.array([1.4, 0, 0.2, 0])):
-        f_conj = curv(x)
+        f_conj = conj.curvature(x)
         # g^-1 = g^T: the rotation is the conjugation on matrices
-        for fn, display in ((curv, display_curvature), (conn, display_connection)):
+        for fn, display in ((conj.curvature, display_curvature), (conj.theta, display_connection)):
             assert np.max(np.abs(element(liealg.SU2_BASIS, fn(x)) - g.T @ display(x) @ g)) < 1e-14
         assert abs(liealg.lv_norm_sq(f_conj) - instanton.curvature_norm_sq(STD, x)) < 1e-10
-        nab_ref = covariant_derivative(STD, x, h=1e-4)
-        nab_conj = instanton.covariant_derivative_of(curv, conn, x, h=1e-4)
+        nab_ref = instanton.covariant_derivative_of(STD.connection, x, h=1e-4)
+        nab_conj = instanton.covariant_derivative_of(conj, x, h=1e-4)
         assert abs(instanton.cov_norm_sq(nab_conj) - instanton.cov_norm_sq(nab_ref)) < 1e-10
-        fd_conj = instanton.curvature_fd_of(conn, x, h=1e-4)
+        fd_conj = instanton.curvature_fd_of(conj, x, h=1e-4)
         fd_matrices = element(liealg.SU2_BASIS, fd_conj)
         assert np.max(np.abs(fd_matrices - g.T @ display_curvature(x) @ g)) < 1e-7
 
@@ -288,17 +298,15 @@ def _one_point_at_a_time(fn, pts):
 
 
 def _fd_layer(p):
-    conn = lambda z: instanton.connection_at(p, z)
-    curv = lambda z: instanton.curvature_closed_at(p, z)
+    c = p.connection
     # (name, evaluator of (..., 4) points, tolerance against the pointwise loop)
     return [
         ('covariant_derivative_of',
-         lambda z: instanton.covariant_derivative_of(curv, conn, z, h=1e-4), 1e-10),
-        ('curvature_fd_of', lambda z: instanton.curvature_fd_of(conn, z, h=1e-4), 1e-12),
+         lambda z: instanton.covariant_derivative_of(c, z, h=1e-4), 1e-10),
+        ('curvature_fd_of', lambda z: instanton.curvature_fd_of(c, z, h=1e-4), 1e-12),
         ('kato_residual_at', lambda z: instanton.kato_residual_at(p, z, h=1e-4), 1e-9),
         ('bochner_residual_at', lambda z: instanton.bochner_residual_at(p, z, h=1e-3), 1e-11),
-        ('bianchi_residual_of',
-         lambda z: instanton.bianchi_residual_of(curv, conn, z, h=1e-3), 1e-12),
+        ('bianchi_residual_of', lambda z: instanton.bianchi_residual_of(c, z, h=1e-3), 1e-12),
     ]
 
 
@@ -315,11 +323,12 @@ def test_fd_layer_batched_matches_pointwise(p, shape):
 
 def test_fd_layer_shapes():
     pts = np.zeros((2, 3, 4))
-    assert covariant_derivative(STD, pts).shape == (2, 3, 4, 6, 3)
-    assert instanton.curvature_fd_at(STD, pts, h=1e-4).shape == (2, 3, 6, 3)
+    nab = instanton.covariant_derivative_of(STD.connection, pts, h=1e-4)
+    assert nab.shape == (2, 3, 4, 6, 3)
+    assert instanton.curvature_fd_of(STD.connection, pts, h=1e-4).shape == (2, 3, 6, 3)
     assert instanton.connection_at(STD, pts).shape == (2, 3, 4, 3)
     for value in (instanton.kato_residual_at(STD, pts), instanton.bochner_residual_at(STD, pts),
-                  instanton.bianchi_residual_at(STD, pts),
-                  instanton.cov_norm_sq(covariant_derivative(STD, pts))):
+                  instanton.bianchi_residual_of(STD.connection, pts, h=1e-3),
+                  instanton.cov_norm_sq(nab)):
         assert np.shape(value) == (2, 3)
     assert np.shape(instanton.kato_residual_at(STD, np.zeros(4))) == ()

@@ -289,9 +289,17 @@ def test_gamma_searches_converge_to_the_sharp_constants(suite_estimates):
 
 
 def test_gamma_restart_tie_rule_ignores_roundoff(suite_estimates):
-    # scaling the basis by 1 + 2^-50 moves the orthonormal basis only at roundoff
+    # the structure constants of su(2) and so(3) are multiples of the Levi-Civita
+    # symbol, which a rotation of the basis keeps: a rotated basis moves them
+    # only at roundoff, and every bit that moves must leave each restart's tie
+    axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    cross = np.cross(np.eye(3), axis)                   # cross @ v = axis x v
+    angle = 1e-3
+    rot = np.eye(3) + np.sin(angle) * cross + (1.0 - np.cos(angle)) * cross @ cross
     for estimate, name, restarts, _ in SUITE_SEARCHES:
-        nudged = liealg._structure_constants(BASES[name] * (1.0 + 2.0 ** -50))
+        nudged = liealg._structure_constants(np.einsum('ab,bij->aij', rot, BASES[name]))
+        assert not np.array_equal(nudged, ALGEBRAS[name])
+        assert np.max(np.abs(nudged - ALGEBRAS[name])) < 1e-14
         for seed in SEEDS:
             est = estimate(nudged, restarts=restarts, seed=seed)
             assert est.restart == suite_estimates[estimate, name, seed].restart
