@@ -127,9 +127,9 @@ def weyl_quad(w, coeffs):
     return np.einsum('...a,...ab,...b->...', v, np.asarray(w, dtype=float), v)
 
 
-def random_weyl(rng, scale=1.0, size=()):
+def random_weyl(rng, size=()):
     """Random symmetric trace-free 3x3 operators, shape size + (3, 3)."""
-    m = rng.standard_normal(tuple(size) + (3, 3)) * scale
+    m = rng.standard_normal(tuple(size) + (3, 3))
     m = 0.5 * (m + np.swapaxes(m, -2, -1))
     m -= np.trace(m, axis1=-2, axis2=-1)[..., None, None] / 3.0 * np.eye(3)
     return m

@@ -41,6 +41,7 @@ convergence-order checks should pass ``richardson=False``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,11 @@ class InstantonParams:
     center: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        if isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real):
+            raise ValueError(f"scale must be a real number; got {self.scale!r}")
         if not 1e-20 <= self.scale <= 1e20:        # beyond, the suites' arithmetic overflows
             raise ValueError(f"scale must be in [1e-20, 1e20]; got {self.scale!r}")
+        object.__setattr__(self, 'scale', float(self.scale))
         c = np.asarray(self.center, dtype=float)
         if c.shape != (4,):
             raise ValueError("center must be a point in R^4")

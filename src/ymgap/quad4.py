@@ -2,12 +2,11 @@
 
 ``integrate_r4`` is the one integrator. Its radii are composite
 Gauss-Legendre panels on [0, R_max] with geometrically graded panel edges.
-On each sphere it applies one ``SphereRule``: ``RAY``, one node that is
-exact for integrands radial about the origin, or a zonal rule, n nodes that
+On each sphere it applies one ``SphereRule``, a zonal rule: n nodes that
 are exact for polynomials of degree 2n - 1 in the cosine of the angle to
-one axis. The energy integrals take the zonal rule about the offset of the
-center, one node at zero offset; the L2 norms of the curvature parts take
-``RAY``.
+one axis. The energy integrals take it about the offset of the center, one
+node at zero offset; the L2 norms of the curvature parts take the one-node
+rule, which is exact for integrands radial about the center.
 Beyond R_max the integrand is taken to decay like r^-8, the curvature
 density's decay, so the tail is one more radius at R_max and every
 integral includes it. Sums run in a fixed order, so results are
@@ -23,7 +22,6 @@ from numpy.polynomial.legendre import leggauss
 
 from . import instanton, liealg
 
-TWO_PI_SQ = 2.0 * np.pi ** 2
 EPI2_16 = 16.0 * np.pi ** 2
 
 #: the 24-node Gauss-Legendre rule on [-1, 1] of every radial panel
@@ -97,11 +95,7 @@ class SphereRule:
                    4.0 * np.pi ** 2 / (n + 1) * np.sin(psi) ** 2)
 
 
-#: one node carrying the whole of S^3: exact for integrands radial about
-#: the origin of the integral
-RAY = SphereRule(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([TWO_PI_SQ]))
-
-#: values per integrand call, and the most nodes of a zonal rule
+#: the most nodes of a zonal rule
 _MAX_POINTS = 32768
 
 #: a zonal rule of order n resolves a sphere when (2n)^3 rho^-2n <= 1e-16
@@ -116,21 +110,16 @@ def integrate_r4(f, grid, rule):
     points r omega. An integrand about a point c evaluates there at
     c + r[..., None] * omega. The integrand is taken to decay like r^-8
     beyond ``grid.rmax``, so the tail int_rmax^inf r^3 (rmax/r)^8 dr =
-    rmax^4/4 is one more radius at rmax. Each call of f takes at most
-    ``_MAX_POINTS`` values, or one sphere.
+    rmax^4/4 is one more radius at rmax. f is called once, on all
+    ``len(grid.nodes) + 1`` radii.
     """
-    radii = np.append(grid.nodes, grid.rmax)
+    radii = np.append(grid.nodes, grid.rmax)[:, None]
     mass = np.append(grid.weights * grid.nodes ** 3, grid.rmax ** 4 / 4.0)
-    step = max(1, _MAX_POINTS // len(rule.weights))
-    total = 0.0
-    for s in range(0, len(radii), step):
-        r = radii[s:s + step, None]
-        vals = np.asarray(f(r, rule.points), dtype=float)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            raise ValueError(f"non-finite integrand sample at r = {r[bad.any(-1)][0, 0]}")
-        total += float(np.dot(mass[s:s + len(r)], vals @ rule.weights))
-    return total
+    vals = np.asarray(f(radii, rule.points), dtype=float)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        raise ValueError(f"non-finite integrand sample at r = {radii[bad.any(-1)][0, 0]}")
+    return float(np.dot(mass, vals @ rule.weights))
 
 
 def ym_energy(p, grid=None, about=None):
@@ -160,7 +149,7 @@ def ym_energy(p, grid=None, about=None):
     d = np.sqrt(d2)
     if not d <= 10.0 * p.scale:
         raise ValueError(f"the center is {d / p.scale:g} scales from about; the grid resolves 10")
-    axis, log_rho = (e / d, np.arcsinh(p.scale / d)) if d else (np.eye(4)[0], np.inf)
+    axis, log_rho = (e / d, np.arcsinh(p.scale / d)) if d else (np.eye(4)[1], np.inf)
     n = next(n for n in range(1, _MAX_POINTS + 1)
              if 2 * n * log_rho >= 3 * np.log(2 * n) + _LOG_TOL)
     return integrate_r4(lambda r, w: instanton.norm_law(p, r * r + d2 - 2.0 * r * (w @ e)),
@@ -168,8 +157,9 @@ def ym_energy(p, grid=None, about=None):
 
 
 def l2_sd_norms(p, grid=None):
-    """(‖F+‖_L2, ‖F-‖_L2) by the ``RAY`` rule about the instanton center;
-    the squares sum to the energy on the same grid."""
+    """(‖F+‖_L2, ‖F-‖_L2) by the one-node rule ``ym_energy`` takes about the
+    center, whose node is e1 up to cos(pi/2) e2; the squares sum to the
+    energy on the same grid."""
     grid = grid or RadialGrid.make(scale=p.scale)
 
     def plus_sq(r, w):
@@ -180,7 +170,8 @@ def l2_sd_norms(p, grid=None):
         f = instanton.curvature_closed_at(p, p.center_array + r[..., None] * w)
         return liealg.lv_norm_sq(f - liealg.lv_self_dual(f))
 
-    plus, minus = (integrate_r4(part, grid, RAY) for part in (plus_sq, minus_sq))
+    rule = SphereRule.zonal(np.eye(4)[1], 1)
+    plus, minus = (integrate_r4(part, grid, rule) for part in (plus_sq, minus_sq))
     return float(np.sqrt(plus)), float(np.sqrt(minus))
 
 

@@ -37,9 +37,10 @@ class GapConfig(instanton.InstantonParams):
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, 'seed', int(self.seed))    # JSON writes no numpy integer
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        object.__setattr__(self, 'seed', int(seed))    # JSON writes no numpy integer
         # the instanton checks the rest, non-finite values included
         try:
             super().__post_init__()
@@ -71,26 +72,24 @@ class GapReport:
     equality_residual: float | None = None
 
 
-def gap_inequality(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0, tol=1e-6):
-    """Compare Y with 3 gamma1 ||F+|| + 2 sqrt(6) ||W+||; ``tol`` is the
-    relative slack below which the verdict is ``equality``. The inputs are a
-    caller's what-if values, so an invalid one raises ConfigError."""
+def gap_inequality(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0):
+    """Compare Y with 3 gamma1 ||F+|| + 2 sqrt(6) ||W+||; a relative slack
+    below 1e-6 is the verdict ``equality``. The inputs are a caller's what-if
+    values, so an invalid one raises ConfigError."""
     for name, value in (("f_plus_l2", f_plus_l2), ("gamma1", gamma1), ("yamabe", yamabe),
-                        ("w_plus_l2", w_plus_l2), ("tol", tol)):
+                        ("w_plus_l2", w_plus_l2)):
         if not np.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
     if f_plus_l2 < 0 or w_plus_l2 < 0:
         raise ConfigError("||F+|| and ||W+|| must be nonnegative")
     if not yamabe > 0:
         raise ConfigError("the Yamabe invariant must be positive")
-    if not tol > 0:
-        raise ConfigError("tol must be positive")
     if not 0.0 < gamma1 <= liealg.GAMMA1_MAX + 1e-12:
         raise ConfigError(f"gamma1 = {gamma1} outside (0, 4/sqrt(6)]")
-    return _gap_verdict(f_plus_l2, gamma1, yamabe, w_plus_l2, tol)
+    return _gap_verdict(f_plus_l2, gamma1, yamabe, w_plus_l2)
 
 
-def _gap_verdict(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0, tol=1e-6):
+def _gap_verdict(f_plus_l2, gamma1, yamabe, w_plus_l2):
     """``gap_inequality`` unchecked, for the package's own constants: a
     defective one is then a failed check, not a configuration error."""
     rhs = 3.0 * gamma1 * f_plus_l2 + 2.0 * np.sqrt(6.0) * w_plus_l2
@@ -98,7 +97,7 @@ def _gap_verdict(f_plus_l2, gamma1, yamabe=conformal.YAMABE_S4, w_plus_l2=0.0, t
 
     if f_plus_l2 < 1e-10:
         verdict = "case-1"
-    elif abs(slack) < tol * yamabe:
+    elif abs(slack) < 1e-6 * yamabe:
         verdict = "equality"
     elif slack > 0:
         verdict = "inequality-holds"
@@ -114,7 +113,7 @@ def gap_report(cfg):
     report also carries the residual of the pointwise identity behind the
     equality case, a property of the instanton whatever the L2 verdict."""
     f_plus, _ = quad4.l2_sd_norms(cfg)
-    rep = _gap_verdict(f_plus, liealg.GAMMA1_SU2)
+    rep = _gap_verdict(f_plus, liealg.GAMMA1_SU2, conformal.YAMABE_S4, 0.0)
     rep.equality_residual = _equality_identity_residual(cfg, rep.gamma1)
     return rep
 

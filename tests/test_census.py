@@ -82,7 +82,6 @@ EXEMPT = {
     'liealg.SU2_J': "read only at import, to build SU2_BASIS",
     'liealg.SU2_K': "read only at import, to build SU2_BASIS",
     'conformal.ROUND_VOLUME': "read only at import, to compute YAMABE_S4",
-    'quad4.TWO_PI_SQ': "read only at import, as the weight of quad4.RAY",
     **BLIND_SPOTS,
 }
 

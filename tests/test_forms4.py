@@ -179,7 +179,7 @@ def test_weyl_bound_random_and_sup():
 
 
 def test_weyl_helpers_batched_match_scalar_calls():
-    w = forms4.random_weyl(np.random.default_rng(41), scale=0.5, size=(4, 5))
+    w = forms4.random_weyl(np.random.default_rng(41), size=(4, 5))
     assert w.shape == (4, 5, 3, 3)
     assert np.max(np.abs(w - np.swapaxes(w, -2, -1))) == 0.0
     assert np.max(np.abs(np.trace(w, axis1=-2, axis2=-1))) < 1e-15

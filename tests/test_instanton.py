@@ -276,6 +276,10 @@ def test_params_validation():
         instanton.InstantonParams(scale=0.0)
     with pytest.raises(ValueError):
         instanton.InstantonParams(center=(1.0, 2.0))
+    for bad in (True, np.True_, "2", None):
+        with pytest.raises(ValueError, match="scale must be a real number"):
+            instanton.InstantonParams(scale=bad)
+    assert type(instanton.InstantonParams(scale=np.float32(0.5)).scale) is float
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="center must be finite"):
             instanton.InstantonParams(1.0, (0.0, bad, 0.0, 0.0))

@@ -9,6 +9,8 @@ from numpy.polynomial.legendre import leggauss
 from ymgap import instanton, liealg, quad4, report
 
 E16 = quad4.EPI2_16
+#: one node carrying the whole of S^3: exact for integrands radial about the origin
+ONE_NODE = quad4.SphereRule.zonal(np.eye(4)[1], 1)
 
 
 def _radial(g):
@@ -19,11 +21,11 @@ def _radial(g):
 def test_radial_oracle_integrals():
     grid = quad4.RadialGrid.make()
     # int r^3 (1+r^2)^-4 dr = 1/12, times 2 pi^2
-    val = quad4.integrate_r4(_radial(lambda r: (1 + r ** 2) ** -4.0), grid, quad4.RAY)
+    val = quad4.integrate_r4(_radial(lambda r: (1 + r ** 2) ** -4.0), grid, ONE_NODE)
     assert abs(val - np.pi ** 2 / 6.0) < 1e-10
-    val = quad4.integrate_r4(_radial(lambda r: np.exp(-r ** 2)), grid, quad4.RAY)
+    val = quad4.integrate_r4(_radial(lambda r: np.exp(-r ** 2)), grid, ONE_NODE)
     assert abs(val - np.pi ** 2) < 1e-10
-    assert quad4.integrate_r4(_radial(np.zeros_like), grid, quad4.RAY) == 0.0
+    assert quad4.integrate_r4(_radial(np.zeros_like), grid, ONE_NODE) == 0.0
 
 
 def test_radial_grid_validation_and_tail():
@@ -32,13 +34,41 @@ def test_radial_grid_validation_and_tail():
     assert np.all(np.diff(grid.nodes) > 0)
     # the tail is the node at rmax: 2 pi^2 f(rmax) rmax^4 / 4
     f = lambda r: (1 + r ** 2) ** -4.0
-    tail = (quad4.integrate_r4(_radial(f), grid, quad4.RAY)
+    tail = (quad4.integrate_r4(_radial(f), grid, ONE_NODE)
             - quad4.integrate_r4(_radial(lambda r: np.where(r < grid.rmax, f(r), 0.0)),
-                                 grid, quad4.RAY))
+                                 grid, ONE_NODE))
     assert 0 < tail < 1e-10
     assert abs(tail - 2 * np.pi ** 2 * f(grid.rmax) * grid.rmax ** 4 / 4) < 1e-15
     with pytest.raises(ValueError):
-        quad4.integrate_r4(_radial(lambda r: np.where(r > 500, np.inf, 1.0)), grid, quad4.RAY)
+        quad4.integrate_r4(_radial(lambda r: np.where(r > 500, np.inf, 1.0)), grid, ONE_NODE)
+
+
+def _integrand_calls(monkeypatch):
+    """Per integral of quad4: the (radii, points) shapes it should evaluate
+    at once, and the shapes of the integrand calls it made."""
+    seen = []
+    integrate_r4 = quad4.integrate_r4
+
+    def recorded(f, grid, rule):
+        calls = []
+        seen.append(((len(grid.nodes) + 1, 1), (len(rule.weights), 4), calls))
+        return integrate_r4(lambda r, w: calls.append((r.shape, w.shape)) or f(r, w), grid, rule)
+
+    monkeypatch.setattr(quad4, "integrate_r4", recorded)
+    return seen
+
+
+def test_integrand_is_called_once_per_integral(monkeypatch):
+    seen = _integrand_calls(monkeypatch)
+    quad4.l2_sd_norms(instanton.STANDARD)
+    quad4.ym_energy(instanton.STANDARD)
+    # d = 10 scales: 1057 radii x 280 nodes = 295 960 values, past quad4._MAX_POINTS
+    far = instanton.InstantonParams(1e-3, (1e-2, 0.0, 0.0, 0.0))
+    assert abs(quad4.ym_energy(far, about=np.zeros(4)) - E16) / E16 < 1e-9
+    assert [points[0] for _, points, _ in seen] == [1, 1, 1, 280]
+    assert seen[-1][0] == (1057, 1)
+    for radii, points, calls in seen:
+        assert calls == [(radii, points)]
 
 
 def test_radial_grid_weights_reach_rmax():

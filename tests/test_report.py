@@ -49,13 +49,23 @@ def test_gap_config_validation():
     # a numpy integer seed is stored as an int, which the JSON report can write
     doc = report.report_document(report.GapConfig(seed=np.int64(3)))
     assert json.loads(report.render(doc, "json"))["config"]["seed"] == 3
-    for kwargs in ({"w_plus_l2": -1.0}, {"yamabe": 0.0}, {"tol": 0.0}):
+    for kwargs in ({"w_plus_l2": -1.0}, {"yamabe": 0.0}):
         with pytest.raises(report.ConfigError):
             report.gap_inequality(4 * np.pi, liealg.GAMMA1_SU2, **kwargs)
     for f_plus, gamma1 in ((-1.0, liealg.GAMMA1_SU2), (4 * np.pi, 0.0),
                            (4 * np.pi, liealg.GAMMA1_MAX * (1 + 1e-9))):
         with pytest.raises(report.ConfigError):
             report.gap_inequality(f_plus, gamma1)
+
+
+def test_gap_config_scale_is_a_plain_float():
+    # one configuration, one document, whatever real type the scale came as
+    docs = {report.render(report.report_document(report.GapConfig(scale=s)), "json")
+            for s in (2, 2.0, np.int64(2), np.float32(2.0))}
+    assert len(docs) == 1 and '"scale": 2.0' in docs.pop()
+    cfg = report.GapConfig(scale=np.float32(0.5))
+    assert type(cfg.scale) is float and cfg.scale == 0.5
+    assert json.loads(report.render(report.report_document(cfg), "json"))["config"]["scale"] == 0.5
 
 
 def test_corollary_thresholds():
@@ -414,6 +424,9 @@ def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
     pytest.param({"scale": 1e-21}, id="scale-1e-21"),
     pytest.param({"scale": 0.0}, id="scale-0"),
     pytest.param({"scale": 2e20}, id="scale-2e20"),
+    pytest.param({"scale": True}, id="scale-bool"),
+    pytest.param({"scale": "2"}, id="scale-str"),
+    pytest.param({"scale": 1j}, id="scale-complex"),
     pytest.param({"center": (1.0, 2.0)}, id="center-2-values"),
     pytest.param({"center": (0.0,) * 5}, id="center-5-values"),
     pytest.param({"center": ()}, id="center-empty"),
@@ -422,6 +435,7 @@ def test_cli_out_of_range_input_is_config_error(argv, tmp_path, capsys):
     pytest.param({"seed": float("nan")}, id="seed-nan"),
     pytest.param({"seed": 1.5}, id="seed-1.5"),
     pytest.param({"seed": "0"}, id="seed-str"),
+    pytest.param({"seed": True}, id="seed-bool"),
 ])
 def test_gap_config_rejects_what_lower_layers_reject(kwargs):
     with pytest.raises(report.ConfigError):
@@ -435,7 +449,7 @@ def test_gap_config_rejects_non_finite(field, value):
         report.GapConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["f_plus_l2", "w_plus_l2", "yamabe", "tol"])
+@pytest.mark.parametrize("field", ["f_plus_l2", "w_plus_l2", "yamabe"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_gap_inequality_rejects_non_finite(field, value):
     inputs = {"f_plus_l2": 4 * np.pi, "gamma1": liealg.GAMMA1_SU2, field: value}
