@@ -13,9 +13,10 @@ volumes of sin^3; fluxes vanish at the poles, which encodes the
 regularity boundary condition. Constants are annihilated exactly, so
 Phi = const reproduces lambda_1 = const to roundoff on any grid.
 
-One discrete operator, ``SLProblem``, evaluates L: the field ``phi_of``
-returns is the round problem for its Phi, and Phi_hat = u^-3 L u goes
-through ``SLProblem.apply`` on a problem the caller builds once.
+One discrete operator, ``SLProblem``, evaluates L: the field ``phi_of`` returns is the
+round problem for its Phi, and Phi_hat = u^-3 L u goes through ``SLProblem.apply`` on a
+problem the caller builds once. A grid size n is an integer >= 8; round grids are
+tabulated once per n, as read-only arrays that the problems of that size share.
 
 A ``RadialFunction`` argument means either a vectorized callable of rho or
 an array of node values.
@@ -23,6 +24,8 @@ an array of node values.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,26 +40,38 @@ YAMABE_S4 = ROUND_SCALAR_CURVATURE * np.sqrt(ROUND_VOLUME)
 
 
 def cell_grid(n):
-    """Cell-center nodes and spacing on [0, pi]."""
-    if n < 8:
-        raise ValueError("grid too coarse")
+    """Cell-center nodes and spacing on [0, pi]; n an integer >= 8."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 8:
+        raise ValueError(f"grid size must be an integer >= 8; got {n!r}")
     h = np.pi / n
     return (np.arange(n) + 0.5) * h, h
 
 
+@functools.lru_cache(maxsize=8, typed=True)      # typed: 2000.0 must miss, not hit 2000
 def cell_volumes(n):
-    """Exact int sin^3 over each cell, in cancellation-free product form.
+    """Exact int sin^3 over each cell, in cancellation-free product form; read-only.
 
     Naive differences of the primitive cos^3/3 - cos lose all digits at
     pole cells once n is a few thousand.
     """
-    h = np.pi / n
+    _, h = cell_grid(n)
     faces = np.arange(n + 1) * h
     a, b = faces[:-1], faces[1:]
     mid = 0.5 * (a + b)
     sh = np.sin(0.5 * h)
     bracket = (np.sin(a) ** 2 + np.sin(b) ** 2 + sh ** 2 + np.sin(mid) ** 2) / 3.0
-    return 2.0 * np.sin(mid) * sh * bracket
+    vol = 2.0 * np.sin(mid) * sh * bracket
+    vol.setflags(write=False)
+    return vol
+
+
+@functools.lru_cache(maxsize=8)
+def _face_conductivities(n):
+    """6 sin^3 at the n + 1 faces, zero at the poles; read-only, one table per n."""
+    cond = 6.0 * np.sin(np.arange(n + 1) * (np.pi / n)) ** 3
+    cond[[0, -1]] = 0.0
+    cond.setflags(write=False)
+    return cond
 
 
 def as_values(u, rho):
@@ -92,7 +107,10 @@ class SLProblem:
         """Inflow minus outflow of f's face fluxes, -6 Lap f times the cell
         masses; broadcasts over leading axes of f."""
         flux = self.cond[1:-1] * np.diff(f) / self.h
-        return -np.diff(flux, prepend=0.0, append=0.0)
+        out = np.zeros(np.shape(f))
+        out[..., :-1] = flux
+        out[..., 1:] -= flux
+        return np.negative(out, out=out)        # negated last, as -np.diff was: same signed zeros
 
     def apply(self, f):
         """Pointwise (-6 Lap + Phi) f at the nodes."""
@@ -115,9 +133,7 @@ class SLProblem:
 def round_problem(phi, n=2000):
     """-6 Lap + Phi on the unit round S^4: face conductivities 6 sin^3, zero at the poles."""
     rho, h = cell_grid(n)
-    cond = 6.0 * np.sin(np.arange(n + 1) * h) ** 3
-    cond[[0, -1]] = 0.0
-    return SLProblem(rho, h, cell_volumes(n), cond, as_values(phi, rho))
+    return SLProblem(rho, h, cell_volumes(n), _face_conductivities(n), as_values(phi, rho))
 
 
 @dataclass(frozen=True)
@@ -194,10 +210,11 @@ def lambda1(prob):
     lowest = np.min(d - off) - 1.0          # the pivots are >= 1 from here
     v = np.sqrt(prob.weight / np.sum(prob.weight))
     start, width = float(v @ (d * v) + 2.0 * (e * v[1:]) @ v[:-1]), 1.0
+    e2 = (e * e).tolist()
     while True:
         sigma = max(lowest, start - width)
         p, pivots = float(d[0] - sigma), []
-        for a, b in zip((d[1:] - sigma).tolist(), (e * e).tolist()):
+        for a, b in zip((d[1:] - sigma).tolist(), e2):
             pivots.append(p)
             if p <= 0.0:
                 break
@@ -211,7 +228,9 @@ def lambda1(prob):
     for _ in range(_MAX_ITER):
         x = backward((forward(v.copy()) / pivots)[::-1])[::-1]
         v = x / np.linalg.norm(x)
-        tv = d * v + np.r_[e * v[1:], 0.0] + np.r_[0.0, e * v[:-1]]
+        tv = d * v
+        tv[:-1] += e * v[1:]
+        tv[1:] += e * v[:-1]
         lam = float(v @ tv)
         residual = float(np.linalg.norm(tv - lam * v))
         if residual <= floor:
@@ -268,13 +287,14 @@ def covariance_check(u, field):
     un = as_values(u, field.rho)
     if not np.all(un > 0):
         raise ValueError("conformal factor must be positive")
+    u2, u3 = un ** 2, un ** 3
     route_b = pointwise_laplacian(un, field)     # built in place, one array at a time
     route_b *= -6.0
     route_b += field.scalar_curv * un
-    route_b /= un ** 3
-    route_b -= 2.0 * SQRT6 * field.weyl_norm / un ** 2
-    route_b -= 3.0 * field.gamma1 * field.f_plus_norm / un ** 2
-    route_b -= transformed_phi(un, field)         # route (a)
+    route_b /= u3
+    route_b -= 2.0 * SQRT6 * field.weyl_norm / u2
+    route_b -= 3.0 * field.gamma1 * field.f_plus_norm / u2
+    route_b -= field.apply(un) / u3              # route (a), transformed_phi on checked values
     return float(np.max(np.abs(route_b)))
 
 

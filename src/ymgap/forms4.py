@@ -129,10 +129,10 @@ def weyl_quad(w, coeffs):
 
 def random_weyl(rng, size=()):
     """Random symmetric trace-free 3x3 operators, shape size + (3, 3)."""
-    m = rng.standard_normal(tuple(size) + (3, 3))
-    m = 0.5 * (m + np.swapaxes(m, -2, -1))
-    m -= np.trace(m, axis1=-2, axis2=-1)[..., None, None] / 3.0 * np.eye(3)
-    return m
+    m = rng.standard_normal(tuple(size) + (9,))              # row-major entries
+    m = 0.5 * (m + m[..., [0, 3, 6, 1, 4, 7, 2, 5, 8]])       # plus the transpose
+    m[..., ::4] -= ((m[..., 0] + m[..., 4] + m[..., 8]) / 3.0)[..., None]   # diagonal 0, 4, 8
+    return m.reshape(tuple(size) + (3, 3))
 
 
 def extremal_weyl(scale=1.0):

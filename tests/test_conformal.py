@@ -36,6 +36,65 @@ def test_cell_volumes_exact():
     assert abs(big.sum() - 4.0 / 3.0) < 1e-14
 
 
+def cell_volumes_oracle(n):
+    """The cell volumes' product form, built afresh on each call."""
+    h = np.pi / n
+    faces = np.arange(n + 1) * h
+    a, b = faces[:-1], faces[1:]
+    mid = 0.5 * (a + b)
+    sh = np.sin(0.5 * h)
+    bracket = (np.sin(a) ** 2 + np.sin(b) ** 2 + sh ** 2 + np.sin(mid) ** 2) / 3.0
+    return 2.0 * np.sin(mid) * sh * bracket
+
+
+def face_conductivities_oracle(n):
+    """6 sin^3 at the faces, zero at the poles, built afresh on each call."""
+    cond = 6.0 * np.sin(np.arange(n + 1) * (np.pi / n)) ** 3
+    cond[[0, -1]] = 0.0
+    return cond
+
+
+def test_round_grids_are_tabulated_once_and_read_only():
+    n = 2000
+    prob = conformal.round_problem(12.0, n)
+    again = conformal.round_problem(lambda r: 12.0 + np.cos(r), n)
+    assert again.weight is prob.weight is conformal.cell_volumes(n)
+    assert again.cond is prob.cond
+    fresh = {"weight": cell_volumes_oracle(n), "cond": face_conductivities_oracle(n)}
+    for name, table in fresh.items():
+        assert np.array_equal(getattr(prob, name), table), name
+        assert np.array_equal(getattr(conformal.round_problem(12.0, np.int64(n)), name), table)
+        assert not getattr(prob, name).flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prob, name)[n // 2] = 0.0
+    # what is built from a round problem shares its tables and leaves them as they were
+    u = lambda r: 1.0 + 0.2 * np.cos(r)
+    field = conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
+                             liealg.GAMMA1_SU2, n=n)
+    assert field.weight is prob.weight and field.cond is prob.cond
+    conformal.transform_problem(field, u)
+    conformal.covariance_check(u, field)
+    for name, table in fresh.items():
+        assert np.array_equal(getattr(prob, name), table), name
+
+
+def test_grid_size_is_an_integer_of_at_least_8():
+    # n = 2000.5 would put the last cell center on the pole and the faces past pi
+    with pytest.raises(ValueError, match="integer"):
+        conformal.round_problem(12.0, n=2000.5)
+    conformal.cell_volumes(np.int64(2000))
+    with pytest.raises(ValueError, match="integer"):
+        conformal.cell_volumes(2000.0)            # equal to, and hashed as, a cached size
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="integer"):
+            conformal.cell_grid(flag)
+    for n in (0, 7):
+        with pytest.raises(ValueError, match="integer >= 8"):
+            conformal.cell_volumes(n)
+    rho, h = conformal.cell_grid(np.int64(8))
+    assert len(rho) == 8 and h == np.pi / 8
+
+
 def test_phi_of_reconstruction():
     field = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=256)
     round_ = conformal.round_problem(field.phi, n=256)   # the field is its round problem

@@ -147,6 +147,12 @@ def test_fd_step_validation():
         instanton.covariant_derivative_of(STD.connection, np.zeros(4), h=-1.0)
     with pytest.raises(ValueError):
         instanton.bianchi_residual_of(STD.connection, np.zeros(4), h=0.0)
+    # a non-finite step would difference NaN values, with inf * 0 in the stencil's offsets
+    for h in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            instanton.curvature_fd_of(STD.connection, np.zeros(4), h=h)
+        with pytest.raises(ValueError, match="finite"):
+            instanton.kato_residual_at(STD, np.ones(4), h=h)
 
 
 def test_covariant_derivative_vanishes_at_center():
@@ -336,3 +342,49 @@ def test_fd_layer_shapes():
                   instanton.cov_norm_sq(nab)):
         assert np.shape(value) == (2, 3)
     assert np.shape(instanton.kato_residual_at(STD, np.zeros(4))) == ()
+
+
+def _per_step_partial(fn, x, k, h, richardson):
+    """The differencing oracle: one fn call per stencil point x +- step e_k."""
+    ek = np.eye(4)[k]
+
+    def central(step):
+        hi, lo = x + step * ek, x - step * ek
+        return (fn(hi) - fn(lo)) / (hi[..., k] - lo[..., k])[..., None, None]
+    d = central(h)
+    return (4.0 * central(h / 2.0) - d) / 3.0 if richardson else d
+
+
+@pytest.mark.parametrize("p", [STD, OFF_STANDARD], ids=["standard", "off-standard"])
+@pytest.mark.parametrize("shape", [(4,), (40, 4), (2, 3, 4)])
+@pytest.mark.parametrize("richardson", [True, False], ids=["richardson", "central"])
+def test_one_call_stencil_matches_per_step_oracle(monkeypatch, p, shape, richardson):
+    pts = p.center_array + p.scale * np.random.default_rng(59).standard_normal(shape)
+
+    def differenced():
+        return (instanton.covariant_derivative_of(p.connection, pts, 1e-4 * p.scale, richardson),
+                instanton.curvature_fd_of(p.connection, pts, 1e-4 * p.scale, richardson))
+    fast = differenced()
+    monkeypatch.setattr(instanton, "_partial", _per_step_partial)
+    for got, want in zip(fast, differenced()):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("richardson", [True, False], ids=["richardson", "central"])
+def test_one_evaluator_call_per_difference_direction(richardson):
+    calls = {"theta": 0, "curvature": 0}
+
+    def counted(name, fn):
+        def evaluator(x):
+            calls[name] += 1
+            return fn(x)
+        return evaluator
+    c = STD.connection
+    c = instanton.Connection(counted("theta", c.theta), counted("curvature", c.curvature), c.f)
+    pts = np.random.default_rng(61).standard_normal((40, 4))
+    instanton.covariant_derivative_of(c, pts, 1e-4, richardson)
+    assert calls == {"theta": 1, "curvature": 1 + 4}
+    calls.update(theta=0, curvature=0)
+    instanton.curvature_fd_of(c, pts, 1e-4, richardson)
+    assert calls == {"theta": 1 + 4, "curvature": 0}

@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from test_conformal import cell_volumes_oracle
 from test_report import PINNED_TOLERANCES
 from ymgap import conformal, forms4, instanton, liealg, quad4, report
 
@@ -260,6 +261,16 @@ def test_mutation_is_caught(monkeypatch, mutate, suites, expected, cfg):
     assert not _failed(suites, cfg)
     mutate(monkeypatch)
     assert expected <= _failed(suites, cfg)
+
+
+def test_cell_volume_row_leaves_the_cached_table_clean():
+    """The cell-volumes-x2 row patches the cached builder; the next reader gets the true table."""
+    mutate, suites, expected, cfg = next(row.values for row in MUTATIONS
+                                         if row.id == "cell-volumes-x2")
+    with pytest.MonkeyPatch.context() as patch:
+        mutate(patch)
+        assert expected <= _failed(suites, cfg)
+    assert np.array_equal(conformal.cell_volumes(2000), cell_volumes_oracle(2000))
 
 
 def test_tail_dropped_control(monkeypatch):
