@@ -129,8 +129,8 @@ def weyl_quad(w, coeffs):
 
 def random_weyl(rng, size=()):
     """Random symmetric trace-free 3x3 operators, shape size + (3, 3)."""
-    m = rng.standard_normal(tuple(size) + (9,))              # row-major entries
-    m = 0.5 * (m + m[..., [0, 3, 6, 1, 4, 7, 2, 5, 8]])       # plus the transpose
+    m3 = rng.standard_normal(tuple(size) + (3, 3))
+    m = (0.5 * (m3 + m3.swapaxes(-1, -2))).reshape(tuple(size) + (9,))    # row-major entries
     m[..., ::4] -= ((m[..., 0] + m[..., 4] + m[..., 8]) / 3.0)[..., None]   # diagonal 0, 4, 8
     return m.reshape(tuple(size) + (3, 3))
 

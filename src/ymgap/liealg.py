@@ -205,28 +205,43 @@ def _sphere_ascent(objective, starts):
     1/(2 z.g) with no step size to search or store, and makes one
     objective call on the active rows. A restart stops when
     |P grad f| < _TOL max(1, |f|) (converged) or after _MAX_ITER points.
-    Returns a GammaEstimate of f for the earliest restart within a
+    The active rows are held as compact arrays (rows, zc, fc, gc), in
+    restart order; every one has evaluated ``points`` points, and a
+    restart's point, value and |P grad f| are written back once, when it
+    stops. Returns a GammaEstimate of f for the earliest restart within a
     relative _TIE of the best value, with its point as ``argmax``.
     """
-    if len(starts) < 1:
-        raise ValueError("restarts must be >= 1")
-    z = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    z = starts / np.sqrt((starts * starts).sum(axis=-1, keepdims=True))
     val, grad = objective(z)
-    iterations = np.ones(len(z), dtype=int)
+    rows, zc, fc, gc, points = np.arange(len(z)), z, val, grad, 1
+    gn, iterations, converged = np.empty(len(z)), np.empty(len(z), int), np.empty(len(z), bool)
     while True:
-        radial = np.sum(grad * z, axis=-1, keepdims=True) * z
-        gn = np.sqrt(np.sum((grad - radial) ** 2, axis=(-2, -1)))
-        converged = gn < _TOL * np.maximum(1.0, np.abs(val))
-        active = np.flatnonzero(~converged & (iterations < _MAX_ITER))
-        if not active.size:
-            break
-        power = grad[active] + radial[active]
-        z[active] = power / np.linalg.norm(power, axis=-1, keepdims=True)
-        val[active], grad[active] = objective(z[active])
-        iterations[active] += 1
+        radial = (gc * zc).sum(axis=-1, keepdims=True) * zc
+        gnc = np.sqrt(((gc - radial) ** 2).sum(axis=(-2, -1)))
+        conv = gnc < _TOL * np.maximum(1.0, np.abs(fc))
+        stop = conv | (points >= _MAX_ITER)
+        power = gc + radial
+        if stop.any():
+            done = rows[stop]
+            z[done], val[done], gn[done], converged[done], iterations[done] = (
+                zc[stop], fc[stop], gnc[stop], conv[stop], points)
+            if stop.all():
+                break
+            rows, power = rows[~stop], power[~stop]
+        zc = power / np.sqrt((power * power).sum(axis=-1, keepdims=True))
+        fc, gc = objective(zc)
+        points += 1
     r = int(np.flatnonzero(val >= val.max() - _TIE * abs(val.max()))[0])
     return GammaEstimate(float(val[r]), z[r], float(gn[r]), int(iterations[r]), r,
                          bool(converged[r]))
+
+
+def _starts(restarts, seed, shape):
+    """``restarts`` standard normal draws of ``shape``, seeded; a count that
+    is a bool, not an integer or below 1 raises ValueError."""
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
+    return np.random.default_rng(seed).standard_normal((restarts, *shape))
 
 
 def gamma0_estimate(f, restarts=64, seed=0):
@@ -243,8 +258,7 @@ def gamma0_estimate(f, restarts=64, seed=0):
         grad = bracket_coeffs(np.stack([z[:, 1], c], axis=1), np.stack([c, z[:, 0]], axis=1), f)
         return np.sum(c * c, axis=-1), 2.0 * grad
 
-    rng = np.random.default_rng(seed)
-    est = _sphere_ascent(objective, rng.standard_normal((restarts, 2, len(f))))
+    est = _sphere_ascent(objective, _starts(restarts, seed, (2, len(f))))
     norm = np.sqrt(est.value)
     return replace(est, value=float(norm), argmax=tuple(est.argmax),
                    grad_norm=est.grad_norm / (2.0 * max(norm, 1e-15)))
@@ -290,8 +304,7 @@ def gamma1_estimate(f, restarts=64, seed=0):
         tzz = np.einsum('rij,rj->ri', (zf @ t2).reshape(-1, 3 * k, 3 * k), zf)
         return np.sum(zf * tzz, axis=-1), 3.0 * tzz[:, None]
 
-    rng = np.random.default_rng(seed)
-    starts = rng.standard_normal((restarts, 3, k)).reshape(restarts, 1, 3 * k)
+    starts = _starts(restarts, seed, (3, k)).reshape(-1, 1, 3 * k)
     starts *= np.where(objective(starts)[0] < 0.0, -1.0, 1.0)[:, None, None]
     est = _sphere_ascent(objective, starts)
     return replace(est, argmax=forms4.sd_basis().T @ est.argmax.reshape(3, k))

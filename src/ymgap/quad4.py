@@ -161,17 +161,18 @@ def l2_sd_norms(p, grid=None):
     center, whose node is e1 up to cos(pi/2) e2; the squares sum to the
     energy on the same grid."""
     grid = grid or RadialGrid.make(scale=p.scale)
+    minus_sq = []
 
     def plus_sq(r, w):
-        return liealg.lv_norm_sq(liealg.lv_self_dual(
-            instanton.curvature_closed_at(p, p.center_array + r[..., None] * w)))
-
-    def minus_sq(r, w):
+        # F is evaluated once; its anti-self-dual part waits for the second integral
         f = instanton.curvature_closed_at(p, p.center_array + r[..., None] * w)
-        return liealg.lv_norm_sq(f - liealg.lv_self_dual(f))
+        sd = liealg.lv_self_dual(f)
+        minus_sq.append(liealg.lv_norm_sq(f - sd))
+        return liealg.lv_norm_sq(sd)
 
     rule = SphereRule.zonal(np.eye(4)[1], 1)
-    plus, minus = (integrate_r4(part, grid, rule) for part in (plus_sq, minus_sq))
+    plus = integrate_r4(plus_sq, grid, rule)
+    minus = integrate_r4(lambda r, w: minus_sq[0], grid, rule)
     return float(np.sqrt(plus)), float(np.sqrt(minus))
 
 

@@ -196,6 +196,20 @@ def test_weyl_helpers_batched_match_scalar_calls():
     assert abs(one[2, 3] - forms4.weyl_quad(w[0, 0], v[2, 3])) < 1e-14
 
 
+def test_random_weyl_is_the_gathered_symmetrization():
+    def gathered(rng, size):
+        m = rng.standard_normal(tuple(size) + (9,))
+        m = 0.5 * (m + m[..., [0, 3, 6, 1, 4, 7, 2, 5, 8]])
+        m[..., ::4] -= ((m[..., 0] + m[..., 4] + m[..., 8]) / 3.0)[..., None]
+        return m.reshape(tuple(size) + (3, 3))
+
+    for size in ((), (7,), (2, 3)):
+        for seed in (0, 1, 59):
+            w = forms4.random_weyl(np.random.default_rng(seed), size)
+            assert w.shape == size + (3, 3)
+            assert np.array_equal(w, gathered(np.random.default_rng(seed), size))
+
+
 def test_random_helpers_batched_draw_the_scalar_stream():
     batched = forms4.random_weyl(np.random.default_rng(47), size=(6,))
     rng = np.random.default_rng(47)

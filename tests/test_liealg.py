@@ -248,12 +248,26 @@ def test_gamma0_estimates():
     assert abs(so4.value - np.sqrt(2.0)) < 1e-6
 
 
+GAMMA_FIELDS = ('value', 'argmax', 'grad_norm', 'iterations', 'restart', 'converged')
+
+
+def same_estimate(a, b):
+    """Every GammaEstimate field bitwise equal, and of the same type."""
+    return all(type(getattr(a, k)) is type(getattr(b, k))
+               and np.array_equal(getattr(a, k), getattr(b, k)) for k in GAMMA_FIELDS)
+
+
 def test_gamma0_deterministic_and_validates():
     r1 = liealg.gamma0_estimate(liealg.SU2, restarts=4, seed=42)
     r2 = liealg.gamma0_estimate(liealg.SU2, restarts=4, seed=42)
     assert r1.value == r2.value and r1.restart == r2.restart
-    with pytest.raises(ValueError):
-        liealg.gamma0_estimate(liealg.SU2, restarts=0)
+    # a restart count is an integer >= 1, checked before any draw, by both estimates
+    for estimate in (liealg.gamma0_estimate, liealg.gamma1_estimate):
+        for restarts in (True, 2.5, -1, 0):
+            with pytest.raises(ValueError, match="restarts"):
+                estimate(liealg.SU2, restarts=restarts)
+        assert same_estimate(estimate(liealg.SU2, restarts=np.int64(4), seed=42),
+                             estimate(liealg.SU2, restarts=4, seed=42))
 
 
 # (estimator, algebra, restarts, sharp value) as searched by the gamma-constants suite
@@ -303,6 +317,75 @@ def test_gamma_restart_tie_rule_ignores_roundoff(suite_estimates):
         for seed in SEEDS:
             est = estimate(nudged, restarts=restarts, seed=seed)
             assert est.restart == suite_estimates[estimate, name, seed].restart
+
+
+def full_array_ascent(objective, starts):
+    """The ascent loop with every array over all R restarts on every loop:
+    the oracle of the compact active rows of ``liealg._sphere_ascent``."""
+    z = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    val, grad = objective(z)
+    iterations = np.ones(len(z), dtype=int)
+    while True:
+        radial = np.sum(grad * z, axis=-1, keepdims=True) * z
+        gn = np.sqrt(np.sum((grad - radial) ** 2, axis=(-2, -1)))
+        converged = gn < liealg._TOL * np.maximum(1.0, np.abs(val))
+        active = np.flatnonzero(~converged & (iterations < liealg._MAX_ITER))
+        if not active.size:
+            break
+        power = grad[active] + radial[active]
+        z[active] = power / np.linalg.norm(power, axis=-1, keepdims=True)
+        val[active], grad[active] = objective(z[active])
+        iterations[active] += 1
+    r = int(np.flatnonzero(val >= val.max() - liealg._TIE * abs(val.max()))[0])
+    return liealg.GammaEstimate(float(val[r]), z[r], float(gn[r]), int(iterations[r]), r,
+                                bool(converged[r]))
+
+
+def counted_estimate(monkeypatch, ascent, estimate, f, restarts, seed):
+    """``estimate`` run through ``ascent``, with its objective calls and rows."""
+    counts = [0, 0]
+
+    def counted(objective, starts):
+        def objective_counted(z):
+            counts[0] += 1
+            counts[1] += len(z)
+            return objective(z)
+        return ascent(objective_counted, starts)
+
+    monkeypatch.setattr(liealg, '_sphere_ascent', counted)
+    return estimate(f, restarts=restarts, seed=seed), tuple(counts)
+
+
+# the five searches of the gamma-constants suite: (estimator, algebra, restarts)
+ALL_SUITE_SEARCHES = [(estimate, ALGEBRAS[name], r) for estimate, name, r, _ in SUITE_SEARCHES]
+ALL_SUITE_SEARCHES.append((liealg.gamma1_estimate, liealg.SO4, 16))
+
+
+def test_compact_ascent_matches_the_full_array_loop(monkeypatch):
+    compact = liealg._sphere_ascent
+    # seeds 0-23 and three benchmark pass seeds, slow ones for some earlier loop
+    for seed in [*SEEDS, 1974316079, 234465946, 1232813911]:
+        for estimate, f, restarts in ALL_SUITE_SEARCHES:
+            got, got_counts = counted_estimate(monkeypatch, compact, estimate, f, restarts, seed)
+            want, want_counts = counted_estimate(monkeypatch, full_array_ascent, estimate, f,
+                                                 restarts, seed)
+            assert same_estimate(got, want), (estimate.__name__, seed, got, want)
+            assert got_counts == want_counts
+
+
+def test_compact_ascent_at_the_iteration_cap(monkeypatch):
+    compact = liealg._sphere_ascent
+    monkeypatch.setattr(liealg, '_MAX_ITER', 3)
+    # at seed 0 the reported gamma0 restarts land on a Pauli pair at their third
+    # point, converged at the cap; at seed 1 no reported restart has converged
+    for seed in (0, 1):
+        for estimate, f, restarts in ALL_SUITE_SEARCHES:
+            got, got_counts = counted_estimate(monkeypatch, compact, estimate, f, restarts, seed)
+            want, want_counts = counted_estimate(monkeypatch, full_array_ascent, estimate, f,
+                                                 restarts, seed)
+            assert same_estimate(got, want) and got_counts == want_counts
+            assert got.iterations == 3 and got_counts[0] == 3
+            assert got.converged == (seed == 0 and estimate is liealg.gamma0_estimate)
 
 
 def test_gamma1_estimates():

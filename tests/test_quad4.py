@@ -301,6 +301,17 @@ def test_l2_sd_norms():
         assert abs(plus ** 2 + minus ** 2 - energy) < 1e-10
 
 
+def test_l2_sd_norms_evaluates_the_curvature_once(monkeypatch):
+    calls = []
+    curvature = instanton.curvature_closed_at
+    monkeypatch.setattr(instanton, "curvature_closed_at",
+                        lambda p, x: calls.append(x.shape) or curvature(p, x))
+    for p in (instanton.STANDARD, instanton.InstantonParams(0.5, (1.0, 0, 0, 0))):
+        calls.clear()
+        quad4.l2_sd_norms(p)
+        assert calls == [(len(quad4.RadialGrid.make(scale=p.scale).nodes) + 1, 1, 4)]
+
+
 def test_chern_weil_kappa():
     # each member on its own grid and on the standard grid, where the tail is
     # 3e-8 of the scale-10 member's energy
