@@ -22,7 +22,7 @@ The two sharp constants computed here are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -182,11 +182,11 @@ class GammaEstimate:
     restart whose value is within a relative _TIE = 1e-12 of the best one,
     and ``argmax``, ``grad_norm`` and ``iterations`` are that restart's: a
     coefficient pair (x, y) for gamma0 and a unit-norm Lie-valued 2-form
-    (6, k) for gamma1.
+    (6, k) for gamma1. Equality compares every field but ``argmax``.
     """
 
     value: float
-    argmax: object
+    argmax: object = field(compare=False)
     grad_norm: float
     iterations: int
     restart: int
@@ -259,8 +259,8 @@ def gamma0_estimate(f, restarts=64, seed=0):
         return np.sum(c * c, axis=-1), 2.0 * grad
 
     est = _sphere_ascent(objective, _starts(restarts, seed, (2, len(f))))
-    norm = np.sqrt(est.value)
-    return replace(est, value=float(norm), argmax=tuple(est.argmax),
+    norm = float(np.sqrt(est.value))
+    return replace(est, value=norm, argmax=tuple(est.argmax),
                    grad_norm=est.grad_norm / (2.0 * max(norm, 1e-15)))
 
 

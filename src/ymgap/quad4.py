@@ -8,9 +8,10 @@ one axis. The energy integrals take it about the offset of the center, one
 node at zero offset; the L2 norms of the curvature parts take the one-node
 rule, which is exact for integrands radial about the center.
 Beyond R_max the integrand is taken to decay like r^-8, the curvature
-density's decay, so the tail is one more radius at R_max and every
-integral includes it. Sums run in a fixed order, so results are
-reproducible run to run.
+density's decay, so the tail is the grid's last node, at R_max, and every
+integral includes it. An integrand may return a stack of integrands'
+values, which are integrated together. Sums run in a fixed order, so
+results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Gauss-Legendre nodes/weights for integrals int_0^rmax f(r) dr."""
+    """Nodes and masses of the rule int_0^inf r^3 g(r) dr = sum weights g(nodes)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    rmax: float
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -48,17 +48,21 @@ class RadialGrid:
         """Geometrically graded panels of 24 nodes accumulate near the origin
         where the instanton profile varies; accuracy is spectral per panel.
         In the units of an instanton of that scale the first panel is
-        [0, 0.25 min(1, scale)] and rmax is 1000 max(1, scale), where the
-        r^-8 tail model misses by 3.9 (scale / rmax)^6 <= 3.9e-18;
-        ``panels`` defaults to ``panel_count(scale)``."""
+        [0, 0.25 min(1, scale)] and rmax is 1000 max(1, scale). The masses
+        are the Gauss-Legendre weights times r^3. The last node is rmax,
+        with mass int_rmax^inf r^3 (rmax/r)^8 dr = rmax^4/4: the integrand
+        is taken to decay like r^-8 beyond rmax, a model that misses by
+        3.9 (scale / rmax)^6 <= 3.9e-18. ``panels`` defaults to
+        ``panel_count(scale)``."""
         panels = panel_count(scale) if panels is None else panels
         if panels < 2:
             raise ValueError("need at least two panels")
         rmax = 1000.0 * max(1.0, scale)
         edges = np.concatenate([[0.0], np.geomspace(0.25 * min(1.0, scale), rmax, panels)])
         a, h = edges[:-1, None], np.diff(edges)[:, None]
-        return cls((0.5 * (_GL_NODES + 1.0) * h + a).ravel(), (0.5 * h * _GL_WEIGHTS).ravel(),
-                   float(rmax))
+        nodes = (0.5 * (_GL_NODES + 1.0) * h + a).ravel()
+        return cls(np.append(nodes, rmax),
+                   np.append((0.5 * h * _GL_WEIGHTS).ravel() * nodes ** 3, rmax ** 4 / 4.0))
 
 
 def panel_count(scale):
@@ -105,21 +109,21 @@ _LOG_TOL = float(np.log(1e16))
 def integrate_r4(f, grid, rule):
     """Integral over R^4, in polar coordinates r omega, of f.
 
-    f(r, omega) takes B radii as a (B, 1) array and the N unit points of
-    ``rule`` as an (N, 4) array, and returns the (B, N) values at the
-    points r omega. An integrand about a point c evaluates there at
-    c + r[..., None] * omega. The integrand is taken to decay like r^-8
-    beyond ``grid.rmax``, so the tail int_rmax^inf r^3 (rmax/r)^8 dr =
-    rmax^4/4 is one more radius at rmax. f is called once, on all
-    ``len(grid.nodes) + 1`` radii.
+    f(r, omega) takes the B radii of ``grid`` as a (B, 1) array and the N
+    unit points of ``rule`` as an (N, 4) array, and returns the (B, N)
+    values at the points r omega, or a stack (..., B, N) of several
+    integrands' values. An integrand about a point c evaluates there at
+    c + r[..., None] * omega. f is called once, on all ``len(grid.nodes)``
+    radii, the tail node included. Returns the integral, a float, or the
+    (...) array of the stacked integrals.
     """
-    radii = np.append(grid.nodes, grid.rmax)[:, None]
-    mass = np.append(grid.weights * grid.nodes ** 3, grid.rmax ** 4 / 4.0)
-    vals = np.asarray(f(radii, rule.points), dtype=float)
+    vals = np.asarray(f(grid.nodes[:, None], rule.points), dtype=float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        raise ValueError(f"non-finite integrand sample at r = {radii[bad.any(-1)][0, 0]}")
-    return float(np.dot(mass, vals @ rule.weights))
+        r = grid.nodes[np.argwhere(bad)[0, -2]]
+        raise ValueError(f"non-finite integrand sample at r = {r}")
+    total = vals @ rule.weights @ grid.weights
+    return float(total) if total.ndim == 0 else total
 
 
 def ym_energy(p, grid=None, about=None):
@@ -161,19 +165,14 @@ def l2_sd_norms(p, grid=None):
     center, whose node is e1 up to cos(pi/2) e2; the squares sum to the
     energy on the same grid."""
     grid = grid or RadialGrid.make(scale=p.scale)
-    minus_sq = []
 
-    def plus_sq(r, w):
-        # F is evaluated once; its anti-self-dual part waits for the second integral
+    def parts_sq(r, w):
         f = instanton.curvature_closed_at(p, p.center_array + r[..., None] * w)
         sd = liealg.lv_self_dual(f)
-        minus_sq.append(liealg.lv_norm_sq(f - sd))
-        return liealg.lv_norm_sq(sd)
+        return np.stack([liealg.lv_norm_sq(sd), liealg.lv_norm_sq(f - sd)])
 
-    rule = SphereRule.zonal(np.eye(4)[1], 1)
-    plus = integrate_r4(plus_sq, grid, rule)
-    minus = integrate_r4(lambda r, w: minus_sq[0], grid, rule)
-    return float(np.sqrt(plus)), float(np.sqrt(minus))
+    plus, minus = np.sqrt(integrate_r4(parts_sq, grid, SphereRule.zonal(np.eye(4)[1], 1)))
+    return float(plus), float(minus)
 
 
 def chern_weil_kappa(plus, minus):

@@ -1,5 +1,6 @@
 """Lie algebra layer: inner product, brackets, 2-form commutator, constants."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -255,6 +256,18 @@ def same_estimate(a, b):
     """Every GammaEstimate field bitwise equal, and of the same type."""
     return all(type(getattr(a, k)) is type(getattr(b, k))
                and np.array_equal(getattr(a, k), getattr(b, k)) for k in GAMMA_FIELDS)
+
+
+def test_gamma_estimates_compare_equal_and_hold_builtin_scalars():
+    for estimate in (liealg.gamma0_estimate, liealg.gamma1_estimate):
+        a, b = estimate(liealg.SO3, restarts=4, seed=7), estimate(liealg.SO3, restarts=4, seed=7)
+        assert a == b       # argmax, an array for gamma1, is left out of ==
+        # every scalar field is a Python scalar, and each takes part in ==
+        for name, value in (("value", a.value + 1.0), ("grad_norm", 2.0 * a.grad_norm),
+                            ("iterations", a.iterations + 1), ("restart", a.restart + 1),
+                            ("converged", not a.converged)):
+            assert type(getattr(a, name)) in (float, int, bool), (estimate, name)
+            assert dataclasses.replace(a, **{name: value}) != a
 
 
 def test_gamma0_deterministic_and_validates():

@@ -72,9 +72,10 @@ def _regridded(change):
 
 
 def _tenth_grid(keep_tail):
-    """The grid scaled to a tenth of its length, its tail kept or dropped."""
-    return lambda g: quad4.RadialGrid(g.nodes / 10, g.weights / 10,
-                                      g.rmax / 10 if keep_tail else 0.0)
+    """The grid scaled to a tenth of its length (nodes / 10, masses / 10^4),
+    its last node, the tail, kept or dropped."""
+    end = None if keep_tail else -1
+    return lambda g: quad4.RadialGrid(g.nodes[:end] / 10, g.weights[:end] / 1e4)
 
 
 def _scaled_sphere_weights(monkeypatch):
@@ -181,14 +182,14 @@ MUTATIONS = [
          {"gamma1-su2", "gamma1-so3", "gamma1-so4-bound"}),
     _row("comm2form-sign", _scaled(liealg, "comm2form", -1.0), ["bracket-sharpness", "bochner"],
          {"cubic-form-bpst", "bracket-term-at-0"}),
-    # weights w / r turn the mass w r^3 into w r^2
+    # masses / r turn the mass w r^3 into w r^2, and the tail's rmax^4/4 into rmax^3/4
     _row("radial-measure-r2",
          _regridded(lambda g: dataclasses.replace(g, weights=g.weights / g.nodes)),
          ["energy", "chern-weil"],
          {"energy-standard", "energy-dilation-invariance", "kappa-bpst"}),
-    # every grid at a tenth of its length, with the tail node at rmax = 0 of
-    # zero mass: the tail is 3e-8 of the energy there (3e-12 on the standard
-    # grid); test_tail_dropped_control keeps the tail and fails nothing
+    # every grid at a tenth of its length, with its last node, the tail at
+    # rmax, removed: the tail is 3e-8 of the energy there (3e-12 on the
+    # standard grid); test_tail_dropped_control keeps the tail and fails nothing
     _row("tail-dropped", _regridded(_tenth_grid(keep_tail=False)),
          ["energy", "chern-weil"], {"energy-standard", "kappa-bpst"}),
     # relative 1e-5 against the shift checks' tolerance 1e-6

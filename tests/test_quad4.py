@@ -32,15 +32,34 @@ def test_radial_grid_validation_and_tail():
     grid = quad4.RadialGrid.make()
     assert np.all(grid.weights > 0)
     assert np.all(np.diff(grid.nodes) > 0)
-    # the tail is the node at rmax: 2 pi^2 f(rmax) rmax^4 / 4
+    # the tail is the last node, at rmax: 2 pi^2 f(rmax) rmax^4 / 4
+    rmax = grid.nodes[-1]
     f = lambda r: (1 + r ** 2) ** -4.0
     tail = (quad4.integrate_r4(_radial(f), grid, ONE_NODE)
-            - quad4.integrate_r4(_radial(lambda r: np.where(r < grid.rmax, f(r), 0.0)),
+            - quad4.integrate_r4(_radial(lambda r: np.where(r < rmax, f(r), 0.0)),
                                  grid, ONE_NODE))
     assert 0 < tail < 1e-10
-    assert abs(tail - 2 * np.pi ** 2 * f(grid.rmax) * grid.rmax ** 4 / 4) < 1e-15
+    assert abs(tail - 2 * np.pi ** 2 * f(rmax) * rmax ** 4 / 4) < 1e-15
     with pytest.raises(ValueError):
         quad4.integrate_r4(_radial(lambda r: np.where(r > 500, np.inf, 1.0)), grid, ONE_NODE)
+
+
+def test_stacked_integrands_match_single_integrals():
+    grid = quad4.RadialGrid.make()
+    gs = (lambda r: (1 + r ** 2) ** -4.0, lambda r: np.exp(-r ** 2),
+          lambda r: r ** 2 * (1 + r ** 2) ** -5.0)
+    stacked = quad4.integrate_r4(lambda r, w: np.stack([_radial(g)(r, w) for g in gs]),
+                                 grid, ONE_NODE)
+    assert stacked.shape == (3,)
+    for got, g in zip(stacked, gs):
+        single = quad4.integrate_r4(_radial(g), grid, ONE_NODE)
+        assert type(single) is float and abs(got - single) <= 2 * np.spacing(single)
+    # a non-finite value in the second row alone names its radius
+    bad = grid.nodes[100]
+    with pytest.raises(ValueError, match=f"at r = {bad}$"):
+        quad4.integrate_r4(lambda r, w: np.stack([_radial(gs[0])(r, w),
+                                                  np.where(r == bad, np.nan, np.ones(len(w))),
+                                                  _radial(gs[1])(r, w)]), grid, ONE_NODE)
 
 
 def _integrand_calls(monkeypatch):
@@ -51,7 +70,7 @@ def _integrand_calls(monkeypatch):
 
     def recorded(f, grid, rule):
         calls = []
-        seen.append(((len(grid.nodes) + 1, 1), (len(rule.weights), 4), calls))
+        seen.append(((len(grid.nodes), 1), (len(rule.weights), 4), calls))
         return integrate_r4(lambda r, w: calls.append((r.shape, w.shape)) or f(r, w), grid, rule)
 
     monkeypatch.setattr(quad4, "integrate_r4", recorded)
@@ -60,26 +79,27 @@ def _integrand_calls(monkeypatch):
 
 def test_integrand_is_called_once_per_integral(monkeypatch):
     seen = _integrand_calls(monkeypatch)
-    quad4.l2_sd_norms(instanton.STANDARD)
+    quad4.l2_sd_norms(instanton.STANDARD)     # one integral of both parts
     quad4.ym_energy(instanton.STANDARD)
     # d = 10 scales: 1057 radii x 280 nodes = 295 960 values, past quad4._MAX_POINTS
     far = instanton.InstantonParams(1e-3, (1e-2, 0.0, 0.0, 0.0))
     assert abs(quad4.ym_energy(far, about=np.zeros(4)) - E16) / E16 < 1e-9
-    assert [points[0] for _, points, _ in seen] == [1, 1, 1, 280]
+    assert [points[0] for _, points, _ in seen] == [1, 1, 280]
     assert seen[-1][0] == (1057, 1)
     for radii, points, calls in seen:
         assert calls == [(radii, points)]
 
 
 def test_radial_grid_weights_reach_rmax():
-    for panels in (2, 3, 24):
-        grid = quad4.RadialGrid.make(panels=panels)
-        assert abs(grid.weights.sum() - 1000.0) < 1e-9
-        assert grid.nodes[-1] > 900.0
+    # the last node is rmax with the tail mass rmax^4/4, and 24-node
+    # Gauss-Legendre is exact on r^3: the masses sum to rmax^4/4 + rmax^4/4;
     # a wide member's grid reaches 1000 of its scales
-    grid = quad4.RadialGrid.make(scale=10.0)
-    assert grid.rmax == 1e4 and abs(grid.weights.sum() - 1e4) < 1e-8
-    assert grid.nodes[-1] > 9000.0
+    for scale, panels in ((1.0, 2), (1.0, 3), (1.0, 24), (10.0, None)):
+        grid = quad4.RadialGrid.make(scale=scale, panels=panels)
+        rmax = 1000.0 * scale
+        assert grid.nodes[-1] == rmax and grid.weights[-1] == rmax ** 4 / 4
+        assert abs(grid.weights.sum() / (rmax ** 4 / 2) - 1.0) < 1e-14
+        assert grid.nodes[-2] > 0.9 * rmax
     with pytest.raises(ValueError):
         quad4.RadialGrid.make(panels=1)
 
@@ -93,8 +113,10 @@ def test_radial_grid_uses_the_24_node_rule():
         edges = np.concatenate([[0.0], np.geomspace(0.25 * min(1.0, scale), rmax,
                                                     panels or quad4.panel_count(scale))])
         a, h = edges[:-1, None], np.diff(edges)[:, None]
-        assert np.array_equal(grid.nodes, (0.5 * (xs + 1.0) * h + a).ravel())
-        assert np.array_equal(grid.weights, (0.5 * h * ws).ravel())
+        nodes = (0.5 * (xs + 1.0) * h + a).ravel()
+        assert np.array_equal(grid.nodes, np.append(nodes, rmax))
+        assert np.array_equal(grid.weights, np.append((0.5 * h * ws).ravel() * nodes ** 3,
+                                                      rmax ** 4 / 4))
     with pytest.raises(ValueError):
         quad4._GL_WEIGHTS[0] = 1.0
 
@@ -281,7 +303,7 @@ def test_tail_estimate_vs_extended_grid():
     p = instanton.InstantonParams(20.0)
     short, long = quad4.RadialGrid.make(), quad4.RadialGrid.make(scale=p.scale)
     # 2 pi^2 int_rmax^inf 96 r^3 (1+r^2)^-4 dr in closed form, in units of the scale
-    s = 1.0 + (short.rmax / p.scale) ** 2
+    s = 1.0 + (short.nodes[-1] / p.scale) ** 2
     true_tail = 2 * np.pi ** 2 * 96.0 * (1.0 / (4.0 * s ** 2) - 1.0 / (6.0 * s ** 3))
     error = quad4.ym_energy(p, short) - quad4.ym_energy(p, long)
     assert abs(error) / true_tail < 2e-3
@@ -309,7 +331,7 @@ def test_l2_sd_norms_evaluates_the_curvature_once(monkeypatch):
     for p in (instanton.STANDARD, instanton.InstantonParams(0.5, (1.0, 0, 0, 0))):
         calls.clear()
         quad4.l2_sd_norms(p)
-        assert calls == [(len(quad4.RadialGrid.make(scale=p.scale).nodes) + 1, 1, 4)]
+        assert calls == [(len(quad4.RadialGrid.make(scale=p.scale).nodes), 1, 4)]
 
 
 def test_chern_weil_kappa():

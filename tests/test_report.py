@@ -341,12 +341,12 @@ def test_grid_rule_resolves_every_scale_and_rmax():
     # the default is the 24-panel grid on [0, 1000], node for node
     rule, fixed = quad4.RadialGrid.make(), quad4.RadialGrid.make(panels=24)
     assert np.array_equal(rule.nodes, fixed.nodes) and np.array_equal(rule.weights, fixed.weights)
-    assert rule.rmax == 1000.0
+    assert rule.nodes[-1] == 1000.0
     # the first panel ends at 0.25 min(1, scale) and rmax is 1000 max(1, scale),
     # so narrow and wide members keep the grid checks at every scale
     for scale in (1e-20, 0.005, 0.02, 50.0, 200.0, 1e20):
         cfg = report.GapConfig(scale=scale)
-        assert quad4.RadialGrid.make(scale=scale).rmax == 1000.0 * max(1.0, scale)
+        assert quad4.RadialGrid.make(scale=scale).nodes[-1] == 1000.0 * max(1.0, scale)
         for name in ("energy", "chern-weil", "gap", "flow-check"):
             result = report.run_suite(name, cfg)
             assert result.passed, (scale, [c for c in result.checks if not c.passed])
