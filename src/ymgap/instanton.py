@@ -33,9 +33,10 @@ every bracket ``liealg.bracket_coeffs`` on its table f; the family's are
 on (i, j, k)/sqrt2 of ``liealg.SU2``, sqrt2 times the quaternion entries.
 Connections come back as (..., 4, k), forms as (..., 6, k), covariant
 derivatives as (..., 4, 6, k), scalars and residuals as (...). The
-finite-difference evaluators difference a ``Connection`` (the family's is
-``InstantonParams.connection``) by central differences with optional
-Richardson extrapolation (on by default where a tight tolerance matters);
+finite-difference evaluators read a ``Connection`` (the family's is
+``InstantonParams.connection``) or a scalar evaluator, never the family's
+parameters, and take central differences with optional Richardson
+extrapolation (on by default where a tight tolerance matters);
 convergence-order checks should pass ``richardson=False``.
 """
 
@@ -148,33 +149,6 @@ def curvature_norm_sq(p, x):
     return norm_law(p, np.einsum('...m,...m->...', d, d))
 
 
-def curvature_norm_sq_laplacian(p, x):
-    """Flat-chart Laplacian of |F|^2, from the norm law.
-
-    For g(r) = 96 L^4 (L^2+r^2)^-4: Delta g = -3072 L^4 (L^2+r^2)^-5
-    + 7680 L^4 r^2 (L^2+r^2)^-6.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x - p.center_array
-    s = np.einsum('...m,...m->...', d, d)
-    u = p.scale ** 2 + s
-    return p.scale ** 4 * (-3072.0 / u ** 5 + 7680.0 * s / u ** 6)
-
-
-def curvature_norm_grad_sq(p, x):
-    """|d|F||^2 from the norm law; equals L'(s)^2 s / L(s) with s = r^2.
-
-    Well-defined at the center (value 0) because |F| never vanishes.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x - p.center_array
-    s = np.einsum('...m,...m->...', d, d)
-    u = p.scale ** 2 + s
-    law = 96.0 * p.scale ** 4 / u ** 4
-    dlaw = -384.0 * p.scale ** 4 / u ** 5
-    return dlaw * dlaw * s / law
-
-
 def _partial(fn, x, k, h, richardson):
     if not 0 < h < np.inf:
         raise ValueError(f"finite-difference step must be positive and finite; got {h!r}")
@@ -229,33 +203,43 @@ def cov_norm_sq(nabla):
     return np.sum(liealg.lv_norm_sq(nabla), axis=-1)
 
 
-def kato_residual_at(p, x, h=1e-4, richardson=True):
-    """|nabla F+|^2 - (3/2)|d|F+||^2 at x.
+def kato_residual_at(c, x, h=1e-4, richardson=True):
+    """|nabla F+|^2 - (3/2)|d|F+||^2 at x for the connection c.
 
-    The gradient side comes from the norm law (exact); the covariant
-    derivative side is finite-difference, nabla F+ the self-dual part of
-    nabla F (the chart's star is constant, the bracket acts on the algebra
-    factor). Nonnegative up to FD error; this family attains equality.
+    nabla F+ is the self-dual part of the differenced nabla F (the chart's
+    star is constant), and d_k|F+| = <F+, nabla_k F+>/|F+| wherever F+ != 0,
+    as <F+, [theta_k, F+]> = 0. Nonnegative up to FD error; the instanton
+    family attains equality.
     """
-    nabla = liealg.lv_self_dual(covariant_derivative_of(p.connection, x, h, richardson))
-    return cov_norm_sq(nabla) - 1.5 * curvature_norm_grad_sq(p, x)
-
-
-def bochner_residual_at(p, x, h=1e-3, richardson=False):
-    """Flat-chart identity residual (1/2)Lap|F+|^2 - |nabla F+|^2 + <F+,[F+,F+]>.
-
-    The Laplacian term is analytic (norm law), the bracket term closed
-    form, the middle term finite-difference; vanishes at O(h^2).
-    """
-    c = p.connection
     nabla = liealg.lv_self_dual(covariant_derivative_of(c, x, h, richardson))
-    return (0.5 * curvature_norm_sq_laplacian(p, x) - cov_norm_sq(nabla)
-            + liealg.cubic_form(liealg.lv_self_dual(c.curvature(x)), c.f))
+    fp = liealg.lv_self_dual(c.curvature(x))
+    grad = liealg.lv_inner(fp[..., None, :, :], nabla)
+    return cov_norm_sq(nabla) - 1.5 * np.sum(grad * grad, axis=-1) / liealg.lv_norm_sq(fp)
 
 
-def bianchi_residual_of(c, x, h):
-    """Max norm over index triples of the cyclic sum of nabla_k F_ij of c, shape (...)."""
-    nabla = covariant_derivative_of(c, x, h, richardson=False)
+def laplacian_of(g, x, h):
+    """Flat-chart Laplacian (...) of the scalar evaluator g at x (..., 4).
+
+    Central second differences at h and h/2 over the steps actually taken,
+    Richardson-combined; x and its 16 stencil points go through g in one call.
+    """
+    if not 0 < h < np.inf:
+        raise ValueError(f"finite-difference step must be positive and finite; got {h!r}")
+    x = np.asarray(x, dtype=float)
+    lead = (1,) * (x.ndim - 1)
+    steps = np.array([h, -h, h / 2.0, -h / 2.0]).reshape((4,) + lead + (1,))
+    # x, then x + steps[s] e_k as row 1 + 4s + k
+    stencil = (x + steps[:, None] * np.eye(4).reshape((4,) + lead + (4,))).reshape((16,) + x.shape)
+    vals = g(np.concatenate([x[None], stencil]))
+    taken = (x + steps) - x                       # (step, ..., k)
+    slope = np.moveaxis(vals[1:].reshape((4, 4) + vals.shape[1:]), 1, -1) - vals[0][..., None]
+    slope /= taken
+    lap = np.sum(2.0 * (slope[0::2] - slope[1::2]) / (taken[0::2] - taken[1::2]), axis=-1)
+    return (4.0 * lap[1] - lap[0]) / 3.0
+
+
+def bianchi_residual(nabla):
+    """Max norm over index triples of the cyclic sum of nabla_k F_ij: (..., 4, 6, k) -> (...)."""
     i, j = forms4.PAIR_I, forms4.PAIR_J
     # full[..., k, i, j, :] = nabla_k F_ij, antisymmetric in (i, j)
     full = np.zeros(nabla.shape[:-2] + (4, 4) + nabla.shape[-1:])

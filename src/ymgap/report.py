@@ -219,18 +219,19 @@ def _sample_points(rng, count, radius, min_radius=0.0):
 def _suite_kato(cfg):
     rng = np.random.default_rng(cfg.seed)
     pts = cfg.center_array + cfg.scale * _sample_points(rng, 1000, radius=3.0)
-    worst = np.min(instanton.kato_residual_at(cfg, pts, h=1e-4 * cfg.scale))
+    c = cfg.connection
+    worst = np.min(instanton.kato_residual_at(c, pts, h=1e-4 * cfg.scale))
+    r1, r2 = (instanton.kato_residual_at(c, pts[:3], h=h * cfg.scale, richardson=False)
+              for h in (2e-3, 1e-3))
     return ([_check("kato-floor-1000pts", -worst * cfg.scale ** 6, 1e-8)]
-            + _order2_checks("kato-order2", instanton.kato_residual_at, cfg, pts[:3])), {}
+            + _order2_checks("kato-order2", r1, r2, cfg.scale)), {}
 
 
-def _order2_checks(name, residual_at, p, pts):
+def _order2_checks(name, r1, r2, scale):
     """One check per point that the residual (~ scale^-6) decays at least
-    quadratically from h = 2e-3 to 1e-3 scale; the floor absorbs points
-    where the h^2 error coefficient happens to cross zero."""
-    scale = p.scale
-    r1 = np.abs(residual_at(p, pts, h=2e-3 * scale, richardson=False)) * scale ** 6
-    r2 = np.abs(residual_at(p, pts, h=1e-3 * scale, richardson=False)) * scale ** 6
+    quadratically from r1 at step h = 2e-3 scale to r2 at 1e-3 scale; the
+    floor absorbs points where the h^2 error coefficient happens to cross zero."""
+    r1, r2 = np.abs(r1) * scale ** 6, np.abs(r2) * scale ** 6
     return [_check(name, gap, 0.0) for gap in r2 - (r1 / 3.0 + 1e-8)]
 
 
@@ -238,19 +239,33 @@ def _suite_bochner(cfg):
     rng = np.random.default_rng(cfg.seed + 1)
     pts = cfg.center_array + cfg.scale * _sample_points(rng, 10, radius=2.0, min_radius=0.2)
     h = 1e-3 * cfg.scale
-    checks = _order2_checks("bochner-order2", instanton.bochner_residual_at, cfg, pts)
-    origin = np.zeros(4)
-    lap_term = 0.5 * instanton.curvature_norm_sq_laplacian(instanton.STANDARD, origin)
-    cubic = liealg.cubic_form(instanton.curvature_closed_at(instanton.STANDARD, origin), liealg.SU2)
+    c, std, origin = cfg.connection, instanton.STANDARD.connection, np.zeros(4)
+
+    def plus_norm_sq(conn):
+        return lambda x: liealg.lv_norm_sq(liealg.lv_self_dual(conn.curvature(x)))
+
+    # (1/2) Lap|F+|^2 - |nabla F+|^2 + <F+, [F+, F+]>: the Laplacian, at 4h where
+    # its rounding is small, and the cubic term do not depend on h
+    fixed = (0.5 * instanton.laplacian_of(plus_norm_sq(c), pts, 4.0 * h)
+             + liealg.cubic_form(liealg.lv_self_dual(c.curvature(pts)), c.f))
+
+    def residual(nabla, fixed=fixed):
+        return fixed - instanton.cov_norm_sq(liealg.lv_self_dual(nabla))
+
+    nabla_h = instanton.covariant_derivative_of(c, pts, h, richardson=False)
+    nabla_2h = instanton.covariant_derivative_of(c, pts, 2.0 * h, richardson=False)
+    checks = _order2_checks("bochner-order2", residual(nabla_2h), residual(nabla_h), cfg.scale)
+    lap_term = 0.5 * instanton.laplacian_of(plus_norm_sq(std), origin, 4e-3)
+    cubic = liealg.cubic_form(std.curvature(origin), std.f)
     checks.append(_check("laplacian-term-at-0", abs(lap_term + 1536.0) / 1536.0, 1e-5))
     checks.append(_check("bracket-term-at-0", abs(cubic - 1536.0) / 1536.0, 1e-5))
-    residual = instanton.bochner_residual_at(cfg, pts[0], h=h, richardson=True)
-    checks.append(_check("bochner-residual-default", abs(residual) * cfg.scale ** 6, 1e-6))
+    default = residual(instanton.covariant_derivative_of(c, pts[0], h, richardson=True), fixed[0])
+    checks.append(_check("bochner-residual-default", abs(default) * cfg.scale ** 6, 1e-6))
     # the curvature and its Bianchi identity from the connection by differences
-    fd = instanton.curvature_fd_of(cfg.connection, pts, h=h, richardson=True)
+    fd = instanton.curvature_fd_of(c, pts, h=h, richardson=True)
     fd_error = np.max(np.abs(fd - instanton.curvature_closed_at(cfg, pts)))
     checks.append(_check("curvature-fd", fd_error * cfg.scale ** 2, 1e-10))
-    bianchi = np.max(instanton.bianchi_residual_of(cfg.connection, pts, h=h))
+    bianchi = np.max(instanton.bianchi_residual(nabla_h))
     checks.append(_check("bianchi", bianchi * cfg.scale ** 3, 1e-4))
     return checks, {}
 

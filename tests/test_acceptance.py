@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from test_instanton import bochner_pieces, bochner_residual
 from ymgap import conformal, forms4, instanton, liealg, quad4, report
 
 E16 = 16 * np.pi ** 2
@@ -69,12 +70,12 @@ def test_criterion_05_kato():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((1000, 4))
     pts *= (rng.random((1000, 1)) * 3.0) / np.linalg.norm(pts, axis=1, keepdims=True)
-    worst = min(instanton.kato_residual_at(STD, x, h=1e-4) for x in pts)
+    worst = min(instanton.kato_residual_at(STD.connection, x, h=1e-4) for x in pts)
     rates_ok = True
     for x in (np.array([0.5, 0, 0, 0]), np.array([0.3, -0.1, 0.7, 0.2]),
               np.array([-1.2, 0.4, 0.1, -0.3])):
-        r1 = abs(instanton.kato_residual_at(STD, x, h=2e-3, richardson=False))
-        r2 = abs(instanton.kato_residual_at(STD, x, h=1e-3, richardson=False))
+        r1 = abs(instanton.kato_residual_at(STD.connection, x, h=2e-3, richardson=False))
+        r2 = abs(instanton.kato_residual_at(STD.connection, x, h=1e-3, richardson=False))
         rates_ok = rates_ok and (r2 <= r1 / 3.0 + 1e-9)
     ok = worst >= -1e-8 and rates_ok
     _verdict(5, "improved Kato inequality", ok,
@@ -86,12 +87,10 @@ def test_criterion_06_bochner():
     pts = rng.standard_normal((10, 4)) * 0.8
     rates_ok = True
     for x in pts:
-        r1 = abs(instanton.bochner_residual_at(STD, x, h=2e-3, richardson=False))
-        r2 = abs(instanton.bochner_residual_at(STD, x, h=1e-3, richardson=False))
+        r1 = abs(bochner_residual(STD.connection, x, h=2e-3))
+        r2 = abs(bochner_residual(STD.connection, x, h=1e-3))
         rates_ok = rates_ok and (r2 <= r1 / 3.0 + 1e-8)
-    lap_half = 0.5 * float(instanton.curvature_norm_sq_laplacian(STD, np.zeros(4)))
-    f0 = instanton.curvature_closed_at(STD, np.zeros(4))
-    cubic = float(liealg.cubic_form(f0, liealg.SU2))
+    lap_half, _, cubic = (float(v) for v in bochner_pieces(STD.connection, np.zeros(4), h=1e-3))
     vals_ok = abs(lap_half + 1536.0) / 1536.0 < 1e-5 and abs(cubic - 1536.0) / 1536.0 < 1e-5
     ok = rates_ok and vals_ok
     _verdict(6, "flat-chart Bochner identity", ok,

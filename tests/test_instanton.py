@@ -7,6 +7,7 @@ from test_liealg import SU2_F, commutator, element, orthonormal_basis, trace_for
 from ymgap import forms4, instanton, liealg
 
 STD = instanton.STANDARD
+OFF_STANDARD = instanton.InstantonParams(0.7, (0.3, -0.2, 0.1, 0.5))
 
 
 def constant(value):
@@ -49,6 +50,46 @@ def rotated(fn, rot):
     def wrapped(x):
         return fn(x) @ rot.T
     return wrapped
+
+
+def plus_norm_sq(c):
+    """The evaluator x -> |F+|^2 of the connection c."""
+    return lambda x: liealg.lv_norm_sq(liealg.lv_self_dual(c.curvature(x)))
+
+
+def bochner_pieces(c, x, h):
+    """(1/2) Lap|F+|^2 at step 4h, |nabla F+|^2 at step h without Richardson,
+    and <F+, [F+, F+]>: the three terms of the flat-chart Bochner identity."""
+    nabla = liealg.lv_self_dual(instanton.covariant_derivative_of(c, x, h, richardson=False))
+    return (0.5 * instanton.laplacian_of(plus_norm_sq(c), x, 4.0 * h), instanton.cov_norm_sq(nabla),
+            liealg.cubic_form(liealg.lv_self_dual(c.curvature(x)), c.f))
+
+
+def bochner_residual(c, x, h):
+    lap_half, nabla_sq, cubic = bochner_pieces(c, x, h)
+    return lap_half - nabla_sq + cubic
+
+
+# the norm law's derivatives, the oracle of the differenced ones: for
+# g(s) = 96 L^4 (L^2 + s)^-4 of s = |x - center|^2,
+# |d|F||^2 = g'(s)^2 s / g(s) (0 at the center, as |F| never vanishes) and
+# Lap |F|^2 = -3072 L^4 (L^2 + s)^-5 + 7680 L^4 s (L^2 + s)^-6
+
+def _law_args(p, x):
+    d = np.asarray(x, dtype=float) - p.center_array
+    s = np.einsum('...m,...m->...', d, d)
+    return s, p.scale ** 2 + s
+
+
+def norm_law_grad_sq(p, x):
+    s, u = _law_args(p, x)
+    law, dlaw = 96.0 * p.scale ** 4 / u ** 4, -384.0 * p.scale ** 4 / u ** 5
+    return dlaw * dlaw * s / law
+
+
+def norm_law_laplacian(p, x):
+    s, u = _law_args(p, x)
+    return p.scale ** 4 * (-3072.0 / u ** 5 + 7680.0 * s / u ** 6)
 
 
 def test_connection_at_origin_and_unit_point():
@@ -137,7 +178,8 @@ def test_constant_so4_connection():
     fd = instanton.curvature_fd_of(c, pts, h=1e-3)
     assert fd.shape == (5, 6, 6)
     assert np.max(np.abs(element(liealg.SO4_BASIS, fd) - minus_brackets)) < 1e-14
-    assert np.max(instanton.bianchi_residual_of(c, pts, h=1e-3)) < 1e-13
+    nabla = instanton.covariant_derivative_of(c, pts, h=1e-3, richardson=False)
+    assert np.max(instanton.bianchi_residual(nabla)) < 1e-13
 
 
 def test_fd_step_validation():
@@ -145,14 +187,17 @@ def test_fd_step_validation():
         instanton.curvature_fd_of(STD.connection, np.zeros(4), h=0.0)
     with pytest.raises(ValueError):
         instanton.covariant_derivative_of(STD.connection, np.zeros(4), h=-1.0)
-    with pytest.raises(ValueError):
-        instanton.bianchi_residual_of(STD.connection, np.zeros(4), h=0.0)
+    for h in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            instanton.laplacian_of(plus_norm_sq(STD.connection), np.zeros(4), h=h)
     # a non-finite step would difference NaN values, with inf * 0 in the stencil's offsets
     for h in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             instanton.curvature_fd_of(STD.connection, np.zeros(4), h=h)
         with pytest.raises(ValueError, match="finite"):
-            instanton.kato_residual_at(STD, np.ones(4), h=h)
+            instanton.kato_residual_at(STD.connection, np.ones(4), h=h)
+        with pytest.raises(ValueError, match="finite"):
+            instanton.laplacian_of(plus_norm_sq(STD.connection), np.ones(4), h=h)
 
 
 def test_covariant_derivative_vanishes_at_center():
@@ -182,20 +227,21 @@ def test_flat_connection_constant_form_parallel():
 def test_kato_floor_and_equality():
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((200, 4))
-    worst = min(instanton.kato_residual_at(STD, x) for x in pts)
+    worst = min(instanton.kato_residual_at(STD.connection, x) for x in pts)
     assert worst >= -1e-8
     # this family saturates the inequality: residuals are FD noise only
-    assert max(abs(instanton.kato_residual_at(STD, x)) for x in pts[:50]) < 1e-7
+    assert max(abs(instanton.kato_residual_at(STD.connection, x)) for x in pts[:50]) < 1e-7
     # in the units of a narrow member 2000 scales from the origin, where a
     # difference over x +- h e_k is not 2h in floating point
     p = instanton.InstantonParams(0.005, (10.0, 0.0, 0.0, 0.0))
-    far = instanton.kato_residual_at(p, p.center_array + p.scale * pts, h=1e-4 * p.scale)
+    far = instanton.kato_residual_at(p.connection, p.center_array + p.scale * pts,
+                                     h=1e-4 * p.scale)
     assert np.min(far) * p.scale ** 6 >= -1e-8
 
 
 def test_kato_gradient_side_matches_fd():
     x = np.array([0.6, -0.2, 0.1, 0.4])
-    analytic = instanton.curvature_norm_grad_sq(STD, x)
+    analytic = norm_law_grad_sq(STD, x)
     h = 1e-5
     grad = np.zeros(4)
     for k in range(4):
@@ -211,26 +257,44 @@ def test_kato_second_order_convergence():
     for x in (np.array([0.5, 0, 0, 0]),
               np.array([0.3, -0.1, 0.7, 0.2]),
               np.array([-1.2, 0.4, 0.1, -0.3])):
-        r1 = abs(instanton.kato_residual_at(STD, x, h=2e-3, richardson=False))
-        r2 = abs(instanton.kato_residual_at(STD, x, h=1e-3, richardson=False))
+        r1 = abs(instanton.kato_residual_at(STD.connection, x, h=2e-3, richardson=False))
+        r2 = abs(instanton.kato_residual_at(STD.connection, x, h=1e-3, richardson=False))
         assert r2 <= r1 / 3.0 + 1e-9
 
 
+@pytest.mark.parametrize("p", [STD, OFF_STANDARD], ids=["standard", "off-standard"])
+def test_differenced_scalar_side_matches_the_norm_law(p):
+    """The chain-rule |d|F+||^2 inside kato_residual_at and laplacian_of(|F+|^2)
+    against the norm law's derivatives, in the member's units."""
+    c, h = p.connection, 1e-4 * p.scale
+    pts = p.center_array + p.scale * np.random.default_rng(5).standard_normal((200, 4)) * 1.5
+    nabla = liealg.lv_self_dual(instanton.covariant_derivative_of(c, pts, h))
+    chain = (instanton.cov_norm_sq(nabla) - instanton.kato_residual_at(c, pts, h)) / 1.5
+    # measured 1.4e-10 and 3.2e-10
+    assert np.max(np.abs(chain - norm_law_grad_sq(p, pts))) * p.scale ** 6 < 1e-9
+    lap = instanton.laplacian_of(plus_norm_sq(c), pts, 4e-3 * p.scale)
+    # measured 6.2e-8 and 4.8e-8 at the Bochner suite's step 4e-3
+    assert np.max(np.abs(lap - norm_law_laplacian(p, pts))) * p.scale ** 6 < 2e-7
+
+
 def test_bochner_identity_origin_values():
-    lap_half = 0.5 * instanton.curvature_norm_sq_laplacian(STD, np.zeros(4))
+    lap_half = 0.5 * norm_law_laplacian(STD, np.zeros(4))
     assert abs(lap_half + 1536.0) / 1536.0 < 1e-12
     f0 = instanton.curvature_closed_at(STD, np.zeros(4))
     cubic = liealg.cubic_form(f0, SU2_F)
     assert abs(cubic - 1536.0) / 1536.0 < 1e-12
-    assert abs(instanton.bochner_residual_at(STD, np.zeros(4), h=1e-3)) < 1e-4
+    # the differenced Laplacian term reads 1.6e-10 relative
+    lap_half, _, _ = bochner_pieces(STD.connection, np.zeros(4), h=1e-3)
+    assert abs(lap_half + 1536.0) / 1536.0 < 1e-9
+    assert abs(bochner_residual(STD.connection, np.zeros(4), h=1e-3)) < 1e-4
 
 
 def test_bochner_identity_second_order():
     rng = np.random.default_rng(13)
     pts = rng.standard_normal((12, 4)) * 0.8
     for x in pts:
-        r1 = abs(instanton.bochner_residual_at(STD, x, h=2e-3, richardson=False))
-        r2 = abs(instanton.bochner_residual_at(STD, x, h=1e-3, richardson=False))
+        r1 = abs(bochner_residual(STD.connection, x, h=2e-3))
+        r2 = abs(bochner_residual(STD.connection, x, h=1e-3))
         assert r2 <= r1 / 3.0 + 1e-8
 
 
@@ -248,14 +312,18 @@ def test_pointwise_cubic_attainment():
     assert np.max(np.abs(bracket_norms - expected)) < 1e-10
 
 
+def _bianchi_at(c, x, h):
+    return instanton.bianchi_residual(instanton.covariant_derivative_of(c, x, h, richardson=False))
+
+
 def test_bianchi_residual():
     x = np.array([0.5, 0, 0, 0])
-    r = instanton.bianchi_residual_of(STD.connection, x, h=1e-3)
+    r = _bianchi_at(STD.connection, x, h=1e-3)
     assert r < 1e-5
-    r1 = instanton.bianchi_residual_of(STD.connection, x, h=2e-3)
-    r2 = instanton.bianchi_residual_of(STD.connection, x, h=1e-3)
+    r1 = _bianchi_at(STD.connection, x, h=2e-3)
+    r2 = _bianchi_at(STD.connection, x, h=1e-3)
     assert r2 <= r1 / 3.0 + 1e-10
-    assert instanton.bianchi_residual_of(FLAT, x, h=1e-3) == 0.0
+    assert _bianchi_at(FLAT, x, h=1e-3) == 0.0
 
 
 def test_gauge_conjugation_invariance():
@@ -275,6 +343,25 @@ def test_gauge_conjugation_invariance():
         fd_conj = instanton.curvature_fd_of(conj, x, h=1e-4)
         fd_matrices = element(liealg.SU2_BASIS, fd_conj)
         assert np.max(np.abs(fd_matrices - g.T @ display_curvature(x) @ g)) < 1e-7
+
+
+def test_kato_and_bochner_pieces_are_gauge_invariant():
+    """Under a constant gauge rotation the Kato residual and the three Bochner
+    terms are those of the unrotated instanton, to rounding."""
+    _, rot = unit_quaternion_rotation(np.random.default_rng(19))
+    conj = instanton.Connection(rotated(STD.connection.theta, rot),
+                                rotated(STD.connection.curvature, rot), SU2_F)
+    pts = np.random.default_rng(23).standard_normal((50, 4)) * 1.5
+    kato = [instanton.kato_residual_at(c, pts) for c in (STD.connection, conj)]
+    nabla_sq = instanton.cov_norm_sq(
+        liealg.lv_self_dual(instanton.covariant_derivative_of(STD.connection, pts, 1e-4)))
+    # relative to |nabla F+|^2, of which the residual is a difference: measured 1.0e-12
+    assert np.max(np.abs(kato[1] - kato[0]) / nabla_sq) < 1e-11
+    # the Laplacian's second differences amplify the norms' rounding: measured
+    # 2.4e-10, 5.7e-14 and 1.1e-15
+    pieces = zip(bochner_pieces(STD.connection, pts, 1e-3), bochner_pieces(conj, pts, 1e-3))
+    for (ref, got), tol in zip(pieces, (1e-9, 1e-12, 1e-12)):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < tol
 
 
 def test_params_validation():
@@ -297,8 +384,6 @@ def test_params_validation():
 
 # -- batched evaluation: points (..., 4) give results with leading shape (...) --
 
-OFF_STANDARD = instanton.InstantonParams(0.7, (0.3, -0.2, 0.1, 0.5))
-
 
 def _one_point_at_a_time(fn, pts):
     """fn called on each single point (4,), stacked back into pts' leading shape."""
@@ -314,9 +399,9 @@ def _fd_layer(p):
         ('covariant_derivative_of',
          lambda z: instanton.covariant_derivative_of(c, z, h=1e-4), 1e-10),
         ('curvature_fd_of', lambda z: instanton.curvature_fd_of(c, z, h=1e-4), 1e-12),
-        ('kato_residual_at', lambda z: instanton.kato_residual_at(p, z, h=1e-4), 1e-9),
-        ('bochner_residual_at', lambda z: instanton.bochner_residual_at(p, z, h=1e-3), 1e-11),
-        ('bianchi_residual_of', lambda z: instanton.bianchi_residual_of(c, z, h=1e-3), 1e-12),
+        ('kato_residual_at', lambda z: instanton.kato_residual_at(c, z, h=1e-4), 1e-9),
+        ('laplacian_of', lambda z: instanton.laplacian_of(plus_norm_sq(c), z, 4e-3), 1e-9),
+        ('bianchi_residual', lambda z: _bianchi_at(c, z, h=1e-3), 1e-12),
     ]
 
 
@@ -337,11 +422,14 @@ def test_fd_layer_shapes():
     assert nab.shape == (2, 3, 4, 6, 3)
     assert instanton.curvature_fd_of(STD.connection, pts, h=1e-4).shape == (2, 3, 6, 3)
     assert instanton.connection_at(STD, pts).shape == (2, 3, 4, 3)
-    for value in (instanton.kato_residual_at(STD, pts), instanton.bochner_residual_at(STD, pts),
-                  instanton.bianchi_residual_of(STD.connection, pts, h=1e-3),
-                  instanton.cov_norm_sq(nab)):
+    for value in (instanton.kato_residual_at(STD.connection, pts),
+                  instanton.laplacian_of(plus_norm_sq(STD.connection), pts, 4e-3),
+                  instanton.bianchi_residual(nab), instanton.cov_norm_sq(nab)):
         assert np.shape(value) == (2, 3)
-    assert np.shape(instanton.kato_residual_at(STD, np.zeros(4))) == ()
+    for value in (instanton.kato_residual_at(STD.connection, np.zeros(4)),
+                  instanton.laplacian_of(plus_norm_sq(STD.connection), np.zeros(4), 4e-3),
+                  instanton.bianchi_residual(nab[0, 0])):
+        assert np.shape(value) == ()
 
 
 def _per_step_partial(fn, x, k, h, richardson):

@@ -246,9 +246,20 @@ def test_graded_angular_order_matches_uniform_rule(scale, center):
     zonal = quad4.ym_energy(p, grid, about=(0.0, 0.0, 0.0, 0.0))
     assert abs(zonal - E16) / E16 < 1e-12
     if (scale, center) != FAR_PAIR:
-        product = quad4.integrate_r4(
-            lambda r, w: instanton.curvature_norm_sq(p, r[..., None] * w), grid, _product_rule(24))
+        product = _product_rule_energy(p, grid, _product_rule(24))
         assert abs(zonal - product) / product < 1e-12
+
+
+def _product_rule_energy(p, grid, rule, block=16):
+    """The energy of p on grid with rule on every sphere, summed over blocks of
+    `block` radii: one integrate_r4 call would hold all radii x nodes at once
+    (13.3 M points for the order-24 rule on 481 radii)."""
+    total = 0.0
+    for start in range(0, len(grid.nodes), block):
+        r = grid.nodes[start:start + block, None, None]
+        sphere_sums = instanton.curvature_norm_sq(p, r * rule.points) @ rule.weights
+        total += sphere_sums @ grid.weights[start:start + block]
+    return total
 
 
 def _off_center_integrand(monkeypatch, p, about):

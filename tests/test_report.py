@@ -478,8 +478,10 @@ def test_config_is_the_instanton_member(scale, center):
     pts = np.asarray(center) + scale * np.random.default_rng(0).standard_normal((20, 4))
     assert quad4.ym_energy(cfg) == quad4.ym_energy(params)
     assert quad4.l2_sd_norms(cfg) == quad4.l2_sd_norms(params)
-    for evaluate in (instanton.curvature_closed_at, instanton.kato_residual_at):
-        assert np.array_equal(evaluate(cfg, pts), evaluate(params, pts))
+    assert np.array_equal(instanton.curvature_closed_at(cfg, pts),
+                          instanton.curvature_closed_at(params, pts))
+    assert np.array_equal(instanton.kato_residual_at(cfg.connection, pts),
+                          instanton.kato_residual_at(params.connection, pts))
 
 
 def test_render_json_is_strict():
