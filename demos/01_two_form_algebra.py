@@ -1,9 +1,10 @@
 """Tour of the 2-form algebra on oriented R^4.
 
 Walks through the package conventions: the factor-2 inner product, the
-Hodge star table, the self-dual/anti-self-dual split, the circ product
-basis rotation, and the sharp 2/sqrt(6) bound for trace-free operators on
-the self-dual space.
+Hodge star table, the self-dual/anti-self-dual split, 2-forms as so(4)
+with the circ product as minus its bracket, the circ product basis
+rotation, and the sharp 2/sqrt(6) bound for trace-free operators on the
+self-dual space.
 """
 
 import numpy as np
@@ -28,16 +29,23 @@ print("\nrandom 2-form split: |a|^2 = |a+|^2 + |a-|^2 ->",
       forms4.inner_2form(a, a), "=",
       forms4.inner_2form(plus, plus) + forms4.inner_2form(minus, minus))
 
+# a 2-form is a skew 4x4 matrix: SO4_BASIS is dx^ij in PAIRS order, and
+# circ, the 2-form product, is minus the so(4) bracket on those coefficients
+b = rng.standard_normal(6)
+print("\n2-forms are so(4): SO4_BASIS[c] is dx^PAIRS[c] as a skew matrix;")
+print("  a o b = -[a, b]_so(4):",
+      np.allclose(liealg.circ(a, b), -liealg.bracket_coeffs(a, b, liealg.SO4), atol=1e-14))
+
 e = forms4.sd_basis()
 print("\ncirc products of the standard self-dual basis:")
-print("  e1 o e2 = e3:", np.allclose(forms4.circ(e[0], e[1]), e[2]))
-print("  e2 o e3 = e1:", np.allclose(forms4.circ(e[1], e[2]), e[0]))
-print("  e1 o e3 = -e2:", np.allclose(forms4.circ(e[0], e[2]), -e[1]))
+print("  e1 o e2 = e3:", np.allclose(liealg.circ(e[0], e[1]), e[2]))
+print("  e2 o e3 = e1:", np.allclose(liealg.circ(e[1], e[2]), e[0]))
+print("  e1 o e3 = -e2:", np.allclose(liealg.circ(e[0], e[2]), -e[1]))
 
 basis = forms4.random_sd_basis(rng)
-prods = np.stack([forms4.circ(basis[0], basis[1]),
-                  forms4.circ(basis[0], basis[2]),
-                  forms4.circ(basis[1], basis[2])])
+prods = np.stack([liealg.circ(basis[0], basis[1]),
+                  liealg.circ(basis[0], basis[2]),
+                  liealg.circ(basis[1], basis[2])])
 gram = 2.0 * prods @ prods.T
 print("\nrandom orthonormal basis: circ products are again orthonormal,")
 print("  max |Gram - I| =", np.max(np.abs(gram - np.eye(3))))

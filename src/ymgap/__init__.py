@@ -4,9 +4,9 @@ Yang-Mills connections in dimension four.
 Subpackages:
 
 * ``forms4``    -- 2-form algebra on oriented R^4 (star table, self-dual
-                   basis, circ product, operators on the self-dual space)
+                   basis, operators on the self-dual space)
 * ``liealg``    -- Lie algebras as structure constants, the bracket of
-                   coefficient vectors, bracket constants gamma0/gamma1
+                   coefficient vectors and circ of 2-forms, gamma0/gamma1
 * ``instanton`` -- the charge-one instanton family in closed form plus
                    finite-difference cross-checks
 * ``quad4``     -- energy / characteristic-number quadrature over R^4

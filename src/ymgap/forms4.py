@@ -8,7 +8,9 @@ Conventions shared by the whole package:
 * the inner product is ``<a, b> = 2 * sum_{i<j} a_ij b_ij``, so the basis
   form dx^12 has squared norm 2;
 * the orientation is dx^1 ^ dx^2 ^ dx^3 ^ dx^4, under which
-  dx^12 + dx^34, dx^13 - dx^24 and dx^14 + dx^23 span the self-dual space.
+  dx^12 + dx^34, dx^13 - dx^24 and dx^14 + dx^23 span the self-dual space;
+* a 2-form is the skew 4x4 matrix (a_ij) in so(4): its product and bracket
+  are ``liealg.circ`` and ``liealg.SO4``, on the basis ``liealg.SO4_BASIS``.
 
 An operator on the self-dual space ("Weyl-plus operator") is a symmetric
 trace-free 3x3 matrix acting on coefficients in the orthonormal self-dual
@@ -29,6 +31,7 @@ PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 
 #: PAIRS as two index arrays, for gathering the six components at once
 PAIR_I, PAIR_J = np.array(PAIRS).T
+PAIR_I.flags.writeable = PAIR_J.flags.writeable = False
 
 #: Hodge star in the six-component representation: 12<->34, 13<->-24, 14<->23
 STAR = np.zeros((6, 6))
@@ -68,47 +71,6 @@ def random_sd_basis(rng, size=()):
     q, r = np.linalg.qr(rng.standard_normal(tuple(size) + (3, 3)))
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     return q @ sd_basis()
-
-
-def _circ_terms():
-    """Index and sign arrays of the 24 nonzero structure constants of circ.
-
-    Output component c = (i, j) receives s * a[l] * b[r] from the two k
-    outside {i, j}: +a_ik b_jk and -a_jk b_ik, with the signs of the
-    stored i < j components folded into s. Each row of the returned
-    (6, 4) arrays lists the four terms of one output component.
-    """
-    def comp(i, k):
-        return (PAIR_INDEX[(i, k)], 1.0) if i < k else (PAIR_INDEX[(k, i)], -1.0)
-
-    terms = []
-    for (i, j) in PAIRS:
-        row = []
-        for k in range(4):
-            if k not in (i, j):
-                (ik, s_ik), (jk, s_jk) = comp(i, k), comp(j, k)
-                row += [(ik, jk, s_ik * s_jk), (jk, ik, -s_ik * s_jk)]
-        terms.append(row)
-    left, right, sign = np.moveaxis(np.array(terms), -1, 0)
-    return left.astype(int), right.astype(int), sign
-
-
-#: circ(a, b)[c] = sum_t CIRC_SIGN[c, t] * a[CIRC_LEFT[c, t]] * b[CIRC_RIGHT[c, t]]
-CIRC_LEFT, CIRC_RIGHT, CIRC_SIGN = _circ_terms()
-CIRC_LEFT.flags.writeable = CIRC_RIGHT.flags.writeable = CIRC_SIGN.flags.writeable = False
-
-
-def circ(a, b):
-    """(a o b)_ij = sum_k (a_ik b_jk - a_jk b_ik), on six-component arrays.
-
-    Bilinear and antisymmetric; maps a pair of orthonormal self-dual basis
-    elements to another unit self-dual form (e1 o e2 = e3 etc.). Applied
-    through its 24 nonzero +-1 structure constants; broadcasts over
-    leading axes.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.sum(CIRC_SIGN * a[..., CIRC_LEFT] * b[..., CIRC_RIGHT], axis=-1)
 
 
 # -- operators on the self-dual space ---------------------------------------

@@ -66,6 +66,7 @@ _THETA_COEFF = np.array([
     [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]],
     [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
 ])
+_CURV_COEFF.flags.writeable = _THETA_COEFF.flags.writeable = False
 
 
 @dataclass(frozen=True)

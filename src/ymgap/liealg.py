@@ -9,7 +9,8 @@ here from the matrix bases ``SU2_BASIS``, ``SO3_BASIS`` and ``SO4_BASIS``:
 ``SU2``, ``SO3`` and ``SO4``. The instanton's algebra is ``SU2``, the span
 of the quaternion generators i, j, k below, for which
 |i|^2 = |j|^2 = |k|^2 = 2: its orthonormal basis is (i, j, k)/sqrt2, so
-its coefficients are sqrt2 times the quaternion entries.
+its coefficients are sqrt2 times the quaternion entries. 2-forms are so(4):
+``SO4`` is also their bracket, which ``circ`` and ``comm2form`` gather.
 
 The two sharp constants computed here are
 
@@ -49,14 +50,13 @@ _a = np.arange(3)
 SO3_BASIS = np.zeros((3, 3, 3))
 SO3_BASIS[_a, (_a + 1) % 3, (_a + 2) % 3] = -1.0
 SO3_BASIS[_a, (_a + 2) % 3, (_a + 1) % 3] = 1.0
-# so(4) with basis E_ab - E_ba, a < b
-_a, _b = np.triu_indices(4, 1)
+# so(4) with basis dx^ij = E_ij - E_ji, (i, j) in forms4.PAIRS order
 SO4_BASIS = np.zeros((6, 4, 4))
-SO4_BASIS[np.arange(6), _a, _b] = 1.0
-SO4_BASIS[np.arange(6), _b, _a] = -1.0
+SO4_BASIS[np.arange(6), forms4.PAIR_I, forms4.PAIR_J] = 1.0
+SO4_BASIS[np.arange(6), forms4.PAIR_J, forms4.PAIR_I] = -1.0
 for _m in (SU2_I, SU2_J, SU2_K, SU2_BASIS, SO3_BASIS, SO4_BASIS):
     _m.setflags(write=False)
-del _O, _I2, _J, _a, _b, _m
+del _O, _I2, _J, _a, _m
 
 # sign convention self-test: the toolkit is built on ij = k
 if not np.array_equal(SU2_I @ SU2_J, SU2_K):
@@ -95,6 +95,14 @@ def _structure_constants(basis):
 SU2 = _structure_constants(SU2_BASIS)
 SO3 = _structure_constants(SO3_BASIS)
 SO4 = _structure_constants(SO4_BASIS)
+# circ(a, b)[c] = sum_t CIRC_SIGN[c, t] * a[CIRC_LEFT[c, t]] * b[CIRC_RIGHT[c, t]] over
+# the entries SO4[l, r, c] != 0, by c, then min(l, r), then l; CIRC_SIGN is -SO4
+_t = np.argwhere(SO4)
+_t = _t[np.lexsort((_t[:, 0], np.minimum(_t[:, 0], _t[:, 1]), _t[:, 2]))]
+CIRC_LEFT, CIRC_RIGHT = _t[:, :2].T.reshape(2, 6, 4)
+CIRC_SIGN = -SO4[tuple(_t.T)].reshape(6, 4)
+CIRC_LEFT.flags.writeable = CIRC_RIGHT.flags.writeable = CIRC_SIGN.flags.writeable = False
+del _t
 
 
 def bracket_coeffs(a, b, f):
@@ -106,6 +114,17 @@ def bracket_coeffs(a, b, f):
     k = len(f)
     ab = np.asarray(a, dtype=float)[..., :, None] * np.asarray(b, dtype=float)[..., None, :]
     return (ab.reshape(-1, k * k) @ f.reshape(k * k, k)).reshape(ab.shape[:-1])
+
+
+def circ(a, b):
+    """(a o b)_ij = sum_k (a_ik b_jk - a_jk b_ik) = -[a, b]_ij on 2-forms (..., 6).
+
+    Maps orthonormal self-dual pairs to unit self-dual forms (e1 o e2 = e3
+    etc.); applied through the 24 nonzero +-1 entries of SO4.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.sum(CIRC_SIGN * a[..., CIRC_LEFT] * b[..., CIRC_RIGHT], axis=-1)
 
 
 # -- Lie-algebra-valued 2-forms ---------------------------------------------
@@ -143,14 +162,14 @@ def comm2form(p, q, f):
     """Bracket of Lie-valued 2-forms on structure constants f.
 
     [P,Q]_ij = sum_k ([P_ik, Q_jk] - [P_jk, Q_ik]); symmetric in (P, Q),
-    self-dual output for self-dual inputs. It has the 24 nonzero +-1
-    structure constants of ``forms4.circ``, four per output component, with
+    self-dual output for self-dual inputs. It has the 24 terms of ``circ``,
+    the nonzero +-1 entries of SO4, four per output component, with
     brackets [P_a, Q_b] in place of products; they are applied as one
     gathered ``bracket_coeffs``, so the call broadcasts over leading axes.
     The four-loop version on matrices lives in the test suite as an oracle.
     """
-    pa = forms4.CIRC_SIGN[:, :, None] * np.asarray(p, dtype=float)[..., forms4.CIRC_LEFT, :]
-    qb = np.asarray(q, dtype=float)[..., forms4.CIRC_RIGHT, :]
+    pa = CIRC_SIGN[:, :, None] * np.asarray(p, dtype=float)[..., CIRC_LEFT, :]
+    qb = np.asarray(q, dtype=float)[..., CIRC_RIGHT, :]
     return np.sum(bracket_coeffs(pa, qb, f), axis=-2)
 
 
@@ -280,7 +299,7 @@ def sd_cubic_tensor(f):
     symmetric, both factors being totally antisymmetric.
     """
     e = forms4.sd_basis()
-    eps = forms4.inner_2form(e[:, None, None], forms4.circ(e[:, None], e[None, :])[None])
+    eps = forms4.inner_2form(e[:, None, None], circ(e[:, None], e[None, :])[None])
     k = len(f)
     return np.einsum('abc,lmk->akblcm', eps, f).reshape(3 * k, 3 * k, 3 * k)
 

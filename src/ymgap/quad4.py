@@ -16,6 +16,7 @@ results are reproducible run to run.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +54,11 @@ class RadialGrid:
         with mass int_rmax^inf r^3 (rmax/r)^8 dr = rmax^4/4: the integrand
         is taken to decay like r^-8 beyond rmax, a model that misses by
         3.9 (scale / rmax)^6 <= 3.9e-18. ``panels`` defaults to
-        ``panel_count(scale)``."""
+        ``panel_count(scale)``; any other value than an integer >= 2 raises
+        ValueError."""
         panels = panel_count(scale) if panels is None else panels
-        if panels < 2:
-            raise ValueError("need at least two panels")
+        if isinstance(panels, bool) or not isinstance(panels, numbers.Integral) or panels < 2:
+            raise ValueError(f"panels must be an integer >= 2; got {panels!r}")
         rmax = 1000.0 * max(1.0, scale)
         edges = np.concatenate([[0.0], np.geomspace(0.25 * min(1.0, scale), rmax, panels)])
         a, h = edges[:-1, None], np.diff(edges)[:, None]
@@ -86,11 +88,14 @@ class SphereRule:
         4 pi * pi / (n + 1) sin^2 psi_k. Since the integral over S^3 of
         g(omega . e) is 4 pi int_0^pi g(cos psi) sin^2 psi dpsi, this is
         Gauss-Chebyshev of the second kind in cos psi: exact for every
-        polynomial in omega . e of degree 2n - 1.
+        polynomial in omega . e of degree 2n - 1. n must be an integer in
+        [1, _MAX_POINTS] and e a 4-vector of norm 1 to 1e-12, or ValueError.
         """
-        if not 1 <= n <= _MAX_POINTS:
-            raise ValueError(f"a zonal rule has 1 to {_MAX_POINTS} nodes; got {n}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= _MAX_POINTS:
+            raise ValueError(f"n must be an integer in [1, {_MAX_POINTS}]; got {n!r}")
         e = np.asarray(axis, dtype=float)
+        if e.shape != (4,) or not abs(np.linalg.norm(e) - 1.0) <= 1e-12:
+            raise ValueError(f"axis must be a finite unit 4-vector; got {axis!r}")
         perp = np.eye(4)[np.argmin(np.abs(e))]
         perp -= (perp @ e) * e
         perp /= np.linalg.norm(perp)

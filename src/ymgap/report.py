@@ -314,7 +314,7 @@ def _suite_circ_basis(cfg):
     rng = np.random.default_rng(cfg.seed + 4)
     basis = forms4.random_sd_basis(rng, size=(100,))
     # rows e1 o e2, e1 o e3, e2 o e3 of each basis
-    prods = forms4.circ(basis[:, [0, 0, 1]], basis[:, [1, 2, 2]])
+    prods = liealg.circ(basis[:, [0, 0, 1]], basis[:, [1, 2, 2]])
     gram = 2.0 * prods @ np.swapaxes(prods, -2, -1)
     worst = np.max(np.abs(gram - np.eye(3)))
     return [_check("circ-orthonormal-100bases", worst, 1e-10)], {}

@@ -117,9 +117,9 @@ def test_criterion_08_circ_basis():
     worst = 0.0
     for _ in range(100):
         basis = forms4.random_sd_basis(rng)
-        prods = np.stack([forms4.circ(basis[0], basis[1]),
-                          forms4.circ(basis[0], basis[2]),
-                          forms4.circ(basis[1], basis[2])])
+        prods = np.stack([liealg.circ(basis[0], basis[1]),
+                          liealg.circ(basis[0], basis[2]),
+                          liealg.circ(basis[1], basis[2])])
         gram = 2.0 * prods @ prods.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(3)))))
     ok = worst < 1e-10

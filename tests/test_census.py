@@ -36,7 +36,7 @@ READERS = {
     'conformal.SQRT6': ('eigenvalue', 'covariance'),
     'conformal.TWO_PI_SQ': ('yamabe-quotient',),
     'conformal.YAMABE_S4': ('yamabe-quotient', 'thresholds'),
-    'forms4.CIRC_SIGN': ('bochner', 'bracket-sharpness', 'circ-basis', 'gamma-constants'),
+    'liealg.CIRC_SIGN': ('bochner', 'bracket-sharpness', 'circ-basis', 'gamma-constants'),
     'forms4.STAR': ('kato', 'bochner', 'bracket-sharpness', 'chern-weil', 'gap'),
     'forms4.WEYL_BOUND': ('weyl-bound',),
     'instanton._CURV_COEFF': ('kato', 'bochner', 'bracket-sharpness', 'chern-weil', 'gap'),
@@ -124,6 +124,15 @@ def test_census_tables_name_the_package_constants():
     assert set(READERS) | exempt <= set(CONSTANTS)
     assert {_case_id(k, f) for k in CONSTANTS for f in FACTORS} >= {
         case for case in EXEMPT if ' x' in case}
+
+
+def test_module_level_arrays_are_read_only():
+    """No call can edit a table in place: every module-level ndarray of the
+    package is read-only, so a perturbation needs ``monkeypatch``."""
+    writable = [f"{module.__name__}.{name}" for module in MODULES
+                for name, value in vars(module).items()
+                if isinstance(value, np.ndarray) and value.flags.writeable]
+    assert not writable
 
 
 # the defects of the census that reached the gap inequality's range check and

@@ -1,4 +1,7 @@
-"""Two-form algebra: star, self-dual split, circ product, operator bound."""
+"""Two-form algebra: star, self-dual split, circ product, operator bound.
+
+The circ product is ``liealg.circ``, minus the so(4) bracket; its loop
+oracle ``brute_circ`` stays here, on the form components."""
 
 import numpy as np
 import pytest
@@ -117,12 +120,19 @@ def test_sd_basis_orthonormal_and_self_dual():
             assert abs(forms4.inner_2form(e[a], e[b]) - (a == b)) < 1e-15
 
 
+def test_so4_basis_is_the_two_form_basis():
+    # SO4_BASIS[c] is the skew matrix of dx^PAIRS[c], so 2-forms are so(4)
+    # coefficient vectors in the package's component order
+    for c, (i, j) in enumerate(forms4.PAIRS):
+        assert np.array_equal(liealg.SO4_BASIS[c], to_matrix(dx(i + 1, j + 1)))
+
+
 def test_circ_standard_basis():
     e = forms4.sd_basis()
-    assert np.allclose(forms4.circ(e[0], e[1]), e[2], atol=1e-15)
-    assert np.allclose(forms4.circ(e[1], e[2]), e[0], atol=1e-15)
-    assert np.allclose(forms4.circ(e[0], e[2]), -e[1], atol=1e-15)
-    assert np.max(np.abs(forms4.circ(e[0], e[0]))) == 0.0
+    assert np.allclose(liealg.circ(e[0], e[1]), e[2], atol=1e-15)
+    assert np.allclose(liealg.circ(e[1], e[2]), e[0], atol=1e-15)
+    assert np.allclose(liealg.circ(e[0], e[2]), -e[1], atol=1e-15)
+    assert np.max(np.abs(liealg.circ(e[0], e[0]))) == 0.0
 
 
 def test_circ_matches_brute_force():
@@ -130,16 +140,16 @@ def test_circ_matches_brute_force():
     for _ in range(30):
         a = rng.standard_normal(6)
         b = rng.standard_normal(6)
-        assert np.max(np.abs(forms4.circ(a, b) - brute_circ(a, b))) < 1e-12
+        assert np.max(np.abs(liealg.circ(a, b) - brute_circ(a, b))) < 1e-12
 
 
 def test_circ_basis_orthonormal_for_random_bases():
     rng = np.random.default_rng(19)
     for _ in range(100):
         basis = forms4.random_sd_basis(rng)
-        prods = np.stack([forms4.circ(basis[0], basis[1]),
-                          forms4.circ(basis[0], basis[2]),
-                          forms4.circ(basis[1], basis[2])])
+        prods = np.stack([liealg.circ(basis[0], basis[1]),
+                          liealg.circ(basis[0], basis[2]),
+                          liealg.circ(basis[1], basis[2])])
         gram = np.array([[forms4.inner_2form(p, q) for q in prods] for p in prods])
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
 

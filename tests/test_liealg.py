@@ -172,6 +172,27 @@ def test_so3_block_is_minus_levi_civita():
     assert np.array_equal(liealg.SO4_BASIS, so_n(4))
 
 
+def test_circ_is_minus_the_so4_bracket():
+    rng = np.random.default_rng(23)
+    a, b = rng.standard_normal((2, 50, 3, 6))
+    gap = liealg.circ(a, b) + liealg.bracket_coeffs(a, b, liealg.SO4)
+    assert np.max(np.abs(gap)) < 1e-14
+
+
+def test_circ_tables_are_the_nonzero_so4_entries():
+    # each output component has exactly four terms, and the 24 terms are
+    # the nonzero entries of SO4 with sign -SO4
+    assert liealg.CIRC_LEFT.shape == liealg.CIRC_RIGHT.shape == liealg.CIRC_SIGN.shape == (6, 4)
+    out = np.broadcast_to(np.arange(6)[:, None], (6, 4))
+    terms = set(zip(liealg.CIRC_LEFT.ravel(), liealg.CIRC_RIGHT.ravel(), out.ravel()))
+    assert terms == set(map(tuple, np.argwhere(liealg.SO4)))
+    assert len(terms) == 24
+    assert np.array_equal(liealg.CIRC_SIGN, -liealg.SO4[liealg.CIRC_LEFT, liealg.CIRC_RIGHT, out])
+    assert np.array_equal(np.abs(liealg.CIRC_SIGN), np.ones((6, 4)))
+    for table in (liealg.CIRC_LEFT, liealg.CIRC_RIGHT, liealg.CIRC_SIGN):
+        assert not table.flags.writeable
+
+
 def test_lv_norm_convention():
     p = bpst_shape()
     assert abs(liealg.lv_norm_sq(p) - 6.0) < 1e-14

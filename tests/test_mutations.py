@@ -106,9 +106,9 @@ def _scaled_structure_constants(monkeypatch):
 
 
 def _flipped_circ_sign(monkeypatch):
-    sign = forms4.CIRC_SIGN.copy()
+    sign = liealg.CIRC_SIGN.copy()
     sign[0, 0] = -sign[0, 0]
-    monkeypatch.setattr(forms4, "CIRC_SIGN", sign)
+    monkeypatch.setattr(liealg, "CIRC_SIGN", sign)
 
 
 def _scaled_diagonal_potential(monkeypatch):

@@ -185,6 +185,28 @@ def test_zonal_rule_refuses_more_than_max_points():
         quad4.SphereRule.zonal(np.eye(4)[0], quad4._MAX_POINTS + 1)
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, 3.0])
+def test_zonal_rule_refuses_a_non_integer_size(n):
+    # 2.5 gave 3 nodes at k pi / 3.5, and True a 1-node rule
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        quad4.SphereRule.zonal(np.eye(4)[1], n)
+
+
+@pytest.mark.parametrize("axis", [(2.0, 0, 0, 0), (0.0, 0, 0, 0), (np.nan, 0, 0, 0),
+                                  (np.inf, 0, 0, 0), (1.0 + 1e-11, 0, 0, 0), (1.0, 0, 0)])
+def test_zonal_rule_refuses_an_axis_off_the_unit_sphere(axis):
+    # an axis of norm 2 gave nodes of norm 1.72 and 1.13, and a NaN axis NaN nodes
+    with pytest.raises(ValueError, match="^axis must be a finite unit 4-vector"):
+        quad4.SphereRule.zonal(axis, 4)
+
+
+@pytest.mark.parametrize("panels", [24.0, True, 1, "24"])
+def test_radial_grid_refuses_a_non_integer_panel_count(panels):
+    # 24.0 raised numpy's TypeError from geomspace
+    with pytest.raises(ValueError, match="^panels must be an integer >= 2"):
+        quad4.RadialGrid.make(panels=panels)
+
+
 def test_far_center_is_refused():
     # the radial panels graded from `about` resolve a center up to 10 scales
     # away: 4.2e-10 here, and at most 9e-10 for scales 1e-3 to 10

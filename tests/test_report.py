@@ -1,5 +1,6 @@
 """Gap reports, thresholds, flow predicate, suites, CLI."""
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -687,6 +688,34 @@ def test_cli_entrypoint_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "suite,check,passed,residual,tolerance"
+
+
+# the package's layers: each module and the package modules it imports;
+# forms4 and conformal stay at the bottom
+LAYERS = {
+    'forms4': set(),
+    'conformal': set(),
+    'liealg': {'forms4'},
+    'instanton': {'forms4', 'liealg'},
+    'quad4': {'instanton', 'liealg'},
+    'report': {'conformal', 'forms4', 'instanton', 'liealg', 'quad4'},
+    'cli': {'report'},
+}
+
+
+def _package_imports(module):
+    """The package modules named by a module's ``from . import`` and
+    ``from .x import`` statements, at any depth of its source."""
+    out = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= {node.module.split('.')[0]} if node.module else {a.name for a in node.names}
+    return out
+
+
+def test_modules_import_only_their_layers():
+    modules = (cli, conformal, forms4, instanton, liealg, quad4, report)
+    assert {m.__name__.split('.')[-1]: _package_imports(m) for m in modules} == LAYERS
 
 
 def test_import_loads_no_scipy():
