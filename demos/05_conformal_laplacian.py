@@ -34,7 +34,8 @@ gaps = {}
 for n in (1024, 3072):
     field = conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
                              liealg.GAMMA1_SU2, n=n)
-    gaps[n] = conformal.covariance_check(1.0 + 0.3 * np.cos(field.rho), field)
+    # one factor, as its coefficients on 1 and cos(rho)
+    (gaps[n],) = conformal.covariance_check([[1.0, 0.3]], field)
 print("  u = 1 + 0.3 cos(rho): max gap", gaps[1024], "at 1024 cells,", gaps[3072], "at 3072")
 print("  ratio", gaps[1024] / gaps[3072], "(9 when the gap is only the O(h^2) discretization error)")
 

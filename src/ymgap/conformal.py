@@ -148,12 +148,16 @@ class ModifiedScalarField(SLProblem):
 
 
 def phi_of(scalar_curv, weyl_norm, f_plus_norm, gamma1, n=2000):
-    """Assemble the modified scalar curvature field on an n-cell grid; scalars stay floats."""
-    if gamma1 < 0:
-        raise ValueError("gamma1 must be nonnegative")
+    """Assemble the modified scalar curvature field on an n-cell grid; scalars stay floats.
+    A negative or non-finite gamma1, or a non-finite constituent, raises ValueError."""
+    if not 0 <= gamma1 < np.inf:
+        raise ValueError(f"gamma1 must be nonnegative and finite; got {gamma1!r}")
     rho, _ = cell_grid(n)
     r, w, f = (float(v) if np.isscalar(v) else as_values(v, rho)
                for v in (scalar_curv, weyl_norm, f_plus_norm))
+    for name, v in (("scalar_curv", r), ("weyl_norm", w), ("f_plus_norm", f)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     phi = r - 2.0 * SQRT6 * w - 3.0 * gamma1 * f
     return ModifiedScalarField(**vars(round_problem(phi, n)), scalar_curv=r, weyl_norm=w,
                                f_plus_norm=f, gamma1=float(gamma1))
@@ -161,12 +165,20 @@ def phi_of(scalar_curv, weyl_norm, f_plus_norm, gamma1, n=2000):
 
 def pointwise_laplacian(u_vals, prob):
     """u'' + 3 cot(rho) u' on the nodes of ``prob`` by central differences with even
-    reflection at the poles; an independent discretization sharing only the grid."""
-    ug = np.concatenate([[u_vals[0]], u_vals, [u_vals[-1]]])
-    cot_term = (ug[2:] - ug[:-2]) / (2.0 * prob.h)     # 3 u' cot(rho), built in place
+    reflection at the poles; an independent discretization sharing only the grid.
+    Broadcasts over leading axes of u_vals."""
+    ug = np.concatenate([u_vals[..., :1], u_vals, u_vals[..., -1:]], axis=-1)
+    # 3 u' cot(rho), then u'' as (u+ - 2u + u-) / h^2, each built in place
+    cot_term = ug[..., 2:] - ug[..., :-2]
+    cot_term /= 2.0 * prob.h
     cot_term *= 3.0
     cot_term /= np.tan(prob.rho)
-    return (ug[2:] - 2.0 * ug[1:-1] + ug[:-2]) / prob.h ** 2 + cot_term
+    lap = 2.0 * ug[..., 1:-1]
+    np.subtract(ug[..., 2:], lap, out=lap)
+    lap += ug[..., :-2]
+    lap /= prob.h ** 2
+    lap += cot_term
+    return lap
 
 
 #: step cap of the inverse iteration in ``lambda1``
@@ -274,28 +286,59 @@ def transformed_phi(u, prob):
     return prob.apply(un) / un ** 3
 
 
-def covariance_check(u, field):
-    """Max pointwise gap between the two routes to Phi_hat.
+def _coefficient_rows(coeffs, name):
+    """``coeffs`` as a float array of cosine-coefficient rows, one per factor; one that is
+    not 2-D, is empty or holds a non-finite value raises ValueError naming it."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 2 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"{name} must be a non-empty 2-D array of finite coefficients; "
+                         f"got shape {coeffs.shape}")
+    return coeffs
+
+
+def covariance_check(coeffs, field):
+    """Max pointwise gap between the two routes to Phi_hat, for each factor
+    u = c_0 + sum_(k>=1) c_k cos(k rho), one row c of ``coeffs`` (F, K+1): (F,).
 
     Route (a): u^-3 L u with the conservative (flux) operator of ``field``.
     Route (b): transform each constituent (R_hat = u^-3(-6 Lap u + R u)
     with the pointwise cotangent Laplacian, |W+| and |F+| scaling by
     u^-2) and recombine. Both are O(h^2) discretizations of the same
     identity, so the gap is O(h^2) and sensitive to any factor or sign
-    slip in either route.
+    slip in either route. Both Laplacians are linear, so each is applied
+    once, to the K cosine modes, and a factor's two Laplacians are its c_k
+    combinations of those images; a constant's images are exactly zero in
+    both. Every factor is checked positive at the nodes before either
+    Laplacian is applied.
     """
-    un = as_values(u, field.rho)
-    if not np.all(un > 0):
+    coeffs = _coefficient_rows(coeffs, "coeffs")
+    modes = np.cos(np.arange(1, coeffs.shape[1])[:, None] * field.rho)
+    # sum |c_k| < c_0 bounds u below by a positive number; only other rows are sampled
+    loose = np.sum(np.abs(coeffs[:, 1:]), axis=1) >= coeffs[:, 0]
+    if not all(np.all(c[0] + c[1:] @ modes > 0) for c in coeffs[loose]):
         raise ValueError("conformal factor must be positive")
-    u2, u3 = un ** 2, un ** 3
-    route_b = pointwise_laplacian(un, field)     # built in place, one array at a time
+    point = pointwise_laplacian(modes, field)
+    flux = field.stiffness_times(modes) / field.weight
+    return np.array([_route_gap(c[0] + c[1:] @ modes, c[1:] @ point, c[1:] @ flux, field)
+                     for c in coeffs])
+
+
+def _route_gap(u, point_lap, flux_lap, field):
+    """Max |route (b) - route (a)| of ``covariance_check`` for the node values u of one
+    factor and its two Laplacians, the pointwise and the flux one, which it overwrites:
+    in place, one array at a time."""
+    u2, u3 = u ** 2, u ** 3
+    route_b = point_lap
     route_b *= -6.0
-    route_b += field.scalar_curv * un
+    route_b += field.scalar_curv * u
     route_b /= u3
     route_b -= 2.0 * SQRT6 * field.weyl_norm / u2
     route_b -= 3.0 * field.gamma1 * field.f_plus_norm / u2
-    route_b -= field.apply(un) / u3              # route (a), transformed_phi on checked values
-    return float(np.max(np.abs(route_b)))
+    route_a = flux_lap                           # (-6 Lap u + Phi u) / u^3, as field.apply
+    route_a += field.phi * u
+    route_a /= u3
+    route_b -= route_a
+    return float(np.max(np.abs(route_b, out=route_b)))
 
 
 def yamabe_quotient(u, prob):
@@ -318,7 +361,7 @@ def cosine_yamabe_quotients(amps, prob):
     """``yamabe_quotient`` of u = 1 + sum_k amps[k-1] cos(k rho) for each row of amps, each
     with sum |amps| < 1 so that u > 0: sqrt(2 pi^2) c^T G c / ((c x c)^T K (c x c))^(1/2) for
     c = (1, amps), with G and K, the quadratic and quartic moments of the cos(k rho), built once."""
-    amps = np.asarray(amps, dtype=float)
+    amps = _coefficient_rows(amps, "amps")
     if not np.all(np.sum(np.abs(amps), axis=1) < 1.0):
         raise ValueError("conformal factor must be positive")
     modes = np.cos(np.arange(amps.shape[1] + 1)[:, None] * prob.rho)

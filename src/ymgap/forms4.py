@@ -79,14 +79,15 @@ def weyl_norm(w):
     """sqrt(sum of squared eigenvalues) = Frobenius norm of symmetric
     operators (..., 3, 3); returns (...)."""
     w = np.asarray(w, dtype=float)
-    return np.sqrt(np.sum(w * w, axis=(-2, -1)))
+    return np.sqrt(np.einsum('...ab,...ab->...', w, w))
 
 
 def weyl_quad(w, coeffs):
-    """<omega, w * omega> for operators (..., 3, 3) and scalar coefficient
-    triples (..., 3), broadcast against each other; returns (...)."""
+    """<omega, w * omega> = (w v) . v for operators (..., 3, 3) and scalar
+    coefficient triples v (..., 3), broadcast against each other; returns (...)."""
     v = np.asarray(coeffs, dtype=float)
-    return np.einsum('...a,...ab,...b->...', v, np.asarray(w, dtype=float), v)
+    wv = np.einsum('...ab,...b->...a', np.asarray(w, dtype=float), v)
+    return np.einsum('...a,...a->...', wv, v)
 
 
 def random_weyl(rng, size=()):

@@ -29,13 +29,13 @@ x -> (x - center)/scale, which multiplies connection coefficients by
 Every evaluator takes points x of shape (..., 4) and broadcasts over the
 leading axes: a single point (4,) is the case ... = (). Lie-algebra values
 are coefficients on the orthonormal basis of an algebra of dimension k,
-every bracket ``liealg.bracket_coeffs`` on its table f; the family's are
-on (i, j, k)/sqrt2 of ``liealg.SU2``, sqrt2 times the quaternion entries.
-Connections come back as (..., 4, k), forms as (..., 6, k), covariant
-derivatives as (..., 4, 6, k), scalars and residuals as (...). The
-finite-difference evaluators read a ``Connection`` (the family's is
-``InstantonParams.connection``) or a scalar evaluator, never the family's
-parameters, and take central differences with optional Richardson
+every bracket ``liealg.bracket_coeffs`` or ``liealg.ad`` on its table f;
+the family's are on (i, j, k)/sqrt2 of ``liealg.SU2``, sqrt2 times the
+quaternion entries. Connections come back as (..., 4, k), forms as
+(..., 6, k), covariant derivatives as (..., 4, 6, k), scalars and residuals
+as (...). The finite-difference evaluators read a ``Connection`` (the
+family's is ``InstantonParams.connection``) or a scalar evaluator, never the
+family's parameters, and take central differences with optional Richardson
 extrapolation (on by default where a tight tolerance matters);
 convergence-order checks should pass ``richardson=False``.
 """
@@ -187,15 +187,14 @@ def covariant_derivative_of(c, x, h, richardson=True):
     """(nabla_1 F, ..., nabla_4 F) of the connection c as a (..., 4, 6, k) array.
 
     nabla_k F_ij = d_k F_ij - [theta_k, F_ij] on the flat chart (the
-    Levi-Civita terms vanish).
+    Levi-Civita terms vanish). The four brackets [theta_k, F] are one batched
+    product of F with the matrices ``liealg.ad(theta_k, f)``.
     """
     x = np.asarray(x, dtype=float)
-    th = c.theta(x)
-    f0 = c.curvature(x)
-    out = np.empty(x.shape[:-1] + (4,) + f0.shape[-2:])
+    out = np.matmul(c.curvature(x)[..., None, :, :], liealg.ad(c.theta(x), c.f))
     for k in range(4):
-        out[..., k, :, :] = _partial(c.curvature, x, k, h, richardson) - liealg.bracket_coeffs(
-            th[..., k:k + 1, :], f0, c.f)
+        np.subtract(_partial(c.curvature, x, k, h, richardson), out[..., k, :, :],
+                    out=out[..., k, :, :])
     return out
 
 

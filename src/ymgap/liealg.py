@@ -4,7 +4,8 @@ An algebra is its structure constants f[k,l,m] = <[E_k,E_l],E_m>, a
 read-only (k, k, k) array on an orthonormal basis E of real skew n x n
 matrices with the inner product ``<A, B> = -tr(AB)/2``. Every Lie-algebra
 value is its coefficient vector on E, and every bracket is
-``bracket_coeffs`` on f. The package uses three algebras, tabulated once
+``bracket_coeffs`` on f, or, for one value against many, ``ad``, the
+bracket's matrix. The package uses three algebras, tabulated once
 here from the matrix bases ``SU2_BASIS``, ``SO3_BASIS`` and ``SO4_BASIS``:
 ``SU2``, ``SO3`` and ``SO4``. The instanton's algebra is ``SU2``, the span
 of the quaternion generators i, j, k below, for which
@@ -114,6 +115,18 @@ def bracket_coeffs(a, b, f):
     k = len(f)
     ab = np.asarray(a, dtype=float)[..., :, None] * np.asarray(b, dtype=float)[..., None, :]
     return (ab.reshape(-1, k * k) @ f.reshape(k * k, k)).reshape(ab.shape[:-1])
+
+
+def ad(a, f):
+    """The bracket's matrix: ad(a, f)[..., l, m] = sum_k a_k f[k,l,m], so that
+    [A, B] = b @ ad(a, f); one gemm on structure constants f (k, k, k).
+
+    For one A against many B, as [theta_k, F] over the six form components;
+    ``bracket_coeffs`` is the bracket of one pair. Broadcasts over leading axes.
+    """
+    k = len(f)
+    a = np.asarray(a, dtype=float)
+    return (a.reshape(-1, k) @ f.reshape(k, k * k)).reshape(a.shape[:-1] + (k, k))
 
 
 def circ(a, b):

@@ -307,7 +307,7 @@ def _suite_weyl_bound(cfg):
 def _weyl_gap(w, v):
     """|<v, w v>| - (2/sqrt6)|w||v|^2, nonpositive by the sharp bound."""
     return (np.abs(forms4.weyl_quad(w, v))
-            - forms4.WEYL_BOUND * forms4.weyl_norm(w) * np.sum(v * v, axis=-1))
+            - forms4.WEYL_BOUND * forms4.weyl_norm(w) * np.einsum('...a,...a->...', v, v))
 
 
 def _suite_circ_basis(cfg):
@@ -394,17 +394,17 @@ def _suite_eigenvalue(cfg):
 
 def _suite_covariance(cfg):
     rng = np.random.default_rng(cfg.seed + 5)
+    # 20 factors 1 + sum_k a_k cos k rho with sum |a_k| = 0.3
+    amps = rng.uniform(-1.0, 1.0, (20, 3))
+    amps *= 0.3 / np.maximum(np.sum(np.abs(amps), axis=1, keepdims=True), 1e-9)
+    coeffs = np.c_[np.ones(len(amps)), amps]
     # nonzero |W+| and |F+| (sqrt 6 is the instanton's |F+|): route (b) scales both
-    fields = [conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
-                               liealg.GAMMA1_SU2, n=n) for n in (1024, 3072)]
-    modes = [np.cos(np.arange(1, 4)[:, None] * f.rho) for f in fields]
-    worst = 0.0
-    for amps in rng.uniform(-1.0, 1.0, (20, 3)):
-        amps *= 0.3 / max(np.sum(np.abs(amps)), 1e-9)
-        # an O(h^2) gap shrinks 9-fold from n to 3n cells; a zero fine gap reads 1:
-        # two routes that agree to the bit are not independent discretizations
-        coarse, fine = (conformal.covariance_check(1.0 + amps @ m, f) for f, m in zip(fields, modes))
-        worst = max(worst, abs(coarse / (9.0 * fine) - 1.0) if fine > 0 else 1.0)
+    coarse, fine = (conformal.covariance_check(coeffs, conformal.phi_of(
+        12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0), liealg.GAMMA1_SU2, n=n))
+        for n in (1024, 3072))
+    # an O(h^2) gap shrinks 9-fold from n to 3n cells; a zero fine gap reads 1:
+    # two routes that agree to the bit are not independent discretizations
+    worst = max(abs(c / (9.0 * f) - 1.0) if f > 0 else 1.0 for c, f in zip(coarse, fine))
     return [_check("covariance-20-random", worst, 0.05)], {}
 
 

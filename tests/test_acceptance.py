@@ -160,12 +160,11 @@ def test_criterion_11_covariance():
     # nonzero |W+| and |F+|, as in the covariance suite, so route (b)'s u^-2 terms count
     field = conformal.phi_of(12.0, lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0),
                              liealg.GAMMA1_SU2, n=65536)
-    worst = 0.0
-    for _ in range(20):
-        amps = rng.uniform(-1, 1, 3)
-        amps *= 0.3 / np.sum(np.abs(amps))
-        u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(amps))
-        worst = max(worst, conformal.covariance_check(u, field))
+    coeffs = np.ones((20, 4))
+    for row in coeffs[:, 1:]:
+        row[:] = rng.uniform(-1, 1, 3)
+        row *= 0.3 / np.sum(np.abs(row))
+    worst = np.max(conformal.covariance_check(coeffs, field))
     ok = worst < 1e-6
     _verdict(11, "conformal covariance", ok, f"worst residual {worst:.2e} over 20 factors")
 

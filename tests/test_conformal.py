@@ -73,7 +73,7 @@ def test_round_grids_are_tabulated_once_and_read_only():
                              liealg.GAMMA1_SU2, n=n)
     assert field.weight is prob.weight and field.cond is prob.cond
     conformal.transform_problem(field, u)
-    conformal.covariance_check(u, field)
+    conformal.covariance_check([[1.0, 0.2]], field)
     for name, table in fresh.items():
         assert np.array_equal(getattr(prob, name), table), name
 
@@ -107,6 +107,22 @@ def test_phi_of_reconstruction():
     assert np.max(np.abs(zero.phi)) == 0.0
     with pytest.raises(ValueError):
         conformal.phi_of(12.0, 0.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((12.0, 0.0, np.sqrt(6.0), np.nan), "gamma1"),
+    ((12.0, 0.0, np.sqrt(6.0), np.inf), "gamma1"),
+    ((12.0, 0.0, np.sqrt(6.0), -1.0), "gamma1"),
+    ((np.nan, 0.0, np.sqrt(6.0), 1.0), "scalar_curv"),
+    ((12.0, lambda r: np.where(r > 3.0, np.inf, 0.0), np.sqrt(6.0), 1.0), "weyl_norm"),
+    ((12.0, 0.0, np.full(256, -np.inf), 1.0), "f_plus_norm"),
+    ((12.0, 0.0, np.where(np.arange(256) == 7, np.nan, 1.0), 1.0), "f_plus_norm"),
+], ids=["gamma1-nan", "gamma1-inf", "gamma1-negative", "scalar-curv-nan", "weyl-norm-inf",
+        "f-plus-norm-minus-inf", "f-plus-norm-one-nan"])
+def test_phi_of_refuses_non_finite_input(args, name):
+    # refused where the field is built, not later by lambda1's EigenSolveError
+    with pytest.raises(ValueError, match=name):
+        conformal.phi_of(*args, n=256)
 
 
 def _asymmetry(prob):
@@ -241,8 +257,7 @@ def test_rayleigh_values():
 
 def test_covariance_identity_and_constants():
     field = conformal.phi_of(12.0, 0.0, 0.0, liealg.GAMMA1_SU2, n=4096)
-    assert conformal.covariance_check(np.ones_like(field.rho), field) < 1e-12
-    assert conformal.covariance_check(np.full_like(field.rho, 2.5), field) < 1e-12
+    assert np.all(conformal.covariance_check([[1.0], [2.5]], field) < 1e-12)
     phi_hat = conformal.transformed_phi(np.full_like(field.rho, 2.5), field)
     assert np.max(np.abs(phi_hat - field.phi / 2.5 ** 2)) < 1e-12
 
@@ -254,48 +269,96 @@ def _suite_field(n=65536):
                             liealg.GAMMA1_SU2, n=n)
 
 
-def test_covariance_smooth_factor():
+def test_covariance_smooth_factor(monkeypatch):
     field = _suite_field()
-    u = 1.0 + 0.3 * np.cos(field.rho)
-    assert conformal.covariance_check(u, field) < 1e-6      # measured 2.9e-7
+    u = [[1.0, 0.3]]                                          # 1 + 0.3 cos(rho)
+    assert conformal.covariance_check(u, field)[0] < 1e-6      # measured 2.9e-7
     # a 1% slip in |F+| reads 0.245 here; on a zero |F+| it would multiply zero
     slipped = dataclasses.replace(field, f_plus_norm=1.01 * field.f_plus_norm)
-    assert conformal.covariance_check(u, slipped) > 0.1
+    assert conformal.covariance_check(u, slipped)[0] > 0.1
     with pytest.raises(ValueError):
-        conformal.covariance_check(-u, field)
-    zero_at_pole = u.copy()
-    zero_at_pole[0] = 0.0
+        conformal.covariance_check([[-1.0, -0.3]], field)
+    # 1 + 1.001 cos(rho) is negative only within 0.045 of the pole rho = pi
+    monkeypatch.setattr(conformal, "pointwise_laplacian", _unreachable)
+    monkeypatch.setattr(conformal.SLProblem, "stiffness_times", _unreachable)
     with warnings.catch_warnings():
         warnings.simplefilter("error")         # rejected before any division
-        with pytest.raises(ValueError):
-            conformal.covariance_check(zero_at_pole, field)
+        with pytest.raises(ValueError, match="conformal factor must be positive"):
+            conformal.covariance_check([[1.0, 0.3], [1.0, 1.001]], field)
 
 
-def _covariance_out_of_place(u, field):
-    """Both routes to Phi_hat as separate arrays, with the cotangent Laplacian
-    as one expression: the arithmetic covariance_check does in place."""
+def covariance_check_oracle(u, field):
+    """The node-value covariance check: both routes to Phi_hat from the node values u
+    of one factor, each Laplacian applied to u itself, as ``field.apply`` does."""
     un = np.asarray(u, dtype=float)
-    route_a = conformal.transformed_phi(un, field)
-    ug = np.concatenate([[un[0]], un, [un[-1]]])
-    upp = (ug[2:] - 2.0 * ug[1:-1] + ug[:-2]) / field.h ** 2
-    up = (ug[2:] - ug[:-2]) / (2.0 * field.h)
-    lap = upp + 3.0 * up / np.tan(field.rho)
-    assert np.array_equal(conformal.pointwise_laplacian(un, field), lap)
-    r_hat = (-6.0 * lap + field.scalar_curv * un) / un ** 3
+    u2, u3 = un ** 2, un ** 3
+    route_b = conformal.pointwise_laplacian(un, field)
+    route_b *= -6.0
+    route_b += field.scalar_curv * un
+    route_b /= u3
+    route_b -= 2.0 * conformal.SQRT6 * field.weyl_norm / u2
+    route_b -= 3.0 * field.gamma1 * field.f_plus_norm / u2
+    route_b -= field.apply(un) / u3
+    return float(np.max(np.abs(route_b)))
+
+
+def _suite_like_coeffs(rng, count=20):
+    """Rows (1, a_1, a_2, a_3) with sum |a_k| = 0.3, as the covariance suite draws them."""
+    coeffs = np.ones((count, 4))
+    coeffs[:, 1:] = rng.uniform(-1.0, 1.0, (count, 3))
+    coeffs[:, 1:] *= 0.3 / np.sum(np.abs(coeffs[:, 1:]), axis=1, keepdims=True)
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [1024, 3072, 65536])
+def test_covariance_modes_match_the_node_value_oracle(n):
+    # the mode images and the node values differ only in rounding, which grows like
+    # eps / h^2 at the poles: measured up to 5.8 eps / h^2 over 30 seeds of 20 factors
+    field = _suite_field(n)
+    modes = np.cos(np.arange(4)[:, None] * field.rho)
+    # the last row, 0.5 + 0.25 cos(rho) + 0.25 cos(2 rho) >= 0.25, is positive but
+    # not by sum |c_k| < c_0, so its node values are checked
+    coeffs = np.r_[_suite_like_coeffs(np.random.default_rng(n)), [[0.5, 0.25, 0.25, 0.0]]]
+    gaps = conformal.covariance_check(coeffs, field)
+    oracle = [covariance_check_oracle(c @ modes, field) for c in coeffs]
+    assert gaps.shape == (len(coeffs),)
+    assert np.max(np.abs(gaps - oracle)) <= 16.0 * np.finfo(float).eps / field.h ** 2
+
+
+def _covariance_out_of_place(u, point_lap, flux_lap, field):
+    """Both routes to Phi_hat as separate arrays from the node values u and its two
+    Laplacians: the arithmetic ``conformal._route_gap`` does in place."""
+    route_a = (flux_lap + field.phi * u) / u ** 3
+    r_hat = (-6.0 * point_lap + field.scalar_curv * u) / u ** 3
     route_b = (r_hat
-               - 2.0 * conformal.SQRT6 * field.weyl_norm / un ** 2
-               - 3.0 * field.gamma1 * field.f_plus_norm / un ** 2)
+               - 2.0 * conformal.SQRT6 * field.weyl_norm / u ** 2
+               - 3.0 * field.gamma1 * field.f_plus_norm / u ** 2)
     return float(np.max(np.abs(route_a - route_b)))
 
 
 def test_covariance_check_is_bit_identical_to_two_arrays():
+    # the route core, given the same Laplacians, is the out-of-place arithmetic
     field = _suite_field()
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        amps = rng.uniform(-1, 1, 3)
-        amps *= 0.3 / np.sum(np.abs(amps))
-        u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(amps))
-        assert conformal.covariance_check(u, field) == _covariance_out_of_place(u, field)
+    for c in _suite_like_coeffs(np.random.default_rng(17), 5):
+        u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(c[1:]))
+        ug = np.concatenate([[u[0]], u, [u[-1]]])
+        upp = (ug[2:] - 2.0 * ug[1:-1] + ug[:-2]) / field.h ** 2
+        up = (ug[2:] - ug[:-2]) / (2.0 * field.h)
+        point = upp + 3.0 * up / np.tan(field.rho)
+        assert np.array_equal(conformal.pointwise_laplacian(u, field), point)
+        flux = field.stiffness_times(u) / field.weight
+        expected = _covariance_out_of_place(u, point, flux, field)
+        assert conformal._route_gap(u, point.copy(), flux.copy(), field) == expected
+
+
+def test_pointwise_laplacian_broadcasts_over_leading_axes():
+    field = _suite_field(1024)
+    u = np.cos(np.arange(6)[:, None] * field.rho).reshape(2, 3, -1)
+    lap = conformal.pointwise_laplacian(u, field)
+    assert lap.shape == u.shape
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(lap[i, j], conformal.pointwise_laplacian(u[i, j], field))
+    assert not np.any(lap[0, 0])                  # a constant's image is exactly zero
 
 
 def test_phi_of_scalar_constituents_match_arrays():
@@ -309,7 +372,9 @@ def test_phi_of_scalar_constituents_match_arrays():
     assert lean.weyl_norm.shape == (n,)
     assert np.array_equal(lean.phi, full.phi)
     u = 1.0 + 0.3 * np.cos(rho) - 0.1 * np.cos(3 * rho)
-    assert conformal.covariance_check(u, lean) == conformal.covariance_check(u, full)
+    coeffs = [[1.0, 0.3, 0.0, -0.1]]
+    assert np.array_equal(conformal.covariance_check(coeffs, lean),
+                          conformal.covariance_check(coeffs, full))
     assert np.array_equal(conformal.transformed_phi(u, lean), conformal.transformed_phi(u, full))
 
 
@@ -320,11 +385,11 @@ def test_covariance_random_family():
     for w_plus, f_plus in ((0.0, 0.0), (lambda r: 0.2 * (1.0 + np.cos(r)), np.sqrt(6.0))):
         rng = np.random.default_rng(7)
         field = conformal.phi_of(12.0, w_plus, f_plus, liealg.GAMMA1_SU2, n=65536)
-        for _ in range(20):
-            amps = rng.uniform(-1, 1, 3)
-            amps *= 0.3 / np.sum(np.abs(amps))
-            u = 1.0 + sum(a * np.cos((k + 1) * field.rho) for k, a in enumerate(amps))
-            assert conformal.covariance_check(u, field) < 1e-6
+        coeffs = np.ones((20, 4))
+        for row in coeffs[:, 1:]:
+            row[:] = rng.uniform(-1, 1, 3)
+            row *= 0.3 / np.sum(np.abs(row))
+        assert np.all(conformal.covariance_check(coeffs, field) < 1e-6)
 
 
 def test_sign_invariance_under_conformal_change():
@@ -345,7 +410,8 @@ def _nan_factor_calls():
     return {
         "yamabe_quotient": lambda: conformal.yamabe_quotient(nan, field),
         "transformed_phi": lambda: conformal.transformed_phi(nan, field),
-        "covariance_check": lambda: conformal.covariance_check(nan, field),
+        "covariance_check": lambda: conformal.covariance_check([[1.0, np.nan]], field),
+        "covariance_check-inf": lambda: conformal.covariance_check([[np.inf, 0.1]], field),
         "transform_problem": lambda: conformal.transform_problem(
             field, lambda r: np.full_like(r, np.nan)),
         # nan only at the pole face, which the nodes never sample
@@ -353,7 +419,14 @@ def _nan_factor_calls():
             field, lambda r: np.where(r == 0.0, np.nan, 1.0)),
         "cosine_yamabe_quotients": lambda: conformal.cosine_yamabe_quotients(
             [[0.1, np.nan, 0.0]], field),
+        "cosine_yamabe_quotients-inf": lambda: conformal.cosine_yamabe_quotients(
+            [[0.1, 0.0, 0.0], [-np.inf, 0.0, 0.0]], field),
     }
+
+
+# the coefficient forms refuse a non-finite coefficient as a malformed array, by name
+_COEFFICIENT_REFUSALS = {"covariance_check": "coeffs must be a non-empty 2-D array",
+                         "cosine_yamabe_quotients": "amps must be a non-empty 2-D array"}
 
 
 def _unreachable(*args):
@@ -365,9 +438,11 @@ def test_nan_conformal_factor_is_refused(monkeypatch, name):
     # refused by the function's own guard, before any operator is evaluated
     monkeypatch.setattr(conformal, "pointwise_laplacian", _unreachable)
     monkeypatch.setattr(conformal.SLProblem, "apply", _unreachable)
+    monkeypatch.setattr(conformal.SLProblem, "stiffness_times", _unreachable)
+    message = _COEFFICIENT_REFUSALS.get(name.split("-")[0], "conformal factor must be positive")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="conformal factor must be positive"):
+        with pytest.raises(ValueError, match=message):
             _nan_factor_calls()[name]()
 
 
@@ -454,11 +529,29 @@ def test_assembled_quotients_match_factor_by_factor(monkeypatch, seed):
         assert np.max(np.abs(quotients / direct - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("amps", [[[0.5, -0.3, 0.2]], [[0.1, 0.0, 0.0], [0.0, 1.5, 0.0]]],
-                         ids=["sum-1", "second-row-1.5"])
-def test_assembled_quotients_refuse_a_factor_that_may_vanish(amps):
-    with pytest.raises(ValueError, match="conformal factor must be positive"):
+@pytest.mark.parametrize("amps, message", [
+    ([[0.5, -0.3, 0.2]], "conformal factor must be positive"),
+    ([[0.1, 0.0, 0.0], [0.0, 1.5, 0.0]], "conformal factor must be positive"),
+    ([0.1, 0.0, 0.0], "amps must be a non-empty 2-D array"),
+    (np.empty((0, 3)), "amps must be a non-empty 2-D array"),
+    ([[0.1, np.nan, 0.0]], "amps must be a non-empty 2-D array"),
+], ids=["sum-1", "second-row-1.5", "one-dimensional", "no-rows", "nan"])
+def test_assembled_quotients_refuse_a_factor_that_may_vanish(amps, message):
+    with pytest.raises(ValueError, match=message):
         conformal.cosine_yamabe_quotients(amps, conformal.round_problem(12.0, 500))
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.3], np.empty((0, 2)), np.empty((3, 0)), [[[1.0]]],
+                                    [[1.0, np.inf]]],
+                         ids=["one-dimensional", "no-rows", "no-columns", "three-dimensional",
+                              "inf"])
+def test_covariance_check_refuses_a_malformed_coefficient_array(monkeypatch, coeffs):
+    # the shared check runs before any operator is evaluated
+    monkeypatch.setattr(conformal, "pointwise_laplacian", _unreachable)
+    monkeypatch.setattr(conformal.SLProblem, "stiffness_times", _unreachable)
+    field = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=500)
+    with pytest.raises(ValueError, match="coeffs must be a non-empty 2-D array"):
+        conformal.covariance_check(coeffs, field)
 
 
 def test_eigen_solver_error_trace(monkeypatch):

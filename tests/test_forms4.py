@@ -206,6 +206,17 @@ def test_weyl_helpers_batched_match_scalar_calls():
     assert abs(one[2, 3] - forms4.weyl_quad(w[0, 0], v[2, 3])) < 1e-14
 
 
+def test_weyl_quad_matches_the_three_operand_contraction():
+    rng = np.random.default_rng(53)
+    w = forms4.random_weyl(rng, size=(10000,))
+    v = rng.standard_normal((10000, 3))
+    want = np.einsum('...a,...ab,...b->...', v, w, v)
+    size = forms4.weyl_norm(w) * np.einsum('...a,...a->...', v, v)
+    assert np.max(np.abs(forms4.weyl_quad(w, v) - want) / size) <= 1e-15
+    frobenius = np.sqrt(np.sum(w * w, axis=(-2, -1)))
+    assert np.max(np.abs(forms4.weyl_norm(w) - frobenius) / frobenius) <= 1e-15
+
+
 def test_random_weyl_is_the_gathered_symmetrization():
     def gathered(rng, size):
         m = rng.standard_normal(tuple(size) + (9,))

@@ -511,6 +511,26 @@ def test_structure_constants_reproduce_bracket():
         assert np.max(np.abs(grid[7, 2] - liealg.bracket_coeffs(x[7], y[2], f))) < 1e-15
 
 
+@pytest.mark.parametrize("points", [1, 10, 1000])
+@pytest.mark.parametrize("name", ["SU2", "SO3", "SO4"])
+def test_ad_is_the_bracket_matrix(name, points):
+    f = getattr(liealg, name)
+    k = len(f)
+    rng = np.random.default_rng(points)
+    lead = () if points == 1 else (points,)
+    a = rng.standard_normal(lead + (k,))
+    b = rng.standard_normal(lead + (6, k))
+    m = liealg.ad(a, f)
+    assert m.shape == lead + (k, k)
+    # row l is [A, E_l]: each entry sum_k a_k f[k,l,m] has one nonzero term
+    for row, e in enumerate(np.eye(k)):
+        assert np.array_equal(m[..., row, :], liealg.bracket_coeffs(a, e, f))
+    # one A against six B, as [theta_k, F]: within 4 ulp of the sum of the terms' sizes
+    want = liealg.bracket_coeffs(a[..., None, :], b, f)
+    terms = np.abs(b) @ liealg.ad(np.abs(a), np.abs(f))
+    assert np.all(np.abs(b @ m - want) <= 4.0 * np.spacing(terms))
+
+
 def test_sd_cubic_tensor_matches_comm2form_so4():
     rng = np.random.default_rng(47)
     f = liealg.SO4

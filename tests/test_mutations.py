@@ -45,10 +45,16 @@ def _scaled_constituent(name, factor=1.01):
 
 def _route_b_u_cubed(monkeypatch):
     """|W+| and |F+| scale by u^-3 in place of u^-2 in covariance route (b)."""
-    covariance_check = conformal.covariance_check
-    monkeypatch.setattr(conformal, "covariance_check", lambda u, field: covariance_check(
-        u, dataclasses.replace(field, weyl_norm=field.weyl_norm / u,
-                               f_plus_norm=field.f_plus_norm / u)))
+    route_gap = conformal._route_gap
+    monkeypatch.setattr(conformal, "_route_gap", lambda u, point_lap, flux_lap, field: route_gap(
+        u, point_lap, flux_lap, dataclasses.replace(field, weyl_norm=field.weyl_norm / u,
+                                                    f_plus_norm=field.f_plus_norm / u)))
+
+
+def _negated_brackets(monkeypatch):
+    """Every bracket with the wrong sign: bracket_coeffs of pairs and ad, the bracket's matrix."""
+    for name in ("bracket_coeffs", "ad"):
+        _scaled(liealg, name, -1.0)(monkeypatch)
 
 
 def _transform_weight_u3(monkeypatch):
@@ -224,9 +230,9 @@ MUTATIONS = [
     # the norm cannot see comm2form-sign, but it sees a scale
     _row("comm2form-x1.000001", _scaled(liealg, "comm2form", 1 + 1e-6), ["bracket-sharpness"],
          {"bracket-norm-bpst"}),
-    # the one bracket of the package: the differenced curvature's [theta_i, theta_j]
-    # and nabla F's [theta_k, F] flip with the bracket of the cubic form
-    _row("bracket-coeffs-sign", _scaled(liealg, "bracket_coeffs", -1.0),
+    # the package's brackets: the differenced curvature's [theta_i, theta_j]
+    # and nabla F's [theta_k, F] (through ad) flip with the bracket of the cubic form
+    _row("bracket-coeffs-sign", _negated_brackets,
          ["bochner", "bracket-sharpness"],
          {"curvature-fd", "bianchi", "bracket-term-at-0", "cubic-form-bpst"}),
     _row("circ-sign-12", _flipped_circ_sign, ["circ-basis"], {"circ-orthonormal-100bases"}),
