@@ -16,7 +16,12 @@ Phi = const reproduces lambda_1 = const to roundoff on any grid.
 One discrete operator, ``SLProblem``, evaluates L: the field ``phi_of`` returns is the
 round problem for its Phi, and Phi_hat = u^-3 L u goes through ``SLProblem.apply`` on a
 problem the caller builds once. A grid size n is an integer >= 8; round grids are
-tabulated once per n, as read-only arrays that the problems of that size share.
+tabulated once per n, as read-only arrays that the problems of that size share, and a
+round problem's potential is finite at every node.
+
+``covariance_check`` and ``cosine_yamabe_quotients`` take factors as rows (c_0, ..., c_K)
+of u = c_0 + sum_(k>=1) c_k cos(k rho); a row with sum |c_k| < c_0 is positive as it
+stands, and any other is refused where u <= 0 at a node, as ``yamabe_quotient`` is.
 
 A ``RadialFunction`` argument means either a vectorized callable of rho or
 an array of node values.
@@ -120,9 +125,6 @@ class SLProblem:
         df = np.diff(f)
         return float(np.sum(self.cond[1:-1] * df * df) / self.h + np.sum(self.phi * f * f * self.weight))
 
-    def mass(self, f):
-        return float(np.sum(f * f * self.weight))
-
     def tridiagonal(self):
         """(diag, offdiag) of the weight-symmetrized operator."""
         d = (self.cond[:-1] + self.cond[1:]) / (self.h * self.weight) + self.phi
@@ -131,9 +133,13 @@ class SLProblem:
 
 
 def round_problem(phi, n=2000):
-    """-6 Lap + Phi on the unit round S^4: face conductivities 6 sin^3, zero at the poles."""
+    """-6 Lap + Phi on the unit round S^4: face conductivities 6 sin^3, zero at the poles.
+    A potential not finite at every node raises ValueError."""
     rho, h = cell_grid(n)
-    return SLProblem(rho, h, cell_volumes(n), _face_conductivities(n), as_values(phi, rho))
+    phi = as_values(phi, rho)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("the potential must be finite at every node")
+    return SLProblem(rho, h, cell_volumes(n), _face_conductivities(n), phi)
 
 
 @dataclass(frozen=True)
@@ -254,7 +260,7 @@ def lambda1(prob):
 def rayleigh(prob, f):
     """Quadratic-form quotient of the discrete operator; >= lambda1."""
     vals = as_values(f, prob.rho)
-    den = prob.mass(vals)
+    den = float(np.sum(vals * vals * prob.weight))
     if den <= 0.0 or not np.isfinite(den):
         raise ValueError("test function has zero norm")
     return prob.quadratic_form(vals) / den
@@ -263,37 +269,32 @@ def rayleigh(prob, f):
 def transform_problem(prob, u):
     """Eigenproblem for the conformally changed metric g_hat = u^2 g.
 
-    u must be a positive callable so it can be sampled at faces as well.
-    Conductivities scale by u^2, masses by u^4, and the potential becomes
-    Phi_hat = u^-3 L u. The sign of lambda1 is preserved.
+    u must be a callable, positive at the faces and the nodes, so it is sampled at
+    both. Conductivities scale by u^2, masses by u^4, and the potential becomes
+    Phi_hat = u^-3 L u through ``prob.apply``. The sign of lambda1 is preserved.
     """
     if not callable(u):
         raise ValueError("transform_problem needs a callable conformal factor")
     uf = np.asarray(u(np.arange(len(prob.rho) + 1) * prob.h), dtype=float)
-    if not np.all(uf > 0):
+    un = as_values(u(prob.rho), prob.rho)      # a constant's scalar as node values
+    if not (np.all(uf > 0) and np.all(un > 0)):
         raise ValueError("conformal factor must be positive")
-    un = np.asarray(u(prob.rho), dtype=float)
     return SLProblem(prob.rho, prob.h, prob.weight * un ** 4, prob.cond * uf ** 2,
-                     transformed_phi(un, prob))
+                     prob.apply(un) / un ** 3)
 
 
-def transformed_phi(u, prob):
-    """Phi_hat = u^-3 L u = u^-3 (-6 Lap u + Phi u) on the grid of ``prob``,
-    an SLProblem (a ModifiedScalarField is one), through ``prob.apply``."""
-    un = as_values(u, prob.rho)
-    if not np.all(un > 0):
-        raise ValueError("conformal factor must be positive")
-    return prob.apply(un) / un ** 3
-
-
-def _coefficient_rows(coeffs, name):
-    """``coeffs`` as a float array of cosine-coefficient rows, one per factor; one that is
-    not 2-D, is empty or holds a non-finite value raises ValueError naming it."""
+def _cosine_rows(coeffs, rho):
+    """Float rows (F, K+1) of ``coeffs`` and cos(k rho), k >= 1, at rho (K, n); a malformed
+    array, or a row with sum |c_k| >= c_0 not positive at every node, raises ValueError."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
-        raise ValueError(f"{name} must be a non-empty 2-D array of finite coefficients; "
+        raise ValueError("coeffs must be a non-empty 2-D array of finite coefficients; "
                          f"got shape {coeffs.shape}")
-    return coeffs
+    modes = np.cos(np.arange(1, coeffs.shape[1])[:, None] * rho)
+    loose = np.sum(np.abs(coeffs[:, 1:]), axis=1) >= coeffs[:, 0]
+    if not all(np.all(c[0] + c[1:] @ modes > 0) for c in coeffs[loose]):
+        raise ValueError("conformal factor must be positive")
+    return coeffs, modes
 
 
 def covariance_check(coeffs, field):
@@ -308,15 +309,10 @@ def covariance_check(coeffs, field):
     slip in either route. Both Laplacians are linear, so each is applied
     once, to the K cosine modes, and a factor's two Laplacians are its c_k
     combinations of those images; a constant's images are exactly zero in
-    both. Every factor is checked positive at the nodes before either
-    Laplacian is applied.
+    both. Every factor is checked positive at the nodes, by the module's one
+    rule, before either Laplacian is applied.
     """
-    coeffs = _coefficient_rows(coeffs, "coeffs")
-    modes = np.cos(np.arange(1, coeffs.shape[1])[:, None] * field.rho)
-    # sum |c_k| < c_0 bounds u below by a positive number; only other rows are sampled
-    loose = np.sum(np.abs(coeffs[:, 1:]), axis=1) >= coeffs[:, 0]
-    if not all(np.all(c[0] + c[1:] @ modes > 0) for c in coeffs[loose]):
-        raise ValueError("conformal factor must be positive")
+    coeffs, modes = _cosine_rows(coeffs, field.rho)
     point = pointwise_laplacian(modes, field)
     flux = field.stiffness_times(modes) / field.weight
     return np.array([_route_gap(c[0] + c[1:] @ modes, c[1:] @ point, c[1:] @ flux, field)
@@ -357,19 +353,16 @@ def yamabe_quotient(u, prob):
     return float(num / np.sqrt(TWO_PI_SQ * np.sum(vals ** 4 * prob.weight)))
 
 
-def cosine_yamabe_quotients(amps, prob):
-    """``yamabe_quotient`` of u = 1 + sum_k amps[k-1] cos(k rho) for each row of amps, each
-    with sum |amps| < 1 so that u > 0: sqrt(2 pi^2) c^T G c / ((c x c)^T K (c x c))^(1/2) for
-    c = (1, amps), with G and K, the quadratic and quartic moments of the cos(k rho), built once."""
-    amps = _coefficient_rows(amps, "amps")
-    if not np.all(np.sum(np.abs(amps), axis=1) < 1.0):
-        raise ValueError("conformal factor must be positive")
-    modes = np.cos(np.arange(amps.shape[1] + 1)[:, None] * prob.rho)
+def cosine_yamabe_quotients(coeffs, prob):
+    """``yamabe_quotient`` of the factor of each row c of ``coeffs``, as ``covariance_check``
+    reads it: sqrt(2 pi^2) c^T G c / ((c x c)^T K (c x c))^(1/2), with G and K, the
+    quadratic and quartic moments of 1 and the cos(k rho), built once."""
+    c, modes = _cosine_rows(coeffs, prob.rho)
+    modes = np.vstack([np.ones_like(prob.rho), modes])
     slopes, pairs = np.diff(modes), (modes[:, None] * modes).reshape(-1, len(prob.rho))
     gram = ((slopes * (prob.cond[1:-1] / prob.h)) @ slopes.T
             + (modes * (prob.phi * prob.weight)) @ modes.T)
     pairs *= np.sqrt(prob.weight)           # in place: each n-long temporary is a fresh allocation
-    c = np.c_[np.ones(len(amps)), amps]
     cc = (c[:, :, None] * c[:, None]).reshape(len(c), -1)
     return np.sqrt(TWO_PI_SQ) * np.einsum('fi,ij,fj->f', c, gram, c) / np.sqrt(
         np.einsum('fi,ij,fj->f', cc, pairs @ pairs.T, cc))

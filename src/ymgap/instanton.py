@@ -22,8 +22,9 @@ module:
     nabla_k F = d_k F - [theta_k, F]
 
 (the opposite bracket sign is not a curvature of any connection with this
-display; see README). The general family is the pullback under
-x -> (x - center)/scale, which multiplies connection coefficients by
+display; see README). Both displays are tables of ``forms4.sd_basis``, the
+one place the orientation is written. The general family is the pullback
+under x -> (x - center)/scale, which multiplies connection coefficients by
 1/scale and curvature coefficients by 1/scale^2.
 
 Every evaluator takes points x of shape (..., 4) and broadcasts over the
@@ -49,23 +50,10 @@ import numpy as np
 
 from . import forms4, liealg
 
-# quaternion components (i, j, k) of the standard curvature's six form
-# components, index order (12, 13, 14, 23, 24, 34); the profile multiplies all
-_CURV_COEFF = np.array([
-    [1.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0],
-    [0.0, 0.0, 1.0],
-    [0.0, 0.0, 1.0],
-    [0.0, -1.0, 0.0],
-    [1.0, 0.0, 0.0],
-])
-
-# 1-form coefficient matrices: theta_a = (C_a x) . dx with C_a below
-_THETA_COEFF = np.array([
-    [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]],
-    [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]],
-    [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
-])
+# from the self-dual basis e_a: F's components (12, ..., 34) on (i, j, k) are 2 e_a, and
+# theta_a = (C_a x) . dx with C_a = 2 e_a^T as a skew matrix; C-contiguous, read-only
+_CURV_COEFF = np.ascontiguousarray(2.0 * forms4.sd_basis().T)
+_THETA_COEFF = 2.0 * np.einsum('ac,cnm->amn', forms4.sd_basis(), liealg.SO4_BASIS, order='C')
 _CURV_COEFF.flags.writeable = _THETA_COEFF.flags.writeable = False
 
 

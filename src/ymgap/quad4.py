@@ -54,8 +54,9 @@ class RadialGrid:
         with mass int_rmax^inf r^3 (rmax/r)^8 dr = rmax^4/4: the integrand
         is taken to decay like r^-8 beyond rmax, a model that misses by
         3.9 (scale / rmax)^6 <= 3.9e-18. ``panels`` defaults to
-        ``panel_count(scale)``; any other value than an integer >= 2 raises
-        ValueError."""
+        ``panel_count(scale)``; any other value than an integer >= 2, or a
+        scale that ``instanton.InstantonParams`` refuses, raises ValueError."""
+        scale = instanton.InstantonParams(scale).scale
         panels = panel_count(scale) if panels is None else panels
         if isinstance(panels, bool) or not isinstance(panels, numbers.Integral) or panels < 2:
             raise ValueError(f"panels must be an integer >= 2; got {panels!r}")
@@ -70,7 +71,9 @@ class RadialGrid:
 def panel_count(scale):
     """The grid rule: the least panel count whose edge ratio, from the first
     edge 0.25 min(1, scale) to rmax = 1000 max(1, scale), is at most
-    4000^(1/23), the ratio of 24 panels on [0.25, 1000]."""
+    4000^(1/23), the ratio of 24 panels on [0.25, 1000]. A scale that
+    ``instanton.InstantonParams`` refuses raises ValueError."""
+    scale = instanton.InstantonParams(scale).scale
     return 1 + int(np.ceil(23.0 * (np.log(4000.0 * max(scale, 1.0 / scale)) / np.log(4000.0))))
 
 

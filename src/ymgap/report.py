@@ -417,7 +417,8 @@ def _suite_yamabe(cfg):
     # 50 factors 1 + sum_k a_k cos k rho with sum |a_k| in [0.05, 0.4]
     d = rng.uniform([-1.0, -1.0, -1.0, 0.05], [1.0, 1.0, 1.0, 0.4], (50, 4))
     amps = d[:, :3] * (d[:, 3] / np.sum(np.abs(d[:, :3]), axis=1))[:, None]
-    q = _richardson(lambda n: conformal.cosine_yamabe_quotients(amps, probs[n]), 2000)
+    coeffs = np.c_[np.ones(len(amps)), amps]
+    q = _richardson(lambda n: conformal.cosine_yamabe_quotients(coeffs, probs[n]), 2000)
     checks.append(_check("quotient-family-floor", conformal.YAMABE_S4 - np.min(q), 1e-6))
     dilated = max(abs(_richardson(lambda n: conformal.yamabe_quotient(
         conformal.dilation_factor(lam), probs[n]), 2000) - conformal.YAMABE_S4)

@@ -128,11 +128,17 @@ def test_census_tables_name_the_package_constants():
 
 def test_module_level_arrays_are_read_only():
     """No call can edit a table in place: every module-level ndarray of the
-    package is read-only, so a perturbation needs ``monkeypatch``."""
+    package is read-only, so a perturbation needs ``monkeypatch``. Every float
+    table the census perturbs is also C-contiguous: a strided one, such as an
+    einsum's output, makes each contraction that reads it slower."""
     writable = [f"{module.__name__}.{name}" for module in MODULES
                 for name, value in vars(module).items()
                 if isinstance(value, np.ndarray) and value.flags.writeable]
     assert not writable
+    strided = [key for key, (module, name) in CONSTANTS.items()
+               if isinstance(getattr(module, name), np.ndarray)
+               and not getattr(module, name).flags.c_contiguous]
+    assert not strided
 
 
 # the defects of the census that reached the gap inequality's range check and

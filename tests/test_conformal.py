@@ -218,10 +218,24 @@ def test_lambda1_certified_shift_steps(monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_lambda1_rejects_a_non_finite_potential(bad):
+    # round_problem refuses such a potential; a transformed Phi_hat can still overflow
     phi = np.full(2000, 12.0)
     phi[1000] = bad
     with pytest.raises(conformal.EigenSolveError, match="non-finite"):
-        conformal.lambda1(conformal.round_problem(phi))
+        conformal.lambda1(dataclasses.replace(conformal.round_problem(12.0), phi=phi))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: conformal.round_problem(np.nan, 100),
+    lambda: conformal.round_problem(np.inf, 100),
+    lambda: conformal.round_problem(lambda r: np.where(r > 3.0, -np.inf, 12.0), 100),
+    # every constituent is finite, but 12 - 3 * 1e308 overflows to -inf
+    lambda: conformal.phi_of(12.0, 0.0, 1e308, 1.0),
+], ids=["nan", "inf", "minus-inf-near-a-pole", "phi-of-overflow"])
+def test_round_problem_refuses_a_non_finite_potential(build):
+    # rayleigh read nan and yamabe_quotient inf from such a problem, without raising
+    with pytest.raises(ValueError, match="potential must be finite"):
+        build()
 
 
 def test_lambda1_convergence_order():
@@ -258,7 +272,7 @@ def test_rayleigh_values():
 def test_covariance_identity_and_constants():
     field = conformal.phi_of(12.0, 0.0, 0.0, liealg.GAMMA1_SU2, n=4096)
     assert np.all(conformal.covariance_check([[1.0], [2.5]], field) < 1e-12)
-    phi_hat = conformal.transformed_phi(np.full_like(field.rho, 2.5), field)
+    phi_hat = conformal.transform_problem(field, lambda r: np.full_like(r, 2.5)).phi
     assert np.max(np.abs(phi_hat - field.phi / 2.5 ** 2)) < 1e-12
 
 
@@ -375,7 +389,9 @@ def test_phi_of_scalar_constituents_match_arrays():
     coeffs = [[1.0, 0.3, 0.0, -0.1]]
     assert np.array_equal(conformal.covariance_check(coeffs, lean),
                           conformal.covariance_check(coeffs, full))
-    assert np.array_equal(conformal.transformed_phi(u, lean), conformal.transformed_phi(u, full))
+    factor = lambda r: 1.0 + 0.3 * np.cos(r) - 0.1 * np.cos(3 * r)
+    assert np.array_equal(conformal.transform_problem(lean, factor).phi,
+                          conformal.transform_problem(full, factor).phi)
 
 
 def test_covariance_random_family():
@@ -409,7 +425,6 @@ def _nan_factor_calls():
     nan = np.full(500, np.nan)
     return {
         "yamabe_quotient": lambda: conformal.yamabe_quotient(nan, field),
-        "transformed_phi": lambda: conformal.transformed_phi(nan, field),
         "covariance_check": lambda: conformal.covariance_check([[1.0, np.nan]], field),
         "covariance_check-inf": lambda: conformal.covariance_check([[np.inf, 0.1]], field),
         "transform_problem": lambda: conformal.transform_problem(
@@ -418,15 +433,14 @@ def _nan_factor_calls():
         "transform_problem-face": lambda: conformal.transform_problem(
             field, lambda r: np.where(r == 0.0, np.nan, 1.0)),
         "cosine_yamabe_quotients": lambda: conformal.cosine_yamabe_quotients(
-            [[0.1, np.nan, 0.0]], field),
+            [[1.0, 0.1, np.nan, 0.0]], field),
         "cosine_yamabe_quotients-inf": lambda: conformal.cosine_yamabe_quotients(
-            [[0.1, 0.0, 0.0], [-np.inf, 0.0, 0.0]], field),
+            [[1.0, 0.1, 0.0, 0.0], [1.0, -np.inf, 0.0, 0.0]], field),
     }
 
 
-# the coefficient forms refuse a non-finite coefficient as a malformed array, by name
-_COEFFICIENT_REFUSALS = {"covariance_check": "coeffs must be a non-empty 2-D array",
-                         "cosine_yamabe_quotients": "amps must be a non-empty 2-D array"}
+# the coefficient forms refuse a non-finite coefficient as a malformed array
+_MALFORMED = "coeffs must be a non-empty 2-D array"
 
 
 def _unreachable(*args):
@@ -439,7 +453,8 @@ def test_nan_conformal_factor_is_refused(monkeypatch, name):
     monkeypatch.setattr(conformal, "pointwise_laplacian", _unreachable)
     monkeypatch.setattr(conformal.SLProblem, "apply", _unreachable)
     monkeypatch.setattr(conformal.SLProblem, "stiffness_times", _unreachable)
-    message = _COEFFICIENT_REFUSALS.get(name.split("-")[0], "conformal factor must be positive")
+    coefficient_form = name.split("-")[0] in ("covariance_check", "cosine_yamabe_quotients")
+    message = _MALFORMED if coefficient_form else "conformal factor must be positive"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
@@ -492,13 +507,13 @@ def test_yamabe_quotient_random_family_floor():
 
 
 def _suite_quotient_calls(monkeypatch, seed):
-    """(amps, prob, quotients) of each cosine_yamabe_quotients call of the
+    """(coeffs, prob, quotients) of each cosine_yamabe_quotients call of the
     yamabe-quotient suite at ``seed``: one per grid."""
     calls = []
     assembled = conformal.cosine_yamabe_quotients
 
-    def recorded(amps, prob):
-        calls.append((amps, prob, assembled(amps, prob)))
+    def recorded(coeffs, prob):
+        calls.append((coeffs, prob, assembled(coeffs, prob)))
         return calls[-1][2]
 
     monkeypatch.setattr(conformal, "cosine_yamabe_quotients", recorded)
@@ -521,24 +536,48 @@ def _row_by_row_amps(seed):
 def test_assembled_quotients_match_factor_by_factor(monkeypatch, seed):
     calls = _suite_quotient_calls(monkeypatch, seed)
     assert sorted(len(prob.rho) for _, prob, _ in calls) == [2000, 4000]
-    for amps, prob, quotients in calls:
+    for coeffs, prob, quotients in calls:
         # the suite's one batched draw is the row-by-row sample set, bit for bit
-        assert np.array_equal(amps, _row_by_row_amps(seed))
+        assert np.array_equal(coeffs, np.c_[np.ones(50), _row_by_row_amps(seed)])
         modes = np.cos(np.arange(1, 4)[:, None] * prob.rho)
-        direct = [conformal.yamabe_quotient(1.0 + a @ modes, prob) for a in amps]
+        direct = [conformal.yamabe_quotient(1.0 + a @ modes, prob) for a in coeffs[:, 1:]]
         assert np.max(np.abs(quotients / direct - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("amps, message", [
-    ([[0.5, -0.3, 0.2]], "conformal factor must be positive"),
-    ([[0.1, 0.0, 0.0], [0.0, 1.5, 0.0]], "conformal factor must be positive"),
-    ([0.1, 0.0, 0.0], "amps must be a non-empty 2-D array"),
-    (np.empty((0, 3)), "amps must be a non-empty 2-D array"),
-    ([[0.1, np.nan, 0.0]], "amps must be a non-empty 2-D array"),
-], ids=["sum-1", "second-row-1.5", "one-dimensional", "no-rows", "nan"])
-def test_assembled_quotients_refuse_a_factor_that_may_vanish(amps, message):
-    with pytest.raises(ValueError, match=message):
-        conformal.cosine_yamabe_quotients(amps, conformal.round_problem(12.0, 500))
+def _cosine_consumers(n=500):
+    """Both consumers of coefficient rows, on n-cell grids."""
+    field = conformal.phi_of(12.0, 0.0, np.sqrt(6.0), liealg.GAMMA1_SU2, n=n)
+    prob = conformal.round_problem(12.0, n)
+    return {"covariance_check": lambda c: conformal.covariance_check(c, field),
+            "cosine_yamabe_quotients": lambda c: conformal.cosine_yamabe_quotients(c, prob)}
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([[1.0, 0.1, 0.0, 0.0], [1.0, 0.0, 1.5, 0.0]], "conformal factor must be positive"),
+    ([1.0, 0.1, 0.0, 0.0], _MALFORMED),
+    (np.empty((0, 4)), _MALFORMED),
+    ([[1.0, 0.1, np.nan, 0.0]], _MALFORMED),
+    ([[1.0, 0.1, 0.0, np.inf]], _MALFORMED),
+], ids=["second-row-1.5", "one-dimensional", "no-rows", "nan", "inf"])
+def test_assembled_quotients_refuse_a_factor_that_may_vanish(coeffs, message):
+    # one rule: covariance_check refuses the same rows with the same message
+    for consume in _cosine_consumers().values():
+        with pytest.raises(ValueError, match=message):
+            consume(coeffs)
+
+
+@pytest.mark.parametrize("row", [[1.0, 0.5, -0.3, 0.2], [0.5, 0.25, 0.25, 0.0]],
+                         ids=["sum-1", "half-constant"])
+def test_assembled_quotients_accept_a_positive_factor(row):
+    # sum |c_k| >= c_0, so the rows are sampled, and positive at every node: the
+    # first one's least node value at n = 500 is 1.7e-5; the rule sum |a_k| < 1 refused it
+    consumers = _cosine_consumers()
+    prob = conformal.round_problem(12.0, 500)
+    u = row[0] + np.asarray(row[1:]) @ np.cos(np.arange(1, 4)[:, None] * prob.rho)
+    assert np.sum(np.abs(row[1:])) >= row[0] and np.min(u) > 0.0
+    assert np.isfinite(consumers["covariance_check"]([row])[0])
+    quotient = consumers["cosine_yamabe_quotients"]([row])[0]
+    assert abs(quotient - conformal.yamabe_quotient(u, prob)) <= 1e-12 * quotient
 
 
 @pytest.mark.parametrize("coeffs", [[1.0, 0.3], np.empty((0, 2)), np.empty((3, 0)), [[[1.0]]],

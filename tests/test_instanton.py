@@ -92,6 +92,35 @@ def norm_law_laplacian(p, x):
     return p.scale ** 4 * (-3072.0 / u ** 5 + 7680.0 * s / u ** 6)
 
 
+# the hand-typed tables the closed forms once read, the oracle of the ones built from
+# forms4.sd_basis: quaternion components (i, j, k) of the standard curvature's six form
+# components (12, 13, 14, 23, 24, 34), and theta_a = (C_a x) . dx with C_a below
+CURV_COEFF_ORACLE = np.array([
+    [1.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0],
+    [0.0, 0.0, 1.0],
+    [0.0, -1.0, 0.0],
+    [1.0, 0.0, 0.0],
+])
+THETA_COEFF_ORACLE = np.array([
+    [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]],
+    [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+])
+
+
+@pytest.mark.parametrize("name, oracle", [("_CURV_COEFF", CURV_COEFF_ORACLE),
+                                          ("_THETA_COEFF", THETA_COEFF_ORACLE)])
+def test_tables_come_from_the_self_dual_basis(name, oracle):
+    # equal down to signed zeros: -2 e_a as a skew matrix would write -0.0 where 2 e_a^T
+    # writes 0.0, and the table would still compare equal
+    table = getattr(instanton, name)
+    assert np.array_equal(table, oracle)
+    assert np.array_equal(np.signbit(table), np.signbit(oracle))
+    assert table.flags.c_contiguous and not table.flags.writeable
+
+
 def test_connection_at_origin_and_unit_point():
     th = instanton.connection_at(STD, np.zeros(4))
     assert th.shape == (4, 3) and np.max(np.abs(th)) == 0.0

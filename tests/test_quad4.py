@@ -1,5 +1,6 @@
 """Quadrature: radial/angular rules, energy, characteristic number."""
 
+import warnings
 from math import gamma
 
 import numpy as np
@@ -205,6 +206,19 @@ def test_radial_grid_refuses_a_non_integer_panel_count(panels):
     # 24.0 raised numpy's TypeError from geomspace
     with pytest.raises(ValueError, match="^panels must be an integer >= 2"):
         quad4.RadialGrid.make(panels=panels)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf, 1e-300, 1e21, True, "1"],
+                         ids=["zero", "minus-1", "nan", "inf", "1e-300", "1e21", "bool", "str"])
+@pytest.mark.parametrize("build", [quad4.RadialGrid.make, quad4.panel_count],
+                         ids=["make", "panel_count"])
+def test_radial_grid_refuses_a_scale_no_instanton_has(build, scale):
+    # 0 raised ZeroDivisionError, -1 and nan a NaN-to-integer error, inf OverflowError,
+    # 1e-300 "weights must be positive", and True built the scale-1 grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^scale must be"):
+            build(scale)
 
 
 def test_far_center_is_refused():
