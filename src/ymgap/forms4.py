@@ -9,6 +9,7 @@ Conventions shared by the whole package:
   form dx^12 has squared norm 2;
 * the orientation is dx^1 ^ dx^2 ^ dx^3 ^ dx^4, under which
   dx^12 + dx^34, dx^13 - dx^24 and dx^14 + dx^23 span the self-dual space;
+  it is written once, in ``STAR``, and ``sd_basis`` is read off it;
 * a 2-form is the skew 4x4 matrix (a_ij) in so(4): its product and bracket
   are ``liealg.circ`` and ``liealg.SO4``, on the basis ``liealg.SO4_BASIS``.
 
@@ -53,13 +54,10 @@ def inner_2form(a, b):
 def sd_basis():
     """Standard orthonormal basis of the self-dual space, rows e1, e2, e3.
 
-    e1 = (dx^12 + dx^34)/2, e2 = (dx^13 - dx^24)/2, e3 = (dx^14 + dx^23)/2.
+    e1 = (dx^12 + dx^34)/2, e2 = (dx^13 - dx^24)/2, e3 = (dx^14 + dx^23)/2:
+    the self-dual parts of dx^12, dx^13, dx^14, read off STAR at call time.
     """
-    return np.array([
-        [0.5, 0.0, 0.0, 0.0, 0.0, 0.5],
-        [0.0, 0.5, 0.0, 0.0, -0.5, 0.0],
-        [0.0, 0.0, 0.5, 0.5, 0.0, 0.0],
-    ])
+    return 0.5 * (np.eye(6)[:3] + STAR[:3])
 
 
 def random_sd_basis(rng, size=()):

@@ -22,10 +22,10 @@ module:
     nabla_k F = d_k F - [theta_k, F]
 
 (the opposite bracket sign is not a curvature of any connection with this
-display; see README). Both displays are tables of ``forms4.sd_basis``, the
-one place the orientation is written. The general family is the pullback
-under x -> (x - center)/scale, which multiplies connection coefficients by
-1/scale and curvature coefficients by 1/scale^2.
+display; see README). Both displays are tables of ``forms4.sd_basis``, read
+off ``forms4.STAR``, the one place the orientation is written. The general
+family is the pullback under x -> (x - center)/scale, which multiplies
+connection coefficients by 1/scale and curvature coefficients by 1/scale^2.
 
 Every evaluator takes points x of shape (..., 4) and broadcasts over the
 leading axes: a single point (4,) is the case ... = (). Lie-algebra values

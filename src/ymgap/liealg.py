@@ -11,7 +11,7 @@ here from the matrix bases ``SU2_BASIS``, ``SO3_BASIS`` and ``SO4_BASIS``:
 of the quaternion generators i, j, k below, for which
 |i|^2 = |j|^2 = |k|^2 = 2: its orthonormal basis is (i, j, k)/sqrt2, so
 its coefficients are sqrt2 times the quaternion entries. 2-forms are so(4):
-``SO4`` is also their bracket, which ``circ`` and ``comm2form`` gather.
+``SO4`` is also their product, which ``circ`` and ``comm2form`` read.
 
 The two sharp constants computed here are
 
@@ -96,14 +96,6 @@ def _structure_constants(basis):
 SU2 = _structure_constants(SU2_BASIS)
 SO3 = _structure_constants(SO3_BASIS)
 SO4 = _structure_constants(SO4_BASIS)
-# circ(a, b)[c] = sum_t CIRC_SIGN[c, t] * a[CIRC_LEFT[c, t]] * b[CIRC_RIGHT[c, t]] over
-# the entries SO4[l, r, c] != 0, by c, then min(l, r), then l; CIRC_SIGN is -SO4
-_t = np.argwhere(SO4)
-_t = _t[np.lexsort((_t[:, 0], np.minimum(_t[:, 0], _t[:, 1]), _t[:, 2]))]
-CIRC_LEFT, CIRC_RIGHT = _t[:, :2].T.reshape(2, 6, 4)
-CIRC_SIGN = -SO4[tuple(_t.T)].reshape(6, 4)
-CIRC_LEFT.flags.writeable = CIRC_RIGHT.flags.writeable = CIRC_SIGN.flags.writeable = False
-del _t
 
 
 def bracket_coeffs(a, b, f):
@@ -133,11 +125,9 @@ def circ(a, b):
     """(a o b)_ij = sum_k (a_ik b_jk - a_jk b_ik) = -[a, b]_ij on 2-forms (..., 6).
 
     Maps orthonormal self-dual pairs to unit self-dual forms (e1 o e2 = e3
-    etc.); applied through the 24 nonzero +-1 entries of SO4.
+    etc.); the so(4) bracket on SO4, read at call time.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.sum(CIRC_SIGN * a[..., CIRC_LEFT] * b[..., CIRC_RIGHT], axis=-1)
+    return -bracket_coeffs(a, b, SO4)
 
 
 # -- Lie-algebra-valued 2-forms ---------------------------------------------
@@ -175,15 +165,14 @@ def comm2form(p, q, f):
     """Bracket of Lie-valued 2-forms on structure constants f.
 
     [P,Q]_ij = sum_k ([P_ik, Q_jk] - [P_jk, Q_ik]); symmetric in (P, Q),
-    self-dual output for self-dual inputs. It has the 24 terms of ``circ``,
-    the nonzero +-1 entries of SO4, four per output component, with
-    brackets [P_a, Q_b] in place of products; they are applied as one
-    gathered ``bracket_coeffs``, so the call broadcasts over leading axes.
-    The four-loop version on matrices lives in the test suite as an oracle.
+    self-dual output for self-dual inputs. It is ``circ`` with brackets
+    [P_l, Q_r] in place of products: the 36 pair brackets are one
+    ``bracket_coeffs``, contracted with SO4 (read at call time) in one
+    product; broadcasts over leading axes. The four-loop version on
+    matrices lives in the test suite as an oracle.
     """
-    pa = CIRC_SIGN[:, :, None] * np.asarray(p, dtype=float)[..., CIRC_LEFT, :]
-    qb = np.asarray(q, dtype=float)[..., CIRC_RIGHT, :]
-    return np.sum(bracket_coeffs(pa, qb, f), axis=-2)
+    brackets = bracket_coeffs(np.expand_dims(p, -2), np.expand_dims(q, -3), f)
+    return -(SO4.reshape(36, 6).T @ brackets.reshape(brackets.shape[:-3] + (36, len(f))))
 
 
 def cubic_form(p, f):

@@ -35,9 +35,9 @@ READERS = {
     'conformal.ROUND_SCALAR_CURVATURE': ('yamabe-quotient', 'gap'),
     'conformal.SQRT6': ('eigenvalue', 'covariance'),
     'conformal.TWO_PI_SQ': ('yamabe-quotient',),
-    'conformal.YAMABE_S4': ('yamabe-quotient', 'thresholds'),
-    'liealg.CIRC_SIGN': ('bochner', 'bracket-sharpness', 'circ-basis', 'gamma-constants'),
-    'forms4.STAR': ('kato', 'bochner', 'bracket-sharpness', 'chern-weil', 'gap'),
+    'conformal.YAMABE_S4': ('yamabe-quotient', 'gap', 'thresholds'),
+    'forms4.STAR': ('kato', 'bochner', 'bracket-sharpness', 'circ-basis', 'gamma-constants',
+                    'chern-weil', 'gap'),
     'forms4.WEYL_BOUND': ('weyl-bound',),
     'instanton._CURV_COEFF': ('kato', 'bochner', 'bracket-sharpness', 'chern-weil', 'gap'),
     'instanton._THETA_COEFF': ('kato', 'bochner'),
@@ -48,7 +48,7 @@ READERS = {
     'liealg.GAMMA1_SU2': ('bracket-sharpness', 'gamma-constants', 'eigenvalue', 'covariance',
                           'gap', 'thresholds'),
     'liealg.SO3': ('gamma-constants',),
-    'liealg.SO4': ('gamma-constants',),
+    'liealg.SO4': ('bochner', 'bracket-sharpness', 'circ-basis', 'gamma-constants'),
     'liealg.SU2': ('kato', 'bochner', 'bracket-sharpness', 'gamma-constants'),
     'quad4.EPI2_16': ('energy', 'chern-weil', 'flow-check'),
     'quad4._GL_NODES': ('energy', 'chern-weil', 'gap', 'flow-check'),
@@ -62,8 +62,6 @@ BLIND_SPOTS = {
                        "suite's, and both of its routes read the same 2 sqrt(6)",
     'liealg.GAMMA1_MAX x1.001': "item 4: gamma1-so4-bound is one-sided, and a larger bound "
                                 "stays above the so(4) search's value",
-    'liealg.SO4 x0.999': "item 4: gamma1-so4-bound is one-sided, and a smaller so(4) table "
-                         "only lowers the so(4) search's value",
 }
 
 # perturbations the census does not require a check to see, with the reason:
@@ -106,6 +104,28 @@ def _scale(monkeypatch, key, factor):
 def test_perturbed_constant_fails_a_check(monkeypatch, key, factor):
     _scale(monkeypatch, key, factor)
     assert _failed(READERS[key])
+
+
+def _outputs(suites):
+    """{suite: (its checks, its sections)} on the default configuration."""
+    return {r.suite: (r.to_dict(), r.sections) for r in map(report.run_suite, suites)}
+
+
+def test_readers_list_every_suite_a_constant_moves(monkeypatch):
+    """READERS is measured: every suite whose checks or sections change
+    when a constant is scaled by 1 + 1e-3 is listed among its readers. A
+    listed suite the scale leaves unchanged stays allowed: eigenvalue
+    reads SQRT6, times |W+| = 0."""
+    clean = _outputs(report.SUITE_IDS)
+    unlisted = {}
+    for key, readers in READERS.items():
+        monkeypatch.undo()
+        _scale(monkeypatch, key, FACTORS[0])
+        others = [name for name in report.SUITE_IDS if name not in readers]
+        moved = [name for name, out in _outputs(others).items() if out != clean[name]]
+        if moved:
+            unlisted[key] = moved
+    assert not unlisted
 
 
 @pytest.mark.parametrize("case", sorted(BLIND_SPOTS))

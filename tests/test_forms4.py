@@ -112,6 +112,23 @@ def test_sd_project_idempotent_orthogonal_pythagoras():
         assert abs(total - forms4.inner_2form(a, a)) < 1e-12
 
 
+# the standard self-dual basis e1, e2, e3 as literals: the oracle for
+# forms4.sd_basis, which reads it off STAR
+SD_BASIS = np.array([
+    [0.5, 0.0, 0.0, 0.0, 0.0, 0.5],
+    [0.0, 0.5, 0.0, 0.0, -0.5, 0.0],
+    [0.0, 0.0, 0.5, 0.5, 0.0, 0.0],
+])
+
+
+def test_sd_basis_is_the_literal_basis():
+    # bit for bit, with one -0.5 and no -0.0
+    e = forms4.sd_basis()
+    assert np.array_equal(e, SD_BASIS)
+    assert np.array_equal(np.signbit(e), np.signbit(SD_BASIS))
+    assert np.count_nonzero(np.signbit(e)) == 1
+
+
 def test_sd_basis_orthonormal_and_self_dual():
     e = forms4.sd_basis()
     for a in range(3):

@@ -179,18 +179,21 @@ def test_circ_is_minus_the_so4_bracket():
     assert np.max(np.abs(gap)) < 1e-14
 
 
-def test_circ_tables_are_the_nonzero_so4_entries():
-    # each output component has exactly four terms, and the 24 terms are
-    # the nonzero entries of SO4 with sign -SO4
-    assert liealg.CIRC_LEFT.shape == liealg.CIRC_RIGHT.shape == liealg.CIRC_SIGN.shape == (6, 4)
-    out = np.broadcast_to(np.arange(6)[:, None], (6, 4))
-    terms = set(zip(liealg.CIRC_LEFT.ravel(), liealg.CIRC_RIGHT.ravel(), out.ravel()))
-    assert terms == set(map(tuple, np.argwhere(liealg.SO4)))
-    assert len(terms) == 24
-    assert np.array_equal(liealg.CIRC_SIGN, -liealg.SO4[liealg.CIRC_LEFT, liealg.CIRC_RIGHT, out])
-    assert np.array_equal(np.abs(liealg.CIRC_SIGN), np.ones((6, 4)))
-    for table in (liealg.CIRC_LEFT, liealg.CIRC_RIGHT, liealg.CIRC_SIGN):
-        assert not table.flags.writeable
+def test_products_read_so4_at_call_time(monkeypatch):
+    # SO4 is the one table of the 2-form product: doubling it doubles circ,
+    # comm2form on every algebra and the cubic tensor, exactly
+    rng = np.random.default_rng(31)
+    a, b = rng.standard_normal((2, 4, 6))
+    pairs = [(rng.standard_normal((2, 3, 6, len(f))), f) for _, f in ALL_ALGEBRAS]
+
+    def products():
+        return ([liealg.circ(a, b)] + [liealg.comm2form(p, q, f) for (p, q), f in pairs]
+                + [liealg.sd_cubic_tensor(f) for _, f in pairs])
+
+    before = products()
+    monkeypatch.setattr(liealg, "SO4", 2.0 * liealg.SO4)
+    for old, new in zip(before, products()):
+        assert np.array_equal(new, 2.0 * old) and np.any(old)
 
 
 def test_lv_norm_convention():

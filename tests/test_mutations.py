@@ -111,10 +111,12 @@ def _scaled_structure_constants(monkeypatch):
         monkeypatch.setattr(liealg, name, (1 + 1e-4) * getattr(liealg, name))
 
 
-def _flipped_circ_sign(monkeypatch):
-    sign = liealg.CIRC_SIGN.copy()
-    sign[0, 0] = -sign[0, 0]
-    monkeypatch.setattr(liealg, "CIRC_SIGN", sign)
+def _flipped_so4_pair(monkeypatch):
+    """The dx^13 o dx^23 term of the 12 component with the wrong sign, in the
+    2-form product's table: SO4[1, 3, 0] and SO4[3, 1, 0] negated."""
+    so4 = liealg.SO4.copy()
+    so4[[1, 3], [3, 1], 0] *= -1.0
+    monkeypatch.setattr(liealg, "SO4", so4)
 
 
 def _scaled_diagonal_potential(monkeypatch):
@@ -235,7 +237,7 @@ MUTATIONS = [
     _row("bracket-coeffs-sign", _negated_brackets,
          ["bochner", "bracket-sharpness"],
          {"curvature-fd", "bianchi", "bracket-term-at-0", "cubic-form-bpst"}),
-    _row("circ-sign-12", _flipped_circ_sign, ["circ-basis"], {"circ-orthonormal-100bases"}),
+    _row("so4-pair-sign-12", _flipped_so4_pair, ["circ-basis"], {"circ-orthonormal-100bases"}),
     # the sampled ratios reach 0.98 of the sharp 2/sqrt(6)
     _row("weyl-bound-x0.95", _set(forms4, "WEYL_BOUND", 0.95 * forms4.WEYL_BOUND),
          ["weyl-bound"], {"weyl-bound-10k", "weyl-equality-extremal"}),
